@@ -8,21 +8,23 @@ countable tube covers of E.  Two workhorse inequalities bracket it:
 * a bounded E satisfies mu(E) >= |E| / diam(E), since one tube can hold
   at most diam(E) * gamma_{n-1} r^{n-1} of E's volume.
 
-For convex sets in the plane the upper bound is tight (the classical
-plank problem), and ``plank_value_2d`` computes it exactly by rotating
-calipers.  Product sets A x R have mu = |A| exactly, with an explicit
-lower bound for truncated cylinders A x [-R, R].
+The upper bound is best at the least shadow, which
+``upper_bound_min_projection`` finds exactly for convex polytopes, by
+enumerating the vertices of their facet-normal arrangement, and in
+closed form for balls and cuboids; unions scan a direction grid.  In
+the plane the least shadow is the minimal width (the plank problem).
+Product sets A x R have mu = |A| exactly, with an explicit lower bound
+for truncated cylinders A x [-R, R].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .errors import (
     DegenerateShapeError,
@@ -33,21 +35,26 @@ from .errors import (
 from .geometry import (
     Ball,
     ConvexPolytope,
+    Cuboid,
     PointCloud,
     Shape,
     SquareTube,
     Tube,
     UnionShape,
+    _leaves,
     canonical_direction,
     diameter,
-    orthonormal_frame,
     unit_ball_volume,
-    unit_vector,
 )
 from .montecarlo import mc_volume
 from .projection import Shadow, shadow_values_batch
 
-_GRID_SEED = 20770  # structural constant; user seeds only drive Monte Carlo
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)  # one Halton base per axis up to MAX_DIM
+_VERTEX_BUDGET = 1 << 18  # arrangement vertices enumerated per polytope
+_EVAL_CHUNK = 1 << 20  # direction-by-generator products held at once
+_PARALLEL_DECIMALS = 9  # unit normals equal to this many decimals are parallel
+_RANK_TOL = 1e-9  # least singular value of an independent set of unit normals
+_SHADOW_SAMPLES = 20_000  # Monte Carlo samples per shadow of a union
 
 
 def tube_exact_measure(tube: Tube) -> float:
@@ -62,11 +69,23 @@ def square_tube_exact_measure(tube: SquareTube) -> float:
     return float((2 * tube.half_width) ** m)
 
 
+def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput points: base-``base`` digits mirrored about the point."""
+    out = np.zeros(len(index))
+    scale = 1.0 / base
+    while np.any(index):
+        out += scale * (index % base)
+        index = index // base
+        scale /= base
+    return out
+
+
 def sphere_directions(n: int, count: int) -> np.ndarray:
     """Deterministic quasi-uniform unit directions, one per projective class.
 
     n = 2 uses evenly spaced angles on the half-circle, n = 3 the
-    Fibonacci sphere, and higher dimensions a scrambled Halton sequence
+    Fibonacci sphere, and higher dimensions the Halton sequence (one
+    prime base per axis, starting at index 1 so no coordinate is 0)
     pushed through the inverse normal CDF.
     """
     if count < 1:
@@ -81,85 +100,138 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         d = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     else:
-        sampler = qmc.Halton(d=n, scramble=True, seed=_GRID_SEED)
-        u = np.clip(sampler.random(count), 1e-12, 1.0 - 1e-12)
-        g = ndtri(u)
-        norms = np.linalg.norm(g, axis=1)
-        norms[norms == 0] = 1.0
-        d = g / norms[:, None]
+        index = np.arange(1, count + 1)
+        g = ndtri(np.column_stack([_radical_inverse(index, p) for p in _PRIMES[:n]]))
+        d = g / np.linalg.norm(g, axis=1)[:, None]
     return np.array([canonical_direction(row) for row in d])
 
 
-def _refine_direction(evaluate, d0: np.ndarray, maxiter: int) -> tuple[float, np.ndarray]:
-    """Nelder-Mead in the tangent chart at d0; returns (value, direction)."""
-    frame = orthonormal_frame(d0)
-    basis = frame.cross
+def _least(values: np.ndarray, directions: np.ndarray, best: tuple) -> tuple:
+    """Fold the smallest of ``values`` into ``best`` = (value, direction);
+    exact ties go to the lexicographically smallest canonical direction."""
+    v = float(values.min())
+    if v > best[0]:
+        return best
+    tied = [tuple(canonical_direction(d)) for d in directions[values == v]]
+    if v == best[0]:
+        tied.append(tuple(best[1]))
+    return v, np.array(min(tied)) + 0.0  # no -0.0 in reports
 
-    def objective(u):
-        v = d0 + u @ basis
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            return float("inf")
-        return evaluate(v / norm)
 
-    res = minimize(
-        objective,
-        np.zeros(len(d0) - 1),
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": maxiter, "maxfev": 4 * maxiter},
+def _generators(poly: ConvexPolytope) -> tuple[np.ndarray, np.ndarray]:
+    """Facet normals merged up to sign (m, n), with their summed measures (m,);
+    qhull triangulates facets, so a cube's 12 normals become 3 generators."""
+    normals, measures = poly.facet_arrays
+    first = np.argmax(np.abs(normals) > 1e-9, axis=1)
+    signed = normals * np.sign(normals[np.arange(len(normals)), first])[:, None]
+    _, pick, group = np.unique(
+        np.round(signed, _PARALLEL_DECIMALS) + 0.0, axis=0, return_index=True, return_inverse=True
     )
-    v = d0 + res.x @ basis
-    d = canonical_direction(v / np.linalg.norm(v))
-    return float(res.fun), d
+    return signed[pick], np.bincount(group.ravel(), weights=measures)
+
+
+def _subset_blocks(m: int, k: int):
+    """k-subsets of range(m) grouped by their last element, each group with
+    the index of the first generator that may close its subsets."""
+    if k == 0:
+        yield np.zeros((1, 0), dtype=int), 0
+        return
+    for last in range(k - 1, m - 1):
+        heads = list(combinations(range(last), k - 1))
+        heads = np.array(heads, dtype=int).reshape(len(heads), k - 1)
+        yield np.column_stack([heads, np.full(len(heads), last)]), last + 1
+
+
+def _arrangement_minimum(gens: np.ndarray, weights: np.ndarray, pool: np.ndarray) -> tuple:
+    """Least shadow over the directions orthogonal to n - 1 generators of ``pool``.
+
+    Each (n-2)-subset of the pool gets one orthonormal basis of its 2-D
+    complement; the vertex it forms with a later pool generator g is the
+    perpendicular, inside that plane, of g's projection.  Vertices are
+    evaluated with all generators, in blocks of bounded size.
+    """
+    n = gens.shape[1]
+    k = n - 2
+    pooled = gens[pool]
+    best = (math.inf, None)
+    for subsets, start in _subset_blocks(len(pool), k):
+        tail = pooled[start:]
+        _, sv, vt = np.linalg.svd(pooled[subsets])
+        bases = vt[np.all(sv > _RANK_TOL, axis=1), k:, :]
+        step = max(1, _EVAL_CHUNK // (len(gens) * len(tail)))
+        for lo in range(0, len(bases), step):
+            q = bases[lo : lo + step]
+            c = q @ tail.T
+            d = np.einsum("sat,san->stn", np.stack([-c[:, 1], c[:, 0]], axis=1), q).reshape(-1, n)
+            norms = np.linalg.norm(d, axis=1)
+            keep = norms > _RANK_TOL
+            if np.any(keep):
+                d = d[keep] / norms[keep, None]
+                best = _least(0.5 * np.abs(d @ gens.T) @ weights, d, best)
+    return best
+
+
+def _min_shadow(s: Shape, grid_points: int, mc_samples: int, seed: int) -> tuple:
+    """(value, direction, method) behind ``upper_bound_min_projection``."""
+    n = s.dim
+    if n < 2:
+        raise DimensionError("projection bounds need ambient dimension >= 2")
+    e1 = canonical_direction(np.eye(n)[0])
+    leaves = _leaves(s) if isinstance(s, UnionShape) else [s]
+    if len(leaves) == 1 and leaves[0] is not s:
+        return _min_shadow(leaves[0], grid_points, mc_samples, seed)
+    if isinstance(s, Ball):
+        m = n - 1
+        return unit_ball_volume(m) * s.radius ** m, e1, "closed form"
+    if isinstance(s, PointCloud) or not leaves:
+        return 0.0, e1, "closed form"
+    if isinstance(s, Cuboid):
+        full = 2.0 * s.half_lengths
+        longest = canonical_direction(s.axes[int(np.argmax(full))])
+        return float(np.prod(full) / full.max()), longest, "closed form"
+    if isinstance(s, ConvexPolytope):
+        gens, weights = _generators(s)
+        m = len(gens)
+        k = m
+        while math.comb(k, n - 1) > _VERTEX_BUDGET:
+            k -= 1
+        pool = np.sort(np.argsort(-weights, kind="stable")[:k])  # the k heaviest
+        best = _arrangement_minimum(gens, weights, pool)
+        if k == m:
+            return (*best, f"exact arrangement vertices of {m} generators")
+        grid = sphere_directions(n, grid_points)
+        best = _least(shadow_values_batch(s, grid), grid, best)
+        return (*best, f"truncated arrangement, {k} of {m} generators, plus grid {grid_points}")
+    directions = sphere_directions(n, min(grid_points, 256))
+    shadows = [Shadow(s, d) for d in directions]
+    values = np.array([sh.area(samples=mc_samples, seed=seed)[0] for sh in shadows])
+    i = int(np.argmin(values))
+    kind = "exact" if all(sh.exact_area is not None for sh in shadows) else "Monte Carlo"
+    return float(values[i]), directions[i], f"grid {len(directions)} of {kind} shadows"
 
 
 def upper_bound_min_projection(
     s: Shape,
     *,
     grid_points: int = 2048,
-    refine_starts: int = 4,
-    nm_maxiter: int = 400,
-    mc_samples: int = 20_000,
+    mc_samples: int = _SHADOW_SAMPLES,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
-    """Smallest shadow found over a direction grid plus local refinement.
+    """Smallest shadow over all directions, with a direction attaining it.
 
-    Any direction certifies an upper bound, so the result is valid even
-    when the search is not globally optimal.  Ties between candidate
-    minima break toward the lexicographically smallest direction, which
-    keeps the reduction deterministic under any evaluation order.
-    Shapes without closed-form shadows are scanned on a reduced grid
-    with seeded Monte Carlo per direction.
+    Balls and cuboids have closed forms; a cuboid shows its largest face
+    along its longest edge.  A polytope's shadow along d is Cauchy's sum
+    1/2 sum_i w_i |g_i . d| over its facet normals g_i merged up to sign,
+    w_i their facet measures; its minimum over the sphere sits at a
+    vertex of the arrangement {g_i . d = 0}, and all vertices are tried.
+    Above ``_VERTEX_BUDGET`` vertices only the k heaviest generators form
+    vertices and the ``grid_points`` grid joins in, every candidate still
+    an exact shadow.  Unions take the least Monte Carlo shadow over a
+    grid of at most 256 directions.  Ties go to the lexicographically
+    smallest canonical direction.
     """
-    n = s.dim
-    if n < 2:
-        raise DimensionError("projection bounds need ambient dimension >= 2")
-    e1 = canonical_direction(np.eye(n)[0])
-    if isinstance(s, Ball):
-        m = n - 1
-        return unit_ball_volume(m) * s.radius ** m, e1
-    if isinstance(s, PointCloud) or (isinstance(s, UnionShape) and not s.members):
-        return 0.0, e1
-
-    directions = sphere_directions(n, grid_points)
-    values = shadow_values_batch(s, directions)
-    if values is None:
-        directions = sphere_directions(n, min(grid_points, 256))
-
-        def evaluate(d):
-            return Shadow(s, d).area(samples=mc_samples, seed=seed)[0]
-
-        values = np.array([evaluate(d) for d in directions])
-    else:
-
-        def evaluate(d):
-            return float(shadow_values_batch(s, d[None, :])[0])
-
-    order = np.argsort(values, kind="stable")
-    candidates = [(float(values[i]), canonical_direction(directions[i])) for i in order[:1]]
-    for i in order[: max(1, refine_starts)]:
-        candidates.append(_refine_direction(evaluate, directions[i], nm_maxiter))
-    return min(candidates, key=lambda c: (c[0], tuple(c[1])))
+    value, direction, _ = _min_shadow(s, grid_points, mc_samples, seed)
+    return value, direction
 
 
 def lower_bound_volume_diam(
@@ -204,44 +276,18 @@ def truncated_product_lower(
 def plank_value_2d(s: Shape) -> tuple[float, np.ndarray]:
     """Exact minimal width of a planar convex body, with witness direction.
 
-    Rotating-calipers evaluation: the width is the minimum over hull
-    edges of the largest vertex distance to the edge line, and the
-    witness direction (the one whose shadow equals the width) points
-    along the minimizing edge.  Disks are the analytic special case.
+    The width is the least shadow in the plane, where the arrangement
+    vertices of the minimum-shadow search are the hull-edge directions
+    rotating calipers visit; the witness points along the minimizing edge.
     """
     if s.dim != 2:
         raise DimensionError("plank width is a planar computation")
-    if isinstance(s, Ball):
-        return 2.0 * s.radius, canonical_direction(np.array([1.0, 0.0]))
-    if not isinstance(s, ConvexPolytope):
+    if not isinstance(s, (Ball, ConvexPolytope)):
         raise ParameterError("plank width needs a convex polygon or a disk")
-    hull = s._hull
-    verts = hull.points[hull.vertices]  # counterclockwise
-    k = len(verts)
-    if k < 3:
-        raise DegenerateShapeError("polygon needs at least three hull vertices")
-    best = math.inf
-    best_dir = None
-    for i in range(k):
-        a = verts[i]
-        b = verts[(i + 1) % k]
-        edge = b - a
-        length = np.linalg.norm(edge)
-        if length <= 1e-15:
-            continue
-        u = edge / length
-        normal = np.array([-u[1], u[0]])
-        dist = float(np.max(np.abs((verts - a) @ normal)))
-        if dist < best - 1e-15 or (
-            abs(dist - best) <= 1e-15
-            and best_dir is not None
-            and tuple(canonical_direction(u)) < tuple(best_dir)
-        ):
-            best = dist
-            best_dir = canonical_direction(u)
-    if best_dir is None or best <= 0.0:
+    width, direction, _ = _min_shadow(s, 2048, _SHADOW_SAMPLES, 0)
+    if width <= 0.0:
         raise DegenerateShapeError("degenerate polygon: zero width")
-    return best, best_dir
+    return width, direction
 
 
 @dataclass(frozen=True)
@@ -275,10 +321,8 @@ def compute_bounds(
     seed: int = 0,
 ) -> BoundReport:
     """Both tube-measure bounds for a bounded shape, as one report."""
-    upper, direction = upper_bound_min_projection(
-        s, grid_points=grid_points, seed=seed
-    )
-    methods = [f"upper: min projection, grid {grid_points} + simplex refinement"]
+    upper, direction, path = _min_shadow(s, grid_points, _SHADOW_SAMPLES, seed)
+    methods = [f"upper: min shadow, {path}"]
     try:
         lower, lower_se = lower_bound_volume_diam(s, samples=mc_samples, seed=seed)
         methods.append("lower: volume / diameter" + (" (mc)" if lower_se else " (exact)"))

@@ -7,8 +7,7 @@ byte-identical output.
 
 Exit codes: 0 success, 1 invariant or step failure (the mathematics
 went wrong), 2 input error (unparseable files, bad parameters, shapes
-out of range).  The environment variable TUBEMEASURE_THREADS is read
-and echoed for bookkeeping; it never affects numeric output.
+out of range).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,8 +47,6 @@ _DEFAULT_TOLERANCES = {
     "algebraic_agreement": 1e-12,
 }
 
-_BUILTIN_SHAPES = ("tetrahedron",)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -73,14 +69,12 @@ class RunConfig:
             raise ParameterError("output format must be json or csv")
 
     def to_dict(self) -> dict:
-        threads = os.environ.get("TUBEMEASURE_THREADS")
         return {
             "seed": self.seed,
             "mc_samples": self.mc_samples,
             "grid_points": self.grid_points,
             "tolerances": dict(self.tolerances),
             "output_format": self.output_format,
-            "threads": int(threads) if threads and threads.isdigit() else None,
         }
 
 
@@ -173,7 +167,7 @@ def _cmd_plank(args, cfg: RunConfig) -> dict:
     return {
         "width": width,
         "witness_direction": [float(v) for v in direction],
-        "method": "rotating calipers (exact for convex polygons)",
+        "method": "exact arrangement vertices: the hull-edge directions of rotating calipers",
     }
 
 

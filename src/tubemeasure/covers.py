@@ -129,6 +129,11 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     lo, hi = shadow.bbox(include_measure_zero=True)
     m = shadow.m
     counts = np.maximum(1, np.ceil((hi - lo) / h - 1e-12).astype(int))
+    if isinstance(s, PointCloud):
+        # extreme points sit on the bounding box, where the closed tube test fails
+        # by rounding; a quarter cell of margin keeps every point strictly inside
+        counts = np.floor((hi - lo) / h + 0.5).astype(int) + 1
+        lo = lo - (counts * h - (hi - lo)) / 2
     total = int(np.prod(counts))
     if total > 2_000_000:
         raise ParameterError(
@@ -165,7 +170,7 @@ def cover_search(
     """Best-effort cheap cover: greedy line fitting seeded by a projection cover.
 
     Candidate lines pass through random pairs of sample points; each
-    accepted line takes the prefix of nearest points that minimizes cost
+    accepted line takes the prefix of nearest points with the least cost
     per point, with the tube radius set to the largest assigned residual
     (clamped to a point-fit tolerance).  Candidate covers must survive
     ``cover_check``; otherwise the projection cover at the witness

@@ -299,12 +299,6 @@ class ConvexPolytope:
         measures.setflags(write=False)
         return normals, measures
 
-    @property
-    def facets(self) -> list[tuple[np.ndarray, float]]:
-        """(outward unit normal, facet (n-1)-measure) per boundary simplex."""
-        normals, measures = self.facet_arrays
-        return [(normals[i], float(measures[i])) for i in range(len(measures))]
-
     def contains(self, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         pts = np.atleast_2d(pts)
         eq = self._hull.equations
@@ -414,23 +408,6 @@ class UnionShape:
 
 Shape = Ball | Cuboid | ConvexPolytope | ProductSet | PointCloud | UnionShape
 
-_KIND_NAMES = {
-    Ball: "ball",
-    Cuboid: "cuboid",
-    ConvexPolytope: "polytope",
-    ProductSet: "product",
-    PointCloud: "cloud",
-    UnionShape: "union",
-}
-
-
-def shape_kind(s: Shape) -> str:
-    try:
-        return _KIND_NAMES[type(s)]
-    except KeyError:
-        raise GeometryError(f"not a shape: {type(s).__name__}") from None
-
-
 def shape_contains(s: Shape, pts: np.ndarray) -> np.ndarray:
     return s.contains(pts)
 
@@ -438,12 +415,6 @@ def shape_contains(s: Shape, pts: np.ndarray) -> np.ndarray:
 def shape_support(s: Shape, d: np.ndarray) -> float:
     """Support function h_s(d) = sup over the shape of <x, d>."""
     return s.support(np.asarray(d, dtype=float))
-
-
-def extent(s: Shape, d) -> float:
-    """Width of s along direction d: h_s(d) + h_s(-d)."""
-    d = unit_vector(d)
-    return shape_support(s, d) + shape_support(s, -d)
 
 
 def bounding_box(s: Shape) -> tuple[np.ndarray, np.ndarray]:

@@ -28,7 +28,6 @@ BATCH = 1 << 16
 TAG_VOLUME = 1
 TAG_INTERSECT = 2
 TAG_POINTS = 3
-TAG_COVER = 4
 TAG_SEARCH = 5
 TAG_PROOF = 6
 TAG_SHADOW = 7
@@ -36,10 +35,10 @@ TAG_SHADOW = 7
 MIN_SAMPLES = 1000
 
 
-def batch_rng(seed: int, tag: int, index: int) -> np.random.Generator:
-    """Generator for one batch, stable across runs and thread counts."""
+def batch_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
+    """Generator for (seed, tag, *key), stable across runs and thread counts."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=[int(seed) & (2 ** 64 - 1), tag, index])
+        np.random.SeedSequence(entropy=[int(seed) & (2 ** 64 - 1), tag, *key])
     )
 
 

@@ -58,7 +58,7 @@ from .geometry import (
     unit_vector,
     volume_exact,
 )
-from .montecarlo import TAG_PROOF
+from .montecarlo import TAG_PROOF, batch_rng
 
 _SCAN_CHUNK = 1 << 20
 _MAX_STORED_CELLS = 8_000_000
@@ -183,17 +183,6 @@ class SquarePacking:
     @property
     def squares(self) -> list[tuple[np.ndarray, Fraction]]:
         return list(self.iter_squares())
-
-    def square(self, index: int) -> tuple[np.ndarray, Fraction]:
-        if index < 0:
-            raise ParameterError("square index must be nonnegative")
-        for depth in sorted(self.cells):
-            rows = self.cells[depth]
-            if index < len(rows):
-                scale = self.radius / 2 ** depth
-                return rows[index] * scale, self.half_width(depth)
-            index -= len(rows)
-        raise ParameterError("square index out of range")
 
     def square_exact(self, index: int) -> tuple[tuple[Fraction, ...], Fraction]:
         """Exact rational center and half-width of one square."""
@@ -591,12 +580,6 @@ def _jsonable(x):
     return repr(x)
 
 
-def _walkthrough_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=[int(seed) & (2 ** 64 - 1), TAG_PROOF, *key])
-    )
-
-
 def _stream_pigeonhole(
     groups: list[tuple[int, float]], eps: float, seed: int, key: int
 ) -> tuple[int, float, int]:
@@ -626,7 +609,7 @@ def _stream_pigeonhole(
             done = 0
             while done < count:
                 c = min(_SCAN_CHUNK, count - done)
-                rng = _walkthrough_rng(seed, key, retry, bindex)
+                rng = batch_rng(seed, TAG_PROOF, key, retry, bindex)
                 q = low + rng.random(c) * (1.0 - low)
                 acc += mass * float(q.sum())
                 if first is None:
@@ -736,7 +719,7 @@ def run_proof_walkthrough(
     preview = choose_parameters(n, Fraction(1))
     eps, p = preview.eps, preview.p
 
-    rng = _walkthrough_rng(seed, 0)
+    rng = batch_rng(seed, TAG_PROOF, 0)
     r1 = _RADII_FIRST[int(rng.integers(len(_RADII_FIRST)))]
     r2 = _RADII_SECOND[int(rng.integers(len(_RADII_SECOND)))]
     tube1 = Tube(

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     random_convex_polygon,
+    random_cuboid,
     random_direction,
     random_shape,
     random_tube,
@@ -37,6 +39,7 @@ from tubemeasure import (
     tube_exact_measure,
     upper_bound_min_projection,
 )
+from tubemeasure import bounds
 from tubemeasure.projection import shadow_values_batch
 
 
@@ -110,6 +113,77 @@ class TestUpperBound:
         segment = axis_aligned_cuboid(np.zeros(1), np.ones(1))
         with pytest.raises(DimensionError):
             upper_bound_min_projection(segment)
+
+
+def arrangement_oracle(poly):
+    """Brute-force least shadow: a batched SVD over every (n-1)-subset of
+    the raw, unmerged qhull facet normals, each null direction evaluated
+    by Cauchy's formula."""
+    normals, measures = poly.facet_arrays
+    combos = np.array(list(itertools.combinations(range(len(normals)), poly.dim - 1)))
+    _, sv, vt = np.linalg.svd(normals[combos])
+    d = vt[sv[:, -1] > 1e-9, -1, :]
+    return float((0.5 * np.abs(d @ normals.T) @ measures).min())
+
+
+def small_polytopes(seed):
+    """Ten random polytopes with n + 3 points in each dimension 2..5."""
+    rng = np.random.default_rng(seed)
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            pts = rng.standard_normal((n + 3, n)) * rng.uniform(0.3, 2.0, n)
+            yield ConvexPolytope.hull_of(pts @ np.linalg.qr(rng.standard_normal((n, n)))[0])
+
+
+def grid_minimum(shape):
+    return float(shadow_values_batch(shape, sphere_directions(shape.dim, 2048)).min())
+
+
+class TestExactMinimumShadow:
+    def test_matches_arrangement_oracle(self):
+        for trial, poly in enumerate(small_polytopes(7)):
+            value, d = upper_bound_min_projection(poly)
+            want = arrangement_oracle(poly)
+            assert value == pytest.approx(want, rel=1e-12, abs=0.0), f"trial {trial}"
+            attained = float(shadow_values_batch(poly, d[None, :])[0])
+            assert attained == pytest.approx(value, rel=1e-12, abs=0.0), f"trial {trial}"
+
+    def test_never_above_grid(self):
+        rng = np.random.default_rng(11)
+        shapes = list(small_polytopes(13)) + [random_cuboid(rng, n) for n in (2, 3, 4, 5)]
+        for trial, shape in enumerate(shapes):
+            value, _ = upper_bound_min_projection(shape)
+            assert value <= grid_minimum(shape) * (1.0 + 1e-12), f"trial {trial}"
+
+    def test_cuboid_smallest_face_along_longest_axis(self):
+        rng = np.random.default_rng(17)
+        for n in (2, 3, 4, 5):
+            box = random_cuboid(rng, n)
+            full = 2.0 * box.half_lengths
+            value, d = upper_bound_min_projection(box)
+            assert value == pytest.approx(np.prod(full) / full.max(), rel=1e-12)
+            longest = box.axes[int(np.argmax(full))]
+            assert abs(float(d @ longest)) == pytest.approx(1.0, abs=1e-12)
+            assert "closed form" in compute_bounds(box, mc_samples=2000).method
+
+    def test_truncated_budget_returns_witnessed_shadow(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_VERTEX_BUDGET", 3)
+        for trial, poly in enumerate(small_polytopes(19)):
+            if poly.dim < 3:
+                continue
+            report = compute_bounds(poly, mc_samples=2000, grid_points=256)
+            assert "truncated" in report.method, f"trial {trial}"
+            d = np.array(report.witness_direction)
+            attained = float(shadow_values_batch(poly, d[None, :])[0])
+            assert report.upper == pytest.approx(attained, rel=1e-12, abs=0.0)
+            assert report.upper >= arrangement_oracle(poly) * (1.0 - 1e-12)
+
+    def test_method_names_exact_path(self):
+        report = compute_bounds(regular_tetrahedron(), mc_samples=2000)
+        assert "exact arrangement vertices" in report.method
+        # the tetrahedron's least shadow is seen along an edge: a triangle
+        # with the opposite edge as base and the edges' distance as height
+        assert report.upper == pytest.approx(0.5 / math.sqrt(2.0), rel=1e-12)
 
 
 class TestLowerBound:

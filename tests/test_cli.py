@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,17 +287,6 @@ class TestProof:
 
 
 class TestConfigEcho:
-    def test_threads_echo_does_not_change_numbers(self, tmp_path, capsys, monkeypatch):
-        path = shape_file(tmp_path, BALL3)
-        argv = ["bounds", "--shape", path, "--samples", "2000"]
-        monkeypatch.delenv("TUBEMEASURE_THREADS", raising=False)
-        plain = run_json(capsys, argv)
-        assert plain["config"]["threads"] is None
-        monkeypatch.setenv("TUBEMEASURE_THREADS", "4")
-        threaded = run_json(capsys, argv)
-        assert threaded["config"]["threads"] == 4
-        assert threaded["result"] == plain["result"]
-
     def test_tolerances_echoed(self, tmp_path, capsys):
         path = shape_file(tmp_path, BALL3)
         report = run_json(capsys, ["bounds", "--shape", path, "--samples", "2000"])
@@ -303,3 +296,17 @@ class TestConfigEcho:
             "frame_orthonormality": 1e-10,
             "algebraic_agreement": 1e-12,
         }
+
+
+def test_import_leaves_out_heavy_scipy_modules():
+    # the command line must not pay for scipy.optimize or scipy.stats
+    probe = (
+        "import sys, tubemeasure.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -173,6 +173,16 @@ class TestCoverSearch:
             lower, se = lower_bound_volume_diam(shape, samples=20_000, seed=trial)
             assert cost >= lower - 3 * se - 1e-9, f"trial {trial}"
 
+    def test_random_clouds_covered_by_their_own_search(self):
+        # extreme points used to sit on the outer cell edges, where the
+        # closed tube test failed by rounding
+        for n in (2, 3, 4):
+            for seed in range(10):
+                points = np.random.default_rng(seed).uniform(-2.0, 2.0, (40, n))
+                cloud = PointCloud(points=points)
+                ok, worst = cover_check(cloud, cover_search(cloud))
+                assert ok, f"n={n} seed={seed}: {worst} uncovered"
+
     def test_budget_validation(self):
         with pytest.raises(ParameterError):
             cover_search(unit_cube(), budget=0)
