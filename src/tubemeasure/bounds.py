@@ -171,7 +171,7 @@ def _arrangement_minimum(gens: np.ndarray, weights: np.ndarray, pool: np.ndarray
     return best
 
 
-def _min_shadow(s: Shape, grid_points: int, mc_samples: int, seed: int) -> tuple:
+def _min_shadow(s: Shape, grid_points: int, seed: int) -> tuple:
     """(value, direction, method) behind ``upper_bound_min_projection``."""
     n = s.dim
     if n < 2:
@@ -179,7 +179,7 @@ def _min_shadow(s: Shape, grid_points: int, mc_samples: int, seed: int) -> tuple
     e1 = canonical_direction(np.eye(n)[0])
     leaves = _leaves(s) if isinstance(s, UnionShape) else [s]
     if len(leaves) == 1 and leaves[0] is not s:
-        return _min_shadow(leaves[0], grid_points, mc_samples, seed)
+        return _min_shadow(leaves[0], grid_points, seed)
     if isinstance(s, Ball):
         m = n - 1
         return unit_ball_volume(m) * s.radius ** m, e1, "closed form"
@@ -204,7 +204,7 @@ def _min_shadow(s: Shape, grid_points: int, mc_samples: int, seed: int) -> tuple
         return (*best, f"truncated arrangement, {k} of {m} generators, plus grid {grid_points}")
     directions = sphere_directions(n, min(grid_points, 256))
     shadows = [Shadow(s, d) for d in directions]
-    values = np.array([sh.area(samples=mc_samples, seed=seed)[0] for sh in shadows])
+    values = np.array([sh.area(samples=_SHADOW_SAMPLES, seed=seed)[0] for sh in shadows])
     i = int(np.argmin(values))
     kind = "exact" if all(sh.exact_area is not None for sh in shadows) else "Monte Carlo"
     return float(values[i]), directions[i], f"grid {len(directions)} of {kind} shadows"
@@ -214,7 +214,6 @@ def upper_bound_min_projection(
     s: Shape,
     *,
     grid_points: int = 2048,
-    mc_samples: int = _SHADOW_SAMPLES,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
     """Smallest shadow over all directions, with a direction attaining it.
@@ -226,11 +225,12 @@ def upper_bound_min_projection(
     vertex of the arrangement {g_i . d = 0}, and all vertices are tried.
     Above ``_VERTEX_BUDGET`` vertices only the k heaviest generators form
     vertices and the ``grid_points`` grid joins in, every candidate still
-    an exact shadow.  Unions take the least Monte Carlo shadow over a
-    grid of at most 256 directions.  Ties go to the lexicographically
-    smallest canonical direction.
+    an exact shadow.  Unions take the least Monte Carlo shadow, of
+    ``_SHADOW_SAMPLES`` samples each, over a grid of at most 256
+    directions.  Ties go to the lexicographically smallest canonical
+    direction.
     """
-    value, direction, _ = _min_shadow(s, grid_points, mc_samples, seed)
+    value, direction, _ = _min_shadow(s, grid_points, seed)
     return value, direction
 
 
@@ -284,7 +284,7 @@ def plank_value_2d(s: Shape) -> tuple[float, np.ndarray]:
         raise DimensionError("plank width is a planar computation")
     if not isinstance(s, (Ball, ConvexPolytope)):
         raise ParameterError("plank width needs a convex polygon or a disk")
-    width, direction, _ = _min_shadow(s, 2048, _SHADOW_SAMPLES, 0)
+    width, direction, _ = _min_shadow(s, 2048, 0)
     if width <= 0.0:
         raise DegenerateShapeError("degenerate polygon: zero width")
     return width, direction
@@ -321,7 +321,7 @@ def compute_bounds(
     seed: int = 0,
 ) -> BoundReport:
     """Both tube-measure bounds for a bounded shape, as one report."""
-    upper, direction, path = _min_shadow(s, grid_points, _SHADOW_SAMPLES, seed)
+    upper, direction, path = _min_shadow(s, grid_points, seed)
     methods = [f"upper: min shadow, {path}"]
     try:
         lower, lower_se = lower_bound_volume_diam(s, samples=mc_samples, seed=seed)

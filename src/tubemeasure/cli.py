@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: bounds, plank, cover, pack, refine, proof.  Every report
-carries a config echo (seed, sample counts, tolerances) so results are
-self-describing, and identical invocations with identical seeds print
-byte-identical output.
+Subcommands: bounds, plank, cover, pack, refine, proof.  Each declares
+only the options its computation reads: ``--format`` everywhere,
+``--seed`` for bounds, cover and proof, ``--samples`` for bounds and
+cover.  Every report carries a ``config`` echo of the settings in effect
+for that command: its options (as ``seed``, ``mc_samples``,
+``grid_points``, ``output_format``) and the comparison tolerances, read
+from the constants the code compares against.  Identical invocations
+print byte-identical output.
 
 Exit codes: 0 success, 1 invariant or step failure (the mathematics
 went wrong), 2 input error (unparseable files, bad parameters, shapes
@@ -17,7 +21,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -30,9 +33,15 @@ from .covers import (
     parallel_cover_from_projection,
 )
 from .errors import ParameterError, SchemaError, StepFailureError
-from .geometry import regular_tetrahedron, unit_vector
+from .geometry import CONTAINS_TOL, FRAME_ORTHO_TOL, regular_tetrahedron, unit_vector
+from .montecarlo import MIN_SAMPLES
 from .projection import shadow_area_with_error
-from .proof import ball_square_packing, common_refinement, run_proof_walkthrough
+from .proof import (
+    AGREEMENT_TOL,
+    ball_square_packing,
+    common_refinement,
+    run_proof_walkthrough,
+)
 from .serialization import (
     bound_report_to_json,
     cover_from_json,
@@ -41,41 +50,24 @@ from .serialization import (
     shape_from_json,
 )
 
-_DEFAULT_TOLERANCES = {
-    "contains": 1e-9,
-    "frame_orthonormality": 1e-10,
-    "algebraic_agreement": 1e-12,
+_TOLERANCES = {
+    "contains": CONTAINS_TOL,
+    "frame_orthonormality": FRAME_ORTHO_TOL,
+    "algebraic_agreement": AGREEMENT_TOL,
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation's knobs, echoed verbatim into every report."""
-
-    seed: int = 0
-    mc_samples: int = 1_000_000
-    grid_points: int = 2048
-    tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
-    output_format: str = "json"
-
-    def __post_init__(self):
-        if self.mc_samples < 1000:
-            raise ParameterError("mc_samples must be at least 1000")
-        if self.grid_points < 1:
-            raise ParameterError("grid_points must be positive")
-        if any(v <= 0 for v in self.tolerances.values()):
-            raise ParameterError("all tolerances must be positive")
-        if self.output_format not in ("json", "csv"):
-            raise ParameterError("output format must be json or csv")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "mc_samples": self.mc_samples,
-            "grid_points": self.grid_points,
-            "tolerances": dict(self.tolerances),
-            "output_format": self.output_format,
-        }
+def _config(args) -> dict:
+    """The settings in effect: this subcommand's options and the tolerances."""
+    options = vars(args)
+    if options.get("mc_samples", MIN_SAMPLES) < MIN_SAMPLES:
+        raise ParameterError(f"mc_samples must be at least {MIN_SAMPLES}")
+    if options.get("grid_points", 1) < 1:
+        raise ParameterError("grid_points must be positive")
+    config = {key: options[key] for key in ("seed", "mc_samples", "grid_points") if key in options}
+    config["tolerances"] = dict(_TOLERANCES)
+    config["output_format"] = args.format
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +142,18 @@ def _emit(report: dict, fmt: str) -> str:
 # subcommands
 
 
-def _cmd_bounds(args, cfg: RunConfig) -> dict:
+def _cmd_bounds(args) -> dict:
     shape = _load_shape(args.shape)
     report = compute_bounds(
         shape,
-        mc_samples=cfg.mc_samples,
-        grid_points=cfg.grid_points,
-        seed=cfg.seed,
+        mc_samples=args.mc_samples,
+        grid_points=args.grid_points,
+        seed=args.seed,
     )
     return bound_report_to_json(report)
 
 
-def _cmd_plank(args, cfg: RunConfig) -> dict:
+def _cmd_plank(args) -> dict:
     shape = _load_shape(args.shape)
     width, direction = plank_value_2d(shape)
     return {
@@ -171,14 +163,14 @@ def _cmd_plank(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_cover(args, cfg: RunConfig) -> dict:
+def _cmd_cover(args) -> dict:
     shape = _load_shape(args.shape)
     result: dict = {}
     if args.cover is not None:
         cover = cover_from_json(_load_json_file(args.cover))
         result["source"] = "file"
     elif args.search:
-        cover = cover_search(shape, budget=args.budget, seed=cfg.seed)
+        cover = cover_search(shape, budget=args.budget, seed=args.seed)
         result["source"] = "search"
     elif args.parallel is not None:
         direction = _parse_direction(args.parallel[0])
@@ -186,7 +178,7 @@ def _cmd_cover(args, cfg: RunConfig) -> dict:
         cover = parallel_cover_from_projection(shape, direction, grid_step)
         result["source"] = "parallel"
         area, std_error = shadow_area_with_error(
-            shape, direction, samples=cfg.mc_samples, seed=cfg.seed
+            shape, direction, samples=args.mc_samples, seed=args.seed
         )
         result["shadow_area"] = area
         result["shadow_std_error"] = std_error
@@ -194,7 +186,7 @@ def _cmd_cover(args, cfg: RunConfig) -> dict:
         raise SchemaError("cover needs one of --cover FILE, --search, --parallel D H")
 
     cost = cover_cost(cover)
-    covered, worst = cover_check(shape, cover, samples=cfg.mc_samples, seed=cfg.seed)
+    covered, worst = cover_check(shape, cover, samples=args.mc_samples, seed=args.seed)
     result.update(
         {
             "tubes": len(cover),
@@ -210,12 +202,12 @@ def _cmd_cover(args, cfg: RunConfig) -> dict:
     return result
 
 
-def _cmd_pack(args, cfg: RunConfig) -> dict:
+def _cmd_pack(args) -> dict:
     packing = ball_square_packing(args.dim, args.radius, args.depth)
     return packing.to_dict()
 
 
-def _cmd_refine(args, cfg: RunConfig) -> dict:
+def _cmd_refine(args) -> dict:
     delta_a = _parse_rational(args.widths[0])
     delta_b = _parse_rational(args.widths[1])
     delta, count_a, count_b = common_refinement(delta_a, delta_b)
@@ -228,8 +220,8 @@ def _cmd_refine(args, cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_proof(args, cfg: RunConfig) -> dict:
-    report = run_proof_walkthrough(args.dim, args.depth, seed=cfg.seed)
+def _cmd_proof(args) -> dict:
+    report = run_proof_walkthrough(args.dim, args.depth, seed=args.seed)
     return report.to_dict()
 
 
@@ -244,11 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, samples_default=1_000_000):
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument(
-            "--samples", type=int, default=samples_default, help="Monte-Carlo samples"
-        )
+    def add_common(p, seed=False, samples=None):
+        """--format, plus --seed and --samples where the computation reads them."""
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        if samples is not None:
+            p.add_argument(
+                "--samples", dest="mc_samples", metavar="SAMPLES", type=int, default=samples,
+                help="Monte-Carlo samples",
+            )
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", help="output format"
         )
@@ -256,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="lower and upper tube-measure bounds of a shape")
     p.add_argument("--shape", required=True, help="shape JSON file or 'tetrahedron'")
     p.add_argument("--grid-points", type=int, default=2048, help="direction grid size")
-    add_common(p)
+    add_common(p, seed=True, samples=1_000_000)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("plank", help="exact minimal width of a planar convex body")
@@ -276,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel grid cover: comma-separated direction and grid step",
     )
     p.add_argument("--budget", type=int, default=256, help="search iteration budget")
-    add_common(p, samples_default=100_000)
+    add_common(p, seed=True, samples=100_000)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("pack", help="dyadic square packing of a ball")
@@ -300,38 +296,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("proof", help="run the constructive proof walkthrough")
     p.add_argument("--dim", type=int, required=True, help="ambient dimension n (2..8)")
     p.add_argument("--depth", type=int, required=True, help="subdivision depth")
-    add_common(p)
+    add_common(p, seed=True)
     p.set_defaults(handler=_cmd_proof)
 
     return parser
-
-
-def _make_config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        mc_samples=args.samples,
-        grid_points=getattr(args, "grid_points", 2048),
-        output_format=args.format,
-    )
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _make_config(args)
-        result = args.handler(args, cfg)
-        report = {"command": args.command, "config": cfg.to_dict(), "result": result}
-        sys.stdout.write(_emit(report, cfg.output_format))
+        config = _config(args)
+        result = args.handler(args)
+        report = {"command": args.command, "config": config, "result": result}
+        sys.stdout.write(_emit(report, args.format))
         return 0
     except StepFailureError as exc:
         if exc.report is not None:
             payload = {
                 "command": args.command,
-                "config": cfg.to_dict(),
+                "config": config,
                 "result": exc.report.to_dict(),
             }
-            sys.stdout.write(_emit(payload, cfg.output_format))
+            sys.stdout.write(_emit(payload, args.format))
         sys.stderr.write(f"{exc}\n")
         return 1
     except ValueError as exc:

@@ -161,12 +161,7 @@ def _line_distances(pts: np.ndarray, point: np.ndarray, axis: np.ndarray) -> np.
     return np.linalg.norm(rel - np.outer(along, axis), axis=1)
 
 
-def cover_search(
-    s: Shape,
-    budget: int = 256,
-    seed: int = 0,
-    grid_step: float | None = None,
-) -> TubeCover:
+def cover_search(s: Shape, budget: int = 256, seed: int = 0) -> TubeCover:
     """Best-effort cheap cover: greedy line fitting seeded by a projection cover.
 
     Candidate lines pass through random pairs of sample points; each
@@ -174,7 +169,8 @@ def cover_search(
     per point, with the tube radius set to the largest assigned residual
     (clamped to a point-fit tolerance).  Candidate covers must survive
     ``cover_check``; otherwise the projection cover at the witness
-    direction wins, so the result is never worse than that incumbent.
+    direction, with grid step diam(s) / 16, wins, so the result is never
+    worse than that incumbent.
     """
     if budget < 1:
         raise ParameterError("search budget must be positive")
@@ -184,7 +180,7 @@ def cover_search(
     pts = s.points if exact_points else sample_points(s, 4096, seed)
 
     _, witness = upper_bound_min_projection(s, grid_points=256, seed=seed)
-    h = grid_step if grid_step is not None else max(diameter(s) / 16.0, 1e-6)
+    h = max(diameter(s) / 16.0, 1e-6)
     incumbent = parallel_cover_from_projection(s, witness, h)
     best_cost, best = cover_cost(incumbent), incumbent
 

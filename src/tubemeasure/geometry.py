@@ -33,6 +33,7 @@ from .errors import (
 MAX_DIM = 8
 UNIT_NORM_TOL = 1e-12   # directions must be unit length within this
 FRAME_ORTHO_TOL = 1e-10  # frames must be orthonormal within this
+CONTAINS_TOL = 1e-9     # hull membership allows this slack past each facet
 
 
 def unit_ball_volume(m: int) -> float:
@@ -65,11 +66,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def unit_vector(v, tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def unit_vector(v) -> np.ndarray:
     """Normalize v to unit length; rejects (near-)zero vectors."""
     v = _as_floats(v, "direction").ravel()
     norm = float(np.linalg.norm(v))
-    if norm <= tol:
+    if norm <= UNIT_NORM_TOL:
         raise DegenerateShapeError("cannot normalize a zero vector")
     return v / norm
 
@@ -299,10 +300,10 @@ class ConvexPolytope:
         measures.setflags(write=False)
         return normals, measures
 
-    def contains(self, pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         eq = self._hull.equations
-        return np.all(pts @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
+        return np.all(pts @ eq[:, :-1].T + eq[:, -1] <= CONTAINS_TOL, axis=1)
 
     def support(self, d: np.ndarray) -> float:
         return float(np.max(self.vertices @ d))

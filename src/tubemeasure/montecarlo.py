@@ -33,6 +33,7 @@ TAG_PROOF = 6
 TAG_SHADOW = 7
 
 MIN_SAMPLES = 1000
+_MAX_POINT_BATCHES = 4096  # rejection-sampling batches before giving up as degenerate
 
 
 def batch_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
@@ -114,7 +115,7 @@ def mc_intersection_volume(
     return box * p, box * se
 
 
-def sample_points(s: Shape, count: int, seed: int = 0, max_batches: int = 4096) -> np.ndarray:
+def sample_points(s: Shape, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic points of s: cloud points verbatim, else rejection sampling.
 
     Raises if the shape's volume fraction of its bounding box is too small
@@ -132,7 +133,7 @@ def sample_points(s: Shape, count: int, seed: int = 0, max_batches: int = 4096) 
     n = lo.size
     out = []
     got = 0
-    for index in range(max_batches):
+    for index in range(_MAX_POINT_BATCHES):
         rng = batch_rng(seed, TAG_POINTS, index)
         pts = lo + rng.random((BATCH, n)) * span
         keep = pts[shape_contains(s, pts)]

@@ -20,6 +20,7 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DimensionError, ParameterError, UnboundedShapeError
 from .geometry import (
+    CONTAINS_TOL,
     Ball,
     ConvexPolytope,
     Cuboid,
@@ -33,27 +34,6 @@ from .geometry import (
     unit_vector,
 )
 from .montecarlo import TAG_SHADOW, _batches, _check_samples, batch_rng
-
-_HULL_TOL = 1e-9
-
-
-def _exact_leaf_shadow(leaf: Shape, d: np.ndarray) -> float:
-    """Closed-form shadow measure of a single convex leaf along unit d."""
-    m = leaf.dim - 1
-    if isinstance(leaf, Ball):
-        return unit_ball_volume(m) * leaf.radius ** m
-    if isinstance(leaf, Cuboid):
-        full = 2.0 * leaf.half_lengths
-        prod_all = float(np.prod(full))
-        per_axis = prod_all / full
-        return float(np.abs(leaf.axes @ d) @ per_axis)
-    if isinstance(leaf, ConvexPolytope):
-        normals, measures = leaf.facet_arrays
-        return 0.5 * float(np.abs(normals @ d) @ measures)
-    if isinstance(leaf, PointCloud):
-        return 0.0
-    raise UnboundedShapeError(f"no bounded shadow for {type(leaf).__name__}")
-
 
 class _DiskOracle:
     measure_zero = False
@@ -113,14 +93,14 @@ class _HullOracle:
 
     def contains(self, y):
         eq = self.equations
-        return np.all(y @ eq[:, :-1].T + eq[:, -1] <= _HULL_TOL, axis=1)
+        return np.all(y @ eq[:, :-1].T + eq[:, -1] <= CONTAINS_TOL, axis=1)
 
     def cell_touch(self, cl, ch):
         overlap = np.all(ch >= self.lo, axis=1) & np.all(cl <= self.hi, axis=1)
         a = self.equations[:, :-1]
         b = -self.equations[:, -1]
         low = cl @ np.where(a.T > 0, a.T, 0.0) + ch @ np.where(a.T < 0, a.T, 0.0)
-        return overlap & np.all(low <= b + _HULL_TOL, axis=1)
+        return overlap & np.all(low <= b + CONTAINS_TOL, axis=1)
 
 
 class _PointsOracle:
@@ -204,7 +184,7 @@ class Shadow:
             solid_leaves = [
                 lf for lf, o in zip(leaves, self._oracles) if not o.measure_zero
             ]
-            return _exact_leaf_shadow(solid_leaves[0], self.direction)
+            return float(shadow_values_batch(solid_leaves[0], self.direction[None])[0])
         if self.m == 1:
             # merged intervals: exact union length in the plane
             spans = sorted((float(o.bbox()[0][0]), float(o.bbox()[1][0])) for o in self._solid)

@@ -63,18 +63,16 @@ from .montecarlo import TAG_PROOF, batch_rng
 _SCAN_CHUNK = 1 << 20
 _MAX_STORED_CELLS = 8_000_000
 _MAX_MATERIALIZED_WEIGHTS = 4_000_000
+AGREEMENT_TOL = 1e-12  # the two forms of the final inequality must agree within this
 
 
 # ---------------------------------------------------------------------------
 # dyadic square packing of a ball
 
 
-def _seed_cells(m: int) -> np.ndarray:
-    """Depth-1 cells: all odd sign vectors, lexicographically sorted."""
-    return np.array(sorted(itertools.product((-1, 1), repeat=m)), dtype=np.int32)
-
-
-def _child_offsets(m: int) -> np.ndarray:
+def _sign_vectors(m: int) -> np.ndarray:
+    """All +/-1 vectors, lexicographically sorted: the depth-1 cells, and
+    the offsets of a cell's children from twice its index."""
     return np.array(sorted(itertools.product((-1, 1), repeat=m)), dtype=np.int32)
 
 
@@ -108,8 +106,8 @@ def _scan_packing(m: int, max_depth: int):
     Canonical order is depth-major, lexicographic within a depth; the
     parent-major child generation preserves it without sorting.
     """
-    frontier = _seed_cells(m)
-    offsets = _child_offsets(m)
+    offsets = _sign_vectors(m)
+    frontier = offsets
     for depth in range(1, max_depth + 1):
         last = depth == max_depth
         next_frontier = []
@@ -394,7 +392,9 @@ def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
     The cross half-widths are nudged inward by a few ulps if needed so
     that the closed membership test of the enclosing tube holds exactly
     in floating point for all 2^n vertices; the nudge is far below every
-    stated tolerance.
+    stated tolerance.  Cross coordinates are rounded at the scale of the
+    world coordinates, so when eight nudges at the scale of the tube's
+    half-width do not suffice, later nudges step at the world scale.
     """
     if b1.dim != b2.dim:
         raise DimensionError("balls must share one ambient dimension")
@@ -415,7 +415,7 @@ def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
     target = float(tube.half_width)
 
     cross_half = eta / 2.0
-    for _ in range(8):
+    for attempt in range(16):
         half = np.concatenate([np.full(n - 1, cross_half), [long_half]])
         c1 = Cuboid(center=b1.center, frame=frame, half_lengths=half)
         c2 = Cuboid(center=b2.center, frame=frame, half_lengths=half)
@@ -424,7 +424,8 @@ def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
         overshoot = float(coords.max()) - target
         if overshoot <= 0.0:
             return AlignedCuboidPair(first=c1, second=c2, enclosing=tube)
-        cross_half -= overshoot + 4.0 * np.spacing(target)
+        scale = target if attempt < 8 else float(np.abs(verts).max())
+        cross_half -= overshoot + 4.0 * np.spacing(scale)
     raise InvariantError("could not fit cuboid vertices inside the enclosing tube")
 
 
@@ -494,8 +495,9 @@ def contradiction_check(params: ProofParameters) -> tuple[float, bool]:
 
     Computed twice: from the closed form above and from the volume of an
     actual inscribed cuboid via |C| / (2 delta eta^{n-1}); the two must
-    agree to 1e-12.  A return above 1 is the contradiction: two disjoint
-    cuboids would each carry more than half the enclosing tube's cost.
+    agree to ``AGREEMENT_TOL``.  A return above 1 is the contradiction:
+    two disjoint cuboids would each carry more than half the enclosing
+    tube's cost.
     """
     n = params.n
     m = n - 1
@@ -508,7 +510,7 @@ def contradiction_check(params: ProofParameters) -> tuple[float, bool]:
     cuboid = cuboid_in_ball(ball, np.eye(n)[-1], params.eta)
     volume = volume_exact(cuboid)
     raw = 2.0 * (volume / (2.0 * delta * params.eta ** m) - tail)
-    if abs(raw - simplified) > 1e-12:
+    if abs(raw - simplified) > AGREEMENT_TOL:
         raise InvariantError(
             f"final inequality forms disagree: {raw!r} vs {simplified!r}"
         )
@@ -697,14 +699,8 @@ def run_proof_walkthrough(
     """
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
-    if not isinstance(depth, (int, np.integer)) or not 1 <= depth <= 20:
-        raise ParameterError(f"depth must be 1..20, got {depth}")
     m = n - 1
-    if (m - 1) * (depth - 1) > 21:
-        raise ParameterError(
-            f"depth {depth} too deep for cross dimension {m}; "
-            "the subdivision would not fit in memory"
-        )
+    _validate_packing_args(m, 1.0, depth)
     report = WalkthroughReport(n=n, depth=depth, seed=int(seed))
 
     def step(name: str, passed: bool, inputs: dict, outputs: dict, message: str = ""):

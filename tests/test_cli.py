@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from tubemeasure.cli import main
+from tubemeasure.geometry import CONTAINS_TOL, FRAME_ORTHO_TOL
+from tubemeasure.proof import AGREEMENT_TOL
 
 BALL3 = {"dim": 3, "kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
 CUBE3 = {
@@ -295,6 +297,47 @@ class TestConfigEcho:
             "contains": 1e-9,
             "frame_orthonormality": 1e-10,
             "algebraic_agreement": 1e-12,
+        }
+
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["bounds", "--shape", "tetrahedron", "--samples", "2000"],
+             ["seed", "mc_samples", "grid_points"]),
+            (["plank", "--shape", "SQUARE2"], []),
+            (["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1/4"],
+             ["seed", "mc_samples"]),
+            (["pack", "--dim", "2", "--depth", "2"], []),
+            (["refine", "--widths", "3/4", "5/6"], []),
+            (["proof", "--dim", "2", "--depth", "3"], ["seed"]),
+        ],
+    )
+    def test_echo_lists_only_accepted_options(self, tmp_path, capsys, argv, options):
+        argv = [shape_file(tmp_path, SQUARE2) if a == "SQUARE2" else a for a in argv]
+        config = run_json(capsys, argv)["config"]
+        assert list(config) == [*options, "tolerances", "output_format"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plank", "--shape", "tetrahedron", "--seed", "1"],
+            ["pack", "--dim", "2", "--depth", "2", "--samples", "5000"],
+            ["refine", "--widths", "3/4", "5/6", "--seed", "1"],
+            ["proof", "--dim", "2", "--depth", "3", "--samples", "5000"],
+        ],
+    )
+    def test_options_nothing_reads_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_tolerances_are_the_compared_constants(self, capsys):
+        report = run_json(capsys, ["refine", "--widths", "3/4", "5/6"])
+        assert report["config"]["tolerances"] == {
+            "contains": CONTAINS_TOL,
+            "frame_orthonormality": FRAME_ORTHO_TOL,
+            "algebraic_agreement": AGREEMENT_TOL,
         }
 
 

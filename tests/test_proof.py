@@ -469,6 +469,17 @@ class TestWalkthrough:
         assert select.outputs["selected_index"] == 0
         assert select.outputs["share"] == 1.0
 
+    @pytest.mark.parametrize(
+        "n, depth, seed", [(8, 3, 335635780), (3, 2, 283), (4, 2, 151), (5, 2, 17)]
+    )
+    def test_cuboids_fit_far_from_origin(self, n, depth, seed):
+        # cross coordinates round at the scale of the world coordinates,
+        # which nudges at the scale of the tube's half-width never cross
+        report = run_proof_walkthrough(n, depth, seed=seed)
+        assert report.all_passed
+        build = next(s for s in report.steps if s.name == "build_cuboids")
+        assert build.outputs["vertices_contained"] is True
+
     def test_argument_validation(self):
         with pytest.raises(DimensionError):
             run_proof_walkthrough(1, 3)
