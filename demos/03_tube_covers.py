@@ -44,9 +44,15 @@ covered, worst = cover_check(ball, thin_half, samples=50_000)
 print()
 print(f"half of a ball cover: covered={covered}, escaped point {np.round(worst, 4)}")
 
-# collinear points sit inside one arbitrarily thin tube, so the searched
-# cover should cost almost nothing
-cloud = PointCloud(points=np.outer(np.arange(20.0), np.array([1.0, 2.0, 2.0])))
-found = cover_search(cloud, budget=64, seed=3)
+# the search lays thin tubes through pairs of cloud points: collinear
+# points share one tube, and N scattered points need at most ceil(N / 2)
 print()
-print(f"search on a collinear cloud: {len(found.tubes)} tube(s), cost {cover_cost(found):.2e}")
+line = PointCloud(points=np.outer(np.arange(20.0), np.array([1.0, 2.0, 2.0])))
+scattered = PointCloud(points=np.random.default_rng(3).uniform(-2.0, 2.0, (20, 3)))
+for name, cloud in (("collinear", line), ("scattered", scattered)):
+    found = cover_search(cloud, seed=3)
+    covered, _ = cover_check(cloud, found)
+    print(
+        f"search on a {name} cloud of 20 points: {len(found.tubes)} tube(s), "
+        f"cost {cover_cost(found):.2e}, covered: {covered}"
+    )

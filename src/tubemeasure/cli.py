@@ -170,7 +170,7 @@ def _cmd_cover(args) -> dict:
         cover = cover_from_json(_load_json_file(args.cover))
         result["source"] = "file"
     elif args.search:
-        cover = cover_search(shape, budget=args.budget, seed=args.seed)
+        cover = cover_search(shape, seed=args.seed)
         result["source"] = "search"
     elif args.parallel is not None:
         direction = _parse_direction(args.parallel[0])
@@ -264,14 +264,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shape", required=True, help="shape JSON file or 'tetrahedron'")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--cover", help="cover JSON file to evaluate")
-    group.add_argument("--search", action="store_true", help="randomized cover search")
+    group.add_argument(
+        "--search",
+        action="store_true",
+        help="least-shadow grid cover, or for a cloud thin tubes through its points if cheaper",
+    )
     group.add_argument(
         "--parallel",
         nargs=2,
         metavar=("DIRECTION", "STEP"),
         help="parallel grid cover: comma-separated direction and grid step",
     )
-    p.add_argument("--budget", type=int, default=256, help="search iteration budget")
     add_common(p, seed=True, samples=100_000)
     p.set_defaults(handler=_cmd_cover)
 

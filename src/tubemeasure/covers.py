@@ -9,10 +9,9 @@ generators aim to cover a shape cheaply:
   shadow along a chosen direction; containment is guaranteed by
   conservative cell selection, and the cost exceeds the shadow measure
   only by a boundary term of order grid_step * perimeter.
-* ``cover_search`` runs a greedy line-fitting search (candidate lines
-  through random point pairs, radius set by the assigned residuals),
-  keeping the projection cover as incumbent so the result is never
-  worse than it.
+* ``cover_search`` returns the projection cover at the least-shadow
+  direction, or, for a point cloud, thin tubes through pairs of its
+  points when those cost less.
 """
 
 from __future__ import annotations
@@ -36,10 +35,8 @@ from .geometry import (
     Tube,
     UnionShape,
     diameter,
-    unit_ball_volume,
-    unit_vector,
 )
-from .montecarlo import TAG_SEARCH, batch_rng, sample_points
+from .montecarlo import sample_points
 from .projection import Shadow
 
 _POINT_FIT_RADIUS = 1e-9  # tube radii must stay positive on exact line fits
@@ -155,84 +152,41 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     return TubeCover(tubes=tuple(tubes))
 
 
-def _line_distances(pts: np.ndarray, point: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    rel = pts - point
-    along = rel @ axis
-    return np.linalg.norm(rel - np.outer(along, axis), axis=1)
+def _point_lines(cloud: PointCloud) -> TubeCover:
+    """Tubes of radius _POINT_FIT_RADIUS, each through two cloud points.
 
-
-def cover_search(s: Shape, budget: int = 256, seed: int = 0) -> TubeCover:
-    """Best-effort cheap cover: greedy line fitting seeded by a projection cover.
-
-    Candidate lines pass through random pairs of sample points; each
-    accepted line takes the prefix of nearest points with the least cost
-    per point, with the tube radius set to the largest assigned residual
-    (clamped to a point-fit tolerance).  Candidate covers must survive
-    ``cover_check``; otherwise the projection cover at the witness
-    direction, with grid step diam(s) / 16, wins, so the result is never
-    worse than that incumbent.
+    Each tube runs from the first uncovered point to the next uncovered
+    point that differs from it (along e1 when none is left) and drops
+    every point it contains, so at most ceil(N / 2) tubes cover N points.
     """
-    if budget < 1:
-        raise ParameterError("search budget must be positive")
-    n = s.dim
-    gamma = unit_ball_volume(n - 1)
-    exact_points = isinstance(s, PointCloud)
-    pts = s.points if exact_points else sample_points(s, 4096, seed)
+    uncovered = cloud.points
+    tubes = []
+    while len(uncovered):
+        anchor = uncovered[0]
+        apart = np.linalg.norm(uncovered - anchor, axis=1) > _POINT_FIT_RADIUS
+        if np.any(apart):
+            axis = uncovered[int(np.argmax(apart))] - anchor
+        else:
+            axis = np.eye(cloud.dim)[0]
+        tube = Tube(point=anchor, axis=axis, radius=_POINT_FIT_RADIUS)
+        tubes.append(tube)
+        uncovered = uncovered[~tube.contains(uncovered)]
+    return TubeCover(tubes=tuple(tubes))
 
+
+def cover_search(s: Shape, seed: int = 0) -> TubeCover:
+    """Cheapest of the exact cover constructions for s.
+
+    Every shape gets the projection cover along the least-shadow witness
+    direction, with grid step diam(s) / 16.  A point cloud also gets
+    ``_point_lines``, which costs of order N * gamma_{n-1} *
+    _POINT_FIT_RADIUS^(n-1), and that cover wins when strictly cheaper.
+    """
     _, witness = upper_bound_min_projection(s, grid_points=256, seed=seed)
     h = max(diameter(s) / 16.0, 1e-6)
-    incumbent = parallel_cover_from_projection(s, witness, h)
-    best_cost, best = cover_cost(incumbent), incumbent
-
-    rng = batch_rng(seed, TAG_SEARCH, 0)
-    tubes: list[Tube] = []
-    uncovered = pts
-    proposals_left = int(budget)
-    while len(uncovered) and len(tubes) < 64 and proposals_left > 0:
-        n_cand = min(max(8, budget // 8), proposals_left)
-        proposals_left -= n_cand
-        chosen = None
-        chosen_score = math.inf
-        for _ in range(n_cand):
-            i = int(rng.integers(len(uncovered)))
-            p = uncovered[i]
-            if len(uncovered) > 1:
-                j = int(rng.integers(len(uncovered) - 1))
-                j = j + 1 if j >= i else j
-                axis_vec = uncovered[j] - p
-                if np.linalg.norm(axis_vec) < 1e-12:
-                    axis_vec = rng.standard_normal(n)
-            else:
-                axis_vec = rng.standard_normal(n)
-            axis = unit_vector(axis_vec)
-            res = _line_distances(uncovered, p, axis)
-            order = np.sort(res)
-            k = 1
-            while k <= len(order):
-                radius = max(float(order[k - 1]), _POINT_FIT_RADIUS)
-                score = gamma * radius ** (n - 1) / k
-                if score < chosen_score:
-                    chosen_score = score
-                    chosen = (p, axis, radius, res)
-                k *= 2
-            radius = max(float(order[-1]), _POINT_FIT_RADIUS)
-            score = gamma * radius ** (n - 1) / len(order)
-            if score < chosen_score:
-                chosen_score = score
-                chosen = (p, axis, radius, res)
-        if chosen is None:
-            break
-        p, axis, radius, res = chosen
-        tubes.append(Tube(point=p, axis=axis, radius=radius))
-        uncovered = uncovered[res > radius]
-
-    if tubes and not len(uncovered):
-        candidate = TubeCover(tubes=tuple(tubes))
-        cost = cover_cost(candidate)
-        if cost < best_cost:
-            ok = True
-            if not exact_points:
-                ok, _ = cover_check(s, candidate, samples=100_000, seed=seed + 1)
-            if ok:
-                best_cost, best = cost, candidate
+    best = parallel_cover_from_projection(s, witness, h)
+    if isinstance(s, PointCloud):
+        lines = _point_lines(s)
+        if cover_cost(lines) < cover_cost(best):
+            best = lines
     return best

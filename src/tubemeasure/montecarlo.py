@@ -28,7 +28,6 @@ BATCH = 1 << 16
 TAG_VOLUME = 1
 TAG_INTERSECT = 2
 TAG_POINTS = 3
-TAG_SEARCH = 5
 TAG_PROOF = 6
 TAG_SHADOW = 7
 

@@ -54,24 +54,6 @@ class _DiskOracle:
         return d2 <= self.radius ** 2
 
 
-class _IntervalOracle:
-    """One-dimensional shadow of a convex leaf (ambient n = 2)."""
-
-    measure_zero = False
-
-    def __init__(self, lo: float, hi: float):
-        self.lo, self.hi = lo, hi
-
-    def bbox(self):
-        return np.array([self.lo]), np.array([self.hi])
-
-    def contains(self, y):
-        return (y[:, 0] >= self.lo) & (y[:, 0] <= self.hi)
-
-    def cell_touch(self, cl, ch):
-        return (ch[:, 0] >= self.lo) & (cl[:, 0] <= self.hi)
-
-
 class _HullOracle:
     """Convex hull of projected vertices, m >= 2.
 
@@ -114,9 +96,6 @@ class _PointsOracle:
     def bbox(self):
         return self.points.min(axis=0), self.points.max(axis=0)
 
-    def contains(self, y):
-        return np.zeros(len(y), dtype=bool)
-
     def cell_touch(self, cl, ch):
         mask = np.zeros(len(cl), dtype=bool)
         for p in self.points:
@@ -125,18 +104,22 @@ class _PointsOracle:
 
 
 class _BoxOracle:
-    """Conservative fallback for affinely degenerate projections."""
+    """Axis-aligned box shadow.
 
-    measure_zero = True
+    Exact for a convex leaf in the plane (m = 1); for an affinely
+    degenerate projection, a conservative stand-in of measure zero,
+    which ``Shadow.contains`` never asks.
+    """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, measure_zero: bool):
         self.lo, self.hi = lo, hi
+        self.measure_zero = measure_zero
 
     def bbox(self):
         return self.lo, self.hi
 
     def contains(self, y):
-        return np.zeros(len(y), dtype=bool)
+        return np.all(y >= self.lo, axis=1) & np.all(y <= self.hi, axis=1)
 
     def cell_touch(self, cl, ch):
         return np.all(ch >= self.lo, axis=1) & np.all(cl <= self.hi, axis=1)
@@ -148,12 +131,13 @@ def _leaf_oracle(leaf: Shape, cross: np.ndarray):
         return _DiskOracle(cross @ leaf.center, leaf.radius)
     if isinstance(leaf, (Cuboid, ConvexPolytope)):
         verts = leaf.vertices @ cross.T
+        lo, hi = verts.min(axis=0), verts.max(axis=0)
         if m == 1:
-            return _IntervalOracle(float(verts.min()), float(verts.max()))
+            return _BoxOracle(lo, hi, measure_zero=False)
         try:
             return _HullOracle(verts)
         except QhullError:
-            return _BoxOracle(verts.min(axis=0), verts.max(axis=0))
+            return _BoxOracle(lo, hi, measure_zero=True)
     if isinstance(leaf, PointCloud):
         return _PointsOracle(leaf.points @ cross.T)
     raise UnboundedShapeError(f"no bounded shadow for {type(leaf).__name__}")
@@ -174,7 +158,6 @@ class Shadow:
         leaves = _leaves(shape)
         self._oracles = [_leaf_oracle(leaf, self.frame.cross) for leaf in leaves]
         self._solid = [o for o in self._oracles if not o.measure_zero]
-        self._leaves = leaves
         self._exact = self._exact_area(leaves)
 
     def _exact_area(self, leaves) -> float | None:

@@ -701,6 +701,13 @@ def run_proof_walkthrough(
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
     m = n - 1
     _validate_packing_args(m, 1.0, depth)
+    # every dyadic cell reaches the corner (2^(1-depth), ..., 2^(1-depth)) or
+    # farther, so none fits inside the unit ball when m * 4^(1-depth) > 1
+    if 4 ** (depth - 1) < m:
+        raise ParameterError(
+            f"depth {depth} too shallow for n = {n}: no dyadic cell fits inside the "
+            "ball unless 4^(depth-1) >= n-1"
+        )
     report = WalkthroughReport(n=n, depth=depth, seed=int(seed))
 
     def step(name: str, passed: bool, inputs: dict, outputs: dict, message: str = ""):

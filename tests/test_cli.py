@@ -194,7 +194,7 @@ class TestCover:
 
     def test_search_on_cloud(self, tmp_path, capsys):
         path = shape_file(tmp_path, CLOUD3)
-        report = run_json(capsys, ["cover", "--shape", path, "--search", "--budget", "64"])
+        report = run_json(capsys, ["cover", "--shape", path, "--search"])
         result = report["result"]
         assert result["source"] == "search"
         assert result["covered"] is True
@@ -272,8 +272,22 @@ class TestProof:
         assert err.startswith("input error:")
 
     def test_depth_guard(self, capsys):
-        code, _, err = run(capsys, ["proof", "--dim", "5", "--depth", "9"])
-        assert code == 2 and "input error" in err
+        # too deep to fit in memory, or too shallow for any dyadic cell to
+        # fit inside the ball (4^(depth-1) < n-1)
+        for dim, depth in (("5", "9"), ("3", "1"), ("6", "2"), ("8", "2")):
+            code, _, err = run(capsys, ["proof", "--dim", dim, "--depth", depth])
+            assert code == 2 and "input error" in err, f"--dim {dim} --depth {depth}"
+
+    def test_shallowest_fitting_depths_pass(self, capsys):
+        # the cell (1,1,1,1) / 2 touches the unit sphere, so n = 5 fits at depth 2
+        for dim, depth in (("5", "2"), ("2", "1")):
+            report = run_json(capsys, ["proof", "--dim", dim, "--depth", depth])
+            assert report["result"]["all_passed"] is True
+        # pack takes the cross-section dimension m = n-1 of the depths proof
+        # rejects, and an empty packing is a correct answer
+        for m, depth in (("2", "1"), ("5", "2"), ("7", "2")):
+            result = run_json(capsys, ["pack", "--dim", m, "--depth", depth])["result"]
+            assert result["n_squares"] == 0
 
     def test_csv_format_parses(self, capsys):
         code, out, _ = run(
@@ -324,6 +338,7 @@ class TestConfigEcho:
             ["pack", "--dim", "2", "--depth", "2", "--samples", "5000"],
             ["refine", "--widths", "3/4", "5/6", "--seed", "1"],
             ["proof", "--dim", "2", "--depth", "3", "--samples", "5000"],
+            ["cover", "--shape", "tetrahedron", "--search", "--budget", "64"],
         ],
     )
     def test_options_nothing_reads_are_rejected(self, capsys, argv):

@@ -146,21 +146,28 @@ class TestCoverSearch:
         t = np.linspace(0.0, 5.0, 40)
         pts = np.column_stack([t, 2.0 * t, -t])
         cloud = PointCloud(points=pts)
-        cover = cover_search(cloud, budget=128, seed=0)
+        cover = cover_search(cloud, seed=0)
+        assert len(cover) == 1
         assert cover_cost(cover) < 1e-12
         ok, _ = cover_check(cloud, cover)
         assert ok
 
     def test_never_worse_than_projection_incumbent(self):
-        # the search keeps the projection cover as incumbent, so its cost
-        # can only improve on the recomputed baseline
+        # the search keeps the projection cover as incumbent, and round
+        # tubes only pay off on point clouds, so on solids the search
+        # returns that cover tube for tube
         from tubemeasure import diameter, upper_bound_min_projection
+        from tubemeasure.serialization import cover_to_json
 
-        cube = unit_cube()
-        _, witness = upper_bound_min_projection(cube, grid_points=256, seed=0)
-        h = max(diameter(cube) / 16.0, 1e-6)
-        baseline = cover_cost(parallel_cover_from_projection(cube, witness, h))
-        assert cover_cost(cover_search(cube, budget=64, seed=0)) <= baseline + 1e-12
+        rng = np.random.default_rng(41)
+        shapes = [(unit_cube(), 0)]
+        shapes += [(random_shape(rng, int(rng.integers(2, 5))), t) for t in range(10)]
+        for shape, seed in shapes:
+            _, witness = upper_bound_min_projection(shape, grid_points=256, seed=seed)
+            h = max(diameter(shape) / 16.0, 1e-6)
+            incumbent = parallel_cover_from_projection(shape, witness, h)
+            found = cover_search(shape, seed=seed)
+            assert cover_to_json(found) == cover_to_json(incumbent), f"seed {seed}"
 
     def test_cost_respects_lower_bound(self):
         # any verified cover costs at least the certified lower bound
@@ -168,21 +175,33 @@ class TestCoverSearch:
         for trial in range(20):
             n = int(rng.integers(2, 4))
             shape = random_shape(rng, n)
-            cover = cover_search(shape, budget=64, seed=trial)
+            cover = cover_search(shape, seed=trial)
             cost = cover_cost(cover)
             lower, se = lower_bound_volume_diam(shape, samples=20_000, seed=trial)
             assert cost >= lower - 3 * se - 1e-9, f"trial {trial}"
 
     def test_random_clouds_covered_by_their_own_search(self):
         # extreme points used to sit on the outer cell edges, where the
-        # closed tube test failed by rounding
-        for n in (2, 3, 4):
-            for seed in range(10):
-                points = np.random.default_rng(seed).uniform(-2.0, 2.0, (40, n))
-                cloud = PointCloud(points=points)
-                ok, worst = cover_check(cloud, cover_search(cloud))
-                assert ok, f"n={n} seed={seed}: {worst} uncovered"
-
-    def test_budget_validation(self):
-        with pytest.raises(ParameterError):
-            cover_search(unit_cube(), budget=0)
+        # closed tube test failed by rounding; every tube runs through two
+        # cloud points, so N points need at most ceil(N / 2) thin tubes
+        clouds = [
+            np.random.default_rng(seed).uniform(-2.0, 2.0, (count, n))
+            for count in (40, 200)
+            for n in (2, 3, 4)
+            for seed in range(10)
+        ]
+        # repeated points must not give a zero axis
+        clouds += [
+            np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+            np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]),
+            np.array([[0.5, -1.0, 2.0]]),
+        ]
+        for points in clouds:
+            cloud = PointCloud(points=points)
+            cover = cover_search(cloud)
+            ok, worst = cover_check(cloud, cover)
+            label = f"N={len(points)} n={points.shape[1]}"
+            assert ok, f"{label}: {worst} uncovered"
+            assert all(isinstance(t, Tube) for t in cover.tubes), label
+            assert len(cover) <= math.ceil(len(points) / 2), label
+            assert cover_cost(cover) < 1e-6, label

@@ -489,3 +489,6 @@ class TestWalkthrough:
             run_proof_walkthrough(3, 0)
         with pytest.raises(ParameterError):
             run_proof_walkthrough(5, 9)  # cross-section would not fit in memory
+        for n, depth in ((3, 1), (6, 2), (8, 2)):
+            with pytest.raises(ParameterError):
+                run_proof_walkthrough(n, depth)  # no dyadic cell fits inside the ball
