@@ -39,7 +39,9 @@ from .geometry import (
 from .montecarlo import sample_points
 from .projection import Shadow
 
-_POINT_FIT_RADIUS = 1e-9  # tube radii must stay positive on exact line fits
+# tube radii must stay positive on exact line fits; scaled by the cloud's
+# largest coordinate, at whose scale the axis distances round
+_POINT_FIT_RADIUS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,22 +155,26 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
 
 
 def _point_lines(cloud: PointCloud) -> TubeCover:
-    """Tubes of radius _POINT_FIT_RADIUS, each through two cloud points.
+    """Thin tubes, each through two cloud points.
 
-    Each tube runs from the first uncovered point to the next uncovered
-    point that differs from it (along e1 when none is left) and drops
-    every point it contains, so at most ceil(N / 2) tubes cover N points.
+    The radius is _POINT_FIT_RADIUS times max(1, largest |coordinate|), so
+    the rounding of a point's computed distance to an axis through it
+    stays inside the tube at any scale.  Each tube runs from the first
+    uncovered point to the next uncovered point farther than the radius
+    from it (along e1 when none is left) and drops every point it
+    contains, so at most ceil(N / 2) tubes cover N points.
     """
     uncovered = cloud.points
+    radius = _POINT_FIT_RADIUS * max(1.0, float(np.abs(uncovered).max()))
     tubes = []
     while len(uncovered):
         anchor = uncovered[0]
-        apart = np.linalg.norm(uncovered - anchor, axis=1) > _POINT_FIT_RADIUS
+        apart = np.linalg.norm(uncovered - anchor, axis=1) > radius
         if np.any(apart):
             axis = uncovered[int(np.argmax(apart))] - anchor
         else:
             axis = np.eye(cloud.dim)[0]
-        tube = Tube(point=anchor, axis=axis, radius=_POINT_FIT_RADIUS)
+        tube = Tube(point=anchor, axis=axis, radius=radius)
         tubes.append(tube)
         uncovered = uncovered[~tube.contains(uncovered)]
     return TubeCover(tubes=tuple(tubes))
@@ -179,8 +185,9 @@ def cover_search(s: Shape, seed: int = 0) -> TubeCover:
 
     Every shape gets the projection cover along the least-shadow witness
     direction, with grid step diam(s) / 16.  A point cloud also gets
-    ``_point_lines``, which costs of order N * gamma_{n-1} *
-    _POINT_FIT_RADIUS^(n-1), and that cover wins when strictly cheaper.
+    ``_point_lines``, which costs of order N * gamma_{n-1} * r^(n-1) for
+    its radius r (1e-9 for clouds inside the unit cube), and that cover
+    wins when strictly cheaper.
     """
     _, witness = upper_bound_min_projection(s, grid_points=256, seed=seed)
     h = max(diameter(s) / 16.0, 1e-6)

@@ -3,8 +3,8 @@
 Determinism contract: every estimate is a pure function of (shape,
 samples, seed).  Work is split into fixed-size batches and each batch
 draws from its own generator keyed by (seed, purpose tag, batch index),
-so the result does not depend on execution order and is bit-identical
-whether batches run sequentially or on any number of threads.
+so a batch's draws depend on its key alone, not on which batches were
+drawn before it or in what order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ _MAX_POINT_BATCHES = 4096  # rejection-sampling batches before giving up as dege
 
 
 def batch_rng(seed: int, tag: int, *key: int) -> np.random.Generator:
-    """Generator for (seed, tag, *key), stable across runs and thread counts."""
+    """Generator for (seed, tag, *key): stable across runs, whatever other
+    batches were drawn before it."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=[int(seed) & (2 ** 64 - 1), tag, *key])
     )

@@ -22,10 +22,12 @@ reports every step.  Each numbered piece is also exposed on its own.
 
 Packing cells live on an integer lattice: a cell of depth d has center
 k * r / 2^d with every component of k odd, so disjointness and ball
-containment are integer comparisons, exact at any depth.  Children of
-lexicographically sorted parents are again lexicographically sorted, so
-the canonical cell order needs no global sort and deep packings can be
-streamed instead of stored.
+containment are integer comparisons, exact at any depth.  The canonical
+cell order is depth-major; within a depth it is parent-major, children
+in sign-vector order, which is Z-order (Morton order) on the lattice, so
+listing it needs no global sort.  The walkthrough never lists cells: it
+counts them per depth by lattice points in the ball and finds the cell
+at a given rank by descending the Z-order tree, counting each subtree.
 """
 
 from __future__ import annotations
@@ -103,8 +105,10 @@ def _classify(cells: np.ndarray, depth: int, need_boundary: bool = True):
 def _scan_packing(m: int, max_depth: int):
     """Yield (depth, inside_cells) chunks in canonical order.
 
-    Canonical order is depth-major, lexicographic within a depth; the
-    parent-major child generation preserves it without sorting.
+    Canonical order is depth-major; within a depth it is parent-major with
+    children in ``_sign_vectors`` order (Z-order), which is what expanding
+    the frontier parent by parent produces.  It is not lexicographic: for
+    m = 2 the last depth-6 cell is (53, 33), not (61, 13).
     """
     offsets = _sign_vectors(m)
     frontier = offsets
@@ -133,9 +137,9 @@ def _validate_packing_args(m: int, radius: float, max_depth: int) -> float:
         raise ParameterError(f"radius must be positive, got {radius}")
     if not isinstance(max_depth, (int, np.integer)) or not 1 <= max_depth <= 20:
         raise ParameterError(f"max_depth must be 1..20, got {max_depth}")
-    # boundary cells multiply by ~2^(m-1) per level, so this bound must
-    # hold before scanning; the stored-cell limit alone would trip only
-    # after an impractically long scan in high dimension
+    # boundary cells multiply by ~2^(m-1) per level; this bound keeps the
+    # lattice census near 10^6 budget rows and the walkthrough's one share
+    # per cell practical, and bounds any scan before the stored-cell limit
     if (m - 1) * (max_depth - 1) > 21:
         raise ParameterError(
             f"max_depth {max_depth} too deep for cross dimension {m}; "
@@ -235,22 +239,20 @@ def ball_square_packing(m: int, radius: float, max_depth: int) -> SquarePacking:
     Cells start at side r (depth 1) and halve per depth; a cell is kept
     once it fits entirely inside the ball, otherwise subdivided until
     max_depth.  Deep packings in high dimension can hold millions of
-    cells; storage is refused beyond a sanity limit since the streaming
-    census below serves that regime.
+    cells; beyond a sanity limit, counted by the lattice census before
+    any cell is listed, storage is refused.
     """
     radius = _validate_packing_args(m, radius, max_depth)
+    counts = _packing_census(m, max_depth)
+    if sum(counts.values()) > _MAX_STORED_CELLS:
+        raise ParameterError(
+            f"packing exceeds {_MAX_STORED_CELLS} stored cells; "
+            "reduce max_depth for this dimension"
+        )
     cells: dict[int, list[np.ndarray]] = {}
-    total = 0
     for depth, block in _scan_packing(m, max_depth):
-        total += len(block)
-        if total > _MAX_STORED_CELLS:
-            raise ParameterError(
-                f"packing exceeds {_MAX_STORED_CELLS} stored cells; "
-                "reduce max_depth for this dimension"
-            )
         cells.setdefault(depth, []).append(block)
     packed = {d: np.concatenate(blocks, axis=0) for d, blocks in cells.items()}
-    counts = {d: len(rows) for d, rows in packed.items()}
     return SquarePacking(
         m=m,
         radius=radius,
@@ -260,22 +262,110 @@ def ball_square_packing(m: int, radius: float, max_depth: int) -> SquarePacking:
     )
 
 
-def _packing_census(m: int, max_depth: int) -> dict[int, int]:
-    """Cell counts per depth without storing the cells."""
-    counts: dict[int, int] = {}
-    for depth, block in _scan_packing(m, max_depth):
-        counts[depth] = counts.get(depth, 0) + len(block)
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Exact floor square root of nonnegative int64 values.
+
+    Rounding x to float can lift the root to the next integer (2^62 - 1
+    gives 2^31), never lower it below the floor root, so one downward
+    step fixes it."""
+    s = np.floor(np.sqrt(x.astype(np.float64))).astype(np.int64)
+    s -= s * s > x
+    return s
+
+
+def _box_lattice_counts(lo: np.ndarray, hi: np.ndarray, bound: int) -> np.ndarray:
+    """#{j in Z^m : lo <= j <= hi, sum j_i^2 <= bound} for each row of lo, hi.
+
+    Needs lo >= 1.  The first m - 1 axes are enumerated as (box, remaining
+    budget) rows, keeping only values that leave room for the least values
+    of the later axes; the last axis is counted by an integer square root.
+    Under the packing guard the rows stay near 10^6.
+    """
+    m = lo.shape[1]
+    least_after = np.cumsum((lo**2)[:, ::-1], axis=1)[:, ::-1]
+    box = np.arange(len(lo))
+    budget = np.full(len(lo), bound, dtype=np.int64)
+    for i in range(m - 1):
+        start = lo[box, i]
+        room = np.maximum(budget - least_after[box, i + 1], 0)
+        length = np.maximum(np.minimum(hi[box, i], _isqrt(room)) - start + 1, 0)
+        offset = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+        value = np.repeat(start, length) + offset
+        budget = np.repeat(budget, length) - value * value
+        box = np.repeat(box, length)
+    last = np.minimum(hi[box, -1], _isqrt(budget)) - lo[box, -1] + 1
+    counts = np.zeros(len(lo), dtype=np.int64)
+    np.add.at(counts, box, np.maximum(last, 0))
     return counts
 
 
+def _kept_below(cells: np.ndarray, level: int, depth: int) -> np.ndarray:
+    """Kept cells of ``depth`` under each cell of ``level`` (rows of k).
+
+    With |k_i| = 2 j_i - 1 a cell's corner test sum (|k_i| + 1)^2 <= 4^level
+    reads sum j_i^2 <= 4^(level-1), j >= 1.  A cell never straddles an axis,
+    so the cell with j = (|k| + 1) / 2 holds the depth-d cells whose own j
+    lies in ((j - 1) 2^(d - level), j 2^(d - level)].  Every inside cell
+    splits into 2^m inside children, so the cells kept at depth d (inside,
+    parent not inside) number I_d - 2^m I_(d-1), with I_d the inside count
+    over those boxes.  A cell inside the ball was kept at its own level and
+    has none below it.  The count depends on the multiset of j alone, so it
+    is taken once per sorted j.
+    """
+    m = cells.shape[1]
+    j = (np.abs(cells).astype(np.int64) + 1) // 2
+    inside = (j * j).sum(axis=1) <= 4 ** (level - 1)
+    if level == depth:
+        return inside.astype(np.int64)
+    keys, inverse = np.unique(np.sort(j[~inside], axis=1), axis=0, return_inverse=True)
+
+    def inside_below(d: int) -> np.ndarray:
+        side = 2 ** (d - level)
+        return _box_lattice_counts((keys - 1) * side + 1, keys * side, 4 ** (d - 1))
+
+    kept = np.zeros(len(cells), dtype=np.int64)
+    kept[~inside] = (inside_below(depth) - 2**m * inside_below(depth - 1))[inverse.ravel()]
+    return kept
+
+
+def _kept_counts(m: int, max_depth: int):
+    """Yield (depth, cells kept at that depth) for depth = 1..max_depth: the
+    kept cells below the 2^m depth-1 cells."""
+    orthants = _sign_vectors(m)
+    for depth in range(1, max_depth + 1):
+        yield depth, int(_kept_below(orthants, 1, depth).sum())
+
+
+def _packing_census(m: int, max_depth: int) -> dict[int, int]:
+    """Cell counts per depth without listing the cells; depths that keep
+    none are left out."""
+    return {depth: kept for depth, kept in _kept_counts(m, max_depth) if kept}
+
+
 def _packing_cell_by_rank(m: int, max_depth: int, rank: int) -> tuple[int, np.ndarray]:
-    """(depth, integer cell) of the rank-th cell in canonical order."""
-    seen = 0
-    for depth, block in _scan_packing(m, max_depth):
-        if rank < seen + len(block):
-            return depth, block[rank - seen].copy()
-        seen += len(block)
-    raise ParameterError("cell rank out of range")
+    """(depth, integer cell) of the rank-th cell in canonical order.
+
+    The census of the shallower depths gives the rank within the cell's
+    depth; the cell is then found from the depth-1 cells down, skipping
+    each child whose subtree holds too few kept cells of that depth.  The
+    cost does not depend on the rank.
+    """
+    remaining = int(rank)
+    for depth, kept in _kept_counts(m, max_depth):
+        if 0 <= remaining < kept:
+            break
+        remaining -= kept
+    else:
+        raise ParameterError("cell rank out of range")
+    offsets = _sign_vectors(m)
+    children = offsets
+    for level in range(1, depth + 1):
+        kept = np.cumsum(_kept_below(children, level, depth))
+        i = int(np.searchsorted(kept, remaining, side="right"))
+        remaining -= int(kept[i - 1]) if i else 0
+        cell = children[i]
+        children = 2 * cell + offsets
+    return depth, cell
 
 
 def subdivide_tube(tube: Tube, max_depth: int) -> list[SquareTube]:

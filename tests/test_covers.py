@@ -185,23 +185,36 @@ class TestCoverSearch:
         # closed tube test failed by rounding; every tube runs through two
         # cloud points, so N points need at most ceil(N / 2) thin tubes
         clouds = [
-            np.random.default_rng(seed).uniform(-2.0, 2.0, (count, n))
+            (np.random.default_rng(seed).uniform(-2.0, 2.0, (count, n)), 1e-6)
             for count in (40, 200)
+            for n in (2, 3, 4)
+            for seed in range(10)
+        ]
+        # the distance from an axis to a point on it rounds at the scale of
+        # the coordinates, so the tube radius, and with it the cost of a
+        # tube's cross-section, must grow with them
+        clouds += [
+            (
+                np.random.default_rng(seed).uniform(-scale, scale, (40, n)),
+                1e-6 * scale ** (n - 1),
+            )
+            for scale in (1e4, 1e6, 1e8)
             for n in (2, 3, 4)
             for seed in range(10)
         ]
         # repeated points must not give a zero axis
         clouds += [
-            np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
-            np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]),
-            np.array([[0.5, -1.0, 2.0]]),
+            (np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]), 1e-6),
+            (np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]]), 1e-6),
+            (np.array([[0.5, -1.0, 2.0]]), 1e-6),
         ]
-        for points in clouds:
+        for points, max_cost in clouds:
             cloud = PointCloud(points=points)
             cover = cover_search(cloud)
             ok, worst = cover_check(cloud, cover)
-            label = f"N={len(points)} n={points.shape[1]}"
+            scale = float(np.abs(points).max())
+            label = f"N={len(points)} n={points.shape[1]} scale={scale:g}"
             assert ok, f"{label}: {worst} uncovered"
             assert all(isinstance(t, Tube) for t in cover.tubes), label
             assert len(cover) <= math.ceil(len(points) / 2), label
-            assert cover_cost(cover) < 1e-6, label
+            assert cover_cost(cover) < max_cost, label

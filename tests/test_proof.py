@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from tubemeasure import (
     unit_ball_volume,
     volume_exact,
 )
+from tubemeasure import proof as proof_module
 
 
 class TestSquarePacking:
@@ -140,6 +145,125 @@ class TestSquarePacking:
         first = d["squares"][0]
         assert set(first) == {"center", "half_width"}
         assert first["half_width"] == {"num": 1, "den": 4}
+
+
+def _scan_census(m, max_depth):
+    counts = {}
+    for depth, block in proof_module._scan_packing(m, max_depth):
+        counts[depth] = counts.get(depth, 0) + len(block)
+    return counts
+
+
+def _scan_cell_by_rank(m, max_depth, rank):
+    seen = 0
+    for depth, block in proof_module._scan_packing(m, max_depth):
+        if rank < seen + len(block):
+            return depth, block[rank - seen].copy()
+        seen += len(block)
+    raise ParameterError("cell rank out of range")
+
+
+class TestLatticeCensus:
+    """The walkthrough's lattice census and rank lookup against the scan."""
+
+    def test_isqrt_fixes_float_rounding(self):
+        # 2^62 - 1 rounds up to 2^62 as a float, whose root is one too large
+        x = np.array([0, 1, 3, 4, 2**62 - 1, 2**62, (2**31 + 1) ** 2], dtype=np.int64)
+        rng = np.random.default_rng(11)
+        roots = rng.integers(2**20, 3_037_000_499, 20_000)
+        x = np.concatenate([x, roots * roots, roots * roots - 1, roots * roots + roots])
+        want = [math.isqrt(int(v)) for v in x]
+        assert proof_module._isqrt(x).tolist() == want
+
+    @pytest.mark.parametrize("m, cap", [(1, 14), (2, 9), (3, 6), (4, 5), (5, 4), (6, 4), (7, 3)])
+    def test_census_matches_scan(self, m, cap):
+        for depth in range(1, cap + 1):
+            assert proof_module._packing_census(m, depth) == _scan_census(m, depth), depth
+
+    @pytest.mark.parametrize("m, depth", [(1, 6), (2, 6), (2, 9), (3, 5), (4, 4), (6, 3), (7, 3)])
+    def test_cell_by_rank_matches_scan(self, m, depth):
+        cells = [
+            (d, row) for d, block in proof_module._scan_packing(m, depth) for row in block
+        ]
+        total = len(cells)
+        rng = np.random.default_rng([m, depth])
+        ranks = {0, 1, total - 1, *rng.integers(0, total, 25).tolist()}
+        for rank in sorted(r for r in ranks if r < total):
+            got_depth, got = proof_module._packing_cell_by_rank(m, depth, rank)
+            want_depth, want = cells[rank]
+            assert got_depth == want_depth, rank
+            assert got.dtype == want.dtype and np.array_equal(got, want), rank
+        for rank in (-1, total):
+            with pytest.raises(ParameterError):
+                proof_module._packing_cell_by_rank(m, depth, rank)
+
+    def test_order_within_a_depth_is_z_order(self):
+        # the last depth-6 cell of the disk; a lexicographic order would
+        # end on (61, 13) instead
+        assert sum(_scan_census(2, 6).values()) == 284
+        assert _scan_cell_by_rank(2, 6, 283)[1].tolist() == [53, 33]
+        depth, cell = proof_module._packing_cell_by_rank(2, 6, 283)
+        assert depth == 6 and cell.tolist() == [53, 33]
+        last = max(tuple(row) for row in ball_square_packing(2, 1.0, 6).cells[6])
+        assert last == (61, 13)
+
+    def test_storage_guard_counts_before_listing(self, monkeypatch):
+        # 38.7 M cells; listing them up to the limit took 4.7 GB
+        def refuse(*args):
+            raise AssertionError("the storage guard must not list cells")
+
+        monkeypatch.setattr(proof_module, "_scan_packing", refuse)
+        with pytest.raises(ParameterError, match="stored cells"):
+            ball_square_packing(4, 1.0, 8)
+
+    def test_census_and_rank_never_scan(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the walkthrough helpers must not list cells")
+
+        monkeypatch.setattr(proof_module, "_scan_packing", refuse)
+        counts = proof_module._packing_census(4, 7)
+        total = sum(counts.values())
+        assert total == 4_728_240
+        for rank in (0, total // 2, total - 1):
+            depth, cell = proof_module._packing_cell_by_rank(4, 7, rank)
+            assert cell.shape == (4,) and np.all(cell % 2 == 1)
+
+    @pytest.mark.parametrize(
+        "n, depths",
+        [(2, (3, 6)), (3, (2, 5)), (4, (2, 4)), (5, (2, 4)), (6, (3, 4)), (7, (3, 4)), (8, (3,))],
+    )
+    def test_walkthrough_matches_scan_helpers(self, monkeypatch, n, depths):
+        # (8, 4) is left out: its scan peaks at 2.65 GB
+        for depth in depths:
+            for seed in (0, 1, 2):
+                fast = run_proof_walkthrough(n, depth, seed).to_dict()
+                with monkeypatch.context() as patch:
+                    patch.setattr(proof_module, "_packing_census", _scan_census)
+                    patch.setattr(proof_module, "_packing_cell_by_rank", _scan_cell_by_rank)
+                    slow = run_proof_walkthrough(n, depth, seed).to_dict()
+                assert json.dumps(fast) == json.dumps(slow), (depth, seed)
+
+    def test_deep_walkthrough_memory(self):
+        # scanning this packing peaked at 2.65 GB; the child of an
+        # intermediate interpreter is measured, so earlier children do not count
+        root = Path(__file__).resolve().parents[1]
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
+        )
+        probe = (
+            "import resource, subprocess, sys\n"
+            "argv = [sys.executable, '-m', 'tubemeasure', 'proof', '--dim', '8', '--depth', '4']\n"
+            "code = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode\n"
+            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        code, max_rss_kb = map(int, out.stdout.split())
+        assert code == 0, out.stderr
+        assert max_rss_kb < 265 * 1024
 
 
 class TestSubdivideTube:
