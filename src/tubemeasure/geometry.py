@@ -404,18 +404,13 @@ class UnionShape:
     def support(self, d: np.ndarray) -> float:
         if not self.members:
             raise DegenerateShapeError("empty union has no support function")
-        return max(shape_support(m, d) for m in self.members)
+        return max(m.support(d) for m in self.members)
 
 
 Shape = Ball | Cuboid | ConvexPolytope | ProductSet | PointCloud | UnionShape
 
 def shape_contains(s: Shape, pts: np.ndarray) -> np.ndarray:
     return s.contains(pts)
-
-
-def shape_support(s: Shape, d: np.ndarray) -> float:
-    """Support function h_s(d) = sup over the shape of <x, d>."""
-    return s.support(np.asarray(d, dtype=float))
 
 
 def bounding_box(s: Shape) -> tuple[np.ndarray, np.ndarray]:
@@ -425,8 +420,8 @@ def bounding_box(s: Shape) -> tuple[np.ndarray, np.ndarray]:
         return z, z.copy()
     n = s.dim
     eye = np.eye(n)
-    lo = np.array([-shape_support(s, -eye[i]) for i in range(n)])
-    hi = np.array([shape_support(s, eye[i]) for i in range(n)])
+    lo = np.array([-s.support(-eye[i]) for i in range(n)])
+    hi = np.array([s.support(eye[i]) for i in range(n)])
     return lo, hi
 
 

@@ -13,8 +13,6 @@ conservatively, never falsely negative).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
@@ -33,7 +31,7 @@ from .geometry import (
     unit_ball_volume,
     unit_vector,
 )
-from .montecarlo import TAG_SHADOW, _batches, _check_samples, batch_rng
+from .montecarlo import TAG_SHADOW, _check_samples, _mc_box_fraction
 
 class _DiskOracle:
     measure_zero = False
@@ -223,14 +221,7 @@ class Shadow:
         box = float(np.prod(hi - lo))
         if box <= 0.0:
             return 0.0, 0.0
-        span = hi - lo
-        hits = 0
-        for index, count in _batches(samples):
-            rng = batch_rng(seed, TAG_SHADOW, index)
-            y = lo + rng.random((count, self.m)) * span
-            hits += int(np.count_nonzero(self.contains(y)))
-        p = hits / samples
-        se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+        p, se = _mc_box_fraction(self.contains, lo, hi, samples, seed, TAG_SHADOW)
         return box * p, box * se
 
 
@@ -249,8 +240,8 @@ def shadow_area_with_error(
 def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:
     """Vectorized exact shadows over many unit directions, or None.
 
-    Fast path for optimizers; only kinds with closed-form shadows
-    qualify.  ``directions`` has unit rows.
+    Serves the grid of a truncated arrangement minimum and single-leaf
+    shadows; only closed-form kinds qualify.  ``directions`` has unit rows.
     """
     D = np.atleast_2d(directions)
     if isinstance(s, Ball):

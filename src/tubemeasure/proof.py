@@ -64,7 +64,7 @@ from .montecarlo import TAG_PROOF, batch_rng
 
 _SCAN_CHUNK = 1 << 20
 _MAX_STORED_CELLS = 8_000_000
-_MAX_MATERIALIZED_WEIGHTS = 4_000_000
+_MAX_SUBDIVISION_TUBES = 1_000_000
 AGREEMENT_TOL = 1e-12  # the two forms of the final inequality must agree within this
 
 
@@ -186,14 +186,17 @@ class SquarePacking:
     def squares(self) -> list[tuple[np.ndarray, Fraction]]:
         return list(self.iter_squares())
 
+    def _exact_center(self, row: np.ndarray, depth: int) -> list[Fraction]:
+        r = Fraction(self.radius)
+        return [r * int(k) / 2 ** depth for k in row]
+
     def square_exact(self, index: int) -> tuple[tuple[Fraction, ...], Fraction]:
         """Exact rational center and half-width of one square."""
         remaining = int(index)
         for depth in sorted(self.cells):
             rows = self.cells[depth]
             if remaining < len(rows):
-                r = Fraction(self.radius)
-                center = tuple(r * int(k) / 2 ** depth for k in rows[remaining])
+                center = tuple(self._exact_center(rows[remaining], depth))
                 return center, self.half_width(depth)
             remaining -= len(rows)
         raise ParameterError("square index out of range")
@@ -216,11 +219,10 @@ class SquarePacking:
         }
         if include_squares:
             squares = []
-            r = Fraction(self.radius)
             for depth in sorted(self.cells):
                 hw = self.half_width(depth)
                 for row in self.cells[depth]:
-                    center = [r * int(k) / 2 ** depth for k in row]
+                    center = self._exact_center(row, depth)
                     squares.append({"center": center, "half_width": hw})
             out["squares"] = _jsonable(squares)
         return out
@@ -368,20 +370,28 @@ def _packing_cell_by_rank(m: int, max_depth: int, rank: int) -> tuple[int, np.nd
     return depth, cell
 
 
+def _cell_anchor(tube: Tube, frame: Frame, cell: np.ndarray, depth: int) -> np.ndarray:
+    """World anchor of the square tube over one packing cell of ``tube``."""
+    return tube.point + (cell * (tube.radius / 2 ** depth)) @ frame.cross
+
+
 def subdivide_tube(tube: Tube, max_depth: int) -> list[SquareTube]:
     """Square tubes packing a round tube, one per cross-section square.
 
     The union of the returned tubes sits inside the round tube and their
     total cost equals the packed share of its exact measure.
     """
-    packing = ball_square_packing(tube.dim - 1, tube.radius, max_depth)
-    if packing.n_squares > 1_000_000:
+    m = tube.dim - 1
+    _validate_packing_args(m, tube.radius, max_depth)
+    if sum(_packing_census(m, max_depth).values()) > _MAX_SUBDIVISION_TUBES:
         raise ParameterError("subdivision too large to materialize; lower max_depth")
     frame = orthonormal_frame(tube.axis)
     out = []
-    for center, hw in packing.iter_squares():
-        anchor = tube.point + center @ frame.cross
-        out.append(SquareTube(frame=frame, anchor=anchor, half_width=hw))
+    for depth, block in _scan_packing(m, max_depth):
+        hw = Fraction(tube.radius) / 2 ** depth
+        for cell in block:
+            anchor = _cell_anchor(tube, frame, cell, depth)
+            out.append(SquareTube(frame=frame, anchor=anchor, half_width=hw))
     return out
 
 
@@ -561,6 +571,13 @@ class ProofParameters:
             raise ParameterError("cross width infeasible: (n-1) eta^2 >= (2 delta)^2")
 
 
+def _p_eps(n: int) -> tuple[float, float]:
+    """(p, eps) of ``choose_parameters``; they depend on n alone."""
+    p = 0.5 * math.sqrt(3.0 / (4.0 * (n - 1)))
+    root = math.sqrt(1.0 - (n - 1) * p * p)
+    return p, 0.5 * p ** (n - 1) * (root - 0.5)
+
+
 def choose_parameters(n: int, delta) -> ProofParameters:
     """Midpoint defaults: p at half its allowed range, eps at half the slack.
 
@@ -573,9 +590,7 @@ def choose_parameters(n: int, delta) -> ProofParameters:
         raise ParameterError("delta must be a positive rational")
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
-    p = 0.5 * math.sqrt(3.0 / (4.0 * (n - 1)))
-    root = math.sqrt(1.0 - (n - 1) * p * p)
-    eps = 0.5 * p ** (n - 1) * (root - 0.5)
+    p, eps = _p_eps(n)
     eta = 2.0 * float(delta) * p
     return ProofParameters(n=n, p=p, eps=eps, delta=delta, eta=eta)
 
@@ -718,7 +733,6 @@ def _stream_pigeonhole(
 
 
 def _select_square_tube(
-    n: int,
     tube: Tube,
     radius: Fraction,
     depth: int,
@@ -726,38 +740,22 @@ def _select_square_tube(
     eps: float,
     seed: int,
     key: int,
-    synthetic_weight_fn,
 ):
     """Pigeonhole a square tube out of a packed subdivision.
 
-    Returns (SquareTube, half-width Fraction, detail dict).  The default
-    synthetic shares stream; an explicit weight function forces
-    materialized masses and the public selection routine, so adversarial
-    weights exercise the same no-witness path users hit.
+    ``radius`` is the tube's radius as a Fraction.  Shares stream from
+    (seed, key); the cell is found by its rank, without listing the
+    packing.  Returns (SquareTube, half-width Fraction, detail dict).
     """
-    m = n - 1
+    m = tube.dim - 1
     groups = [
         (counts[d], float((2 * radius / 2 ** d) ** m)) for d in sorted(counts)
     ]
-    if synthetic_weight_fn is not None:
-        total = sum(c for c, _ in groups)
-        if total > _MAX_MATERIALIZED_WEIGHTS:
-            raise ParameterError("packing too large for explicit synthetic weights")
-        masses = np.concatenate(
-            [np.full(count, mass) for count, mass in groups]
-        )
-        weights = np.asarray(synthetic_weight_fn(masses), dtype=float)
-        index = pigeonhole_select(masses, weights, eps)
-        share = float(weights[index] / masses[index])
-        retries = 0
-    else:
-        index, share, retries = _stream_pigeonhole(groups, eps, seed, key)
-
+    index, share, retries = _stream_pigeonhole(groups, eps, seed, key)
     cell_depth, cell = _packing_cell_by_rank(m, depth, index)
     half = radius / 2 ** cell_depth
     frame = orthonormal_frame(tube.axis)
-    center = cell.astype(float) * (float(radius) / 2 ** cell_depth)
-    anchor = tube.point + center @ frame.cross
+    anchor = _cell_anchor(tube, frame, cell, cell_depth)
     square = SquareTube(frame=frame, anchor=anchor, half_width=half)
     outputs = {
         "selected_index": index,
@@ -770,22 +768,18 @@ def _select_square_tube(
     return square, half, outputs
 
 
-def run_proof_walkthrough(
-    n: int,
-    depth: int,
-    seed: int = 0,
-    synthetic_weight_fn=None,
-) -> WalkthroughReport:
+def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughReport:
     """Execute the whole construction on synthetic data and report each step.
 
-    Two seeded tubes are subdivided to ``depth``; synthetic mass shares
-    drive the pigeonhole selections; the selected widths are refined to
-    a common rational delta; disjoint delta-balls go on the tubes' axes
-    (stepping along the second axis until separated, erroring if the
-    tubes are too entangled to separate at the default spacing); aligned
-    inscribed cuboids then feed the final inequality.  Any failing step
-    raises StepFailureError naming the step, with the partial report
-    attached.
+    Two seeded tubes are subdivided to ``depth``; synthetic mass shares,
+    streamed from the seed, drive the pigeonhole selections; the selected
+    widths are refined to a common rational delta; disjoint delta-balls go
+    on the tubes' axes (stepping along the second axis until separated,
+    erroring if the tubes are too entangled to separate at the default
+    spacing); aligned inscribed cuboids then feed the final inequality.
+    Any failing step raises StepFailureError naming the step, with the
+    partial report attached; a selection that finds no witness chains
+    the NoWitnessError as its cause.
     """
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
@@ -800,41 +794,34 @@ def run_proof_walkthrough(
         )
     report = WalkthroughReport(n=n, depth=depth, seed=int(seed))
 
-    def step(name: str, passed: bool, inputs: dict, outputs: dict, message: str = ""):
+    def step(name: str, passed: bool, inputs: dict, outputs: dict, message="", cause=None):
         report.steps.append(
             WalkthroughStep(name=name, passed=bool(passed), inputs=inputs, outputs=outputs)
         )
         if not passed:
-            raise StepFailureError(name, message or "check failed", report=report)
+            raise StepFailureError(name, message or "check failed", report=report) from cause
 
-    # eps and p depend on n alone; the selections below need eps, and the
-    # later parameter step must reproduce exactly these values
-    preview = choose_parameters(n, Fraction(1))
-    eps, p = preview.eps, preview.p
+    _, eps = _p_eps(n)
 
     rng = batch_rng(seed, TAG_PROOF, 0)
     r1 = _RADII_FIRST[int(rng.integers(len(_RADII_FIRST)))]
     r2 = _RADII_SECOND[int(rng.integers(len(_RADII_SECOND)))]
-    tube1 = Tube(
-        point=rng.uniform(-2.0, 2.0, n),
-        axis=unit_vector(rng.standard_normal(n)),
-        radius=float(r1),
-    )
-    tube2 = Tube(
-        point=rng.uniform(-2.0, 2.0, n),
-        axis=unit_vector(rng.standard_normal(n)),
-        radius=float(r2),
+    tube1, tube2 = (
+        Tube(
+            point=rng.uniform(-2.0, 2.0, n),
+            axis=unit_vector(rng.standard_normal(n)),
+            radius=float(r),
+        )
+        for r in (r1, r2)
     )
 
     # 1: dyadic subdivision of both tubes (census only; cells streamed);
     # the integer-lattice census is radius-free, so both tubes share it
-    counts1 = _packing_census(m, depth)
-    counts2 = counts1
-    n1 = sum(counts1.values())
-    n2 = sum(counts2.values())
+    counts = _packing_census(m, depth)
+    squares = sum(counts.values())
     step(
         "subdivide_tubes",
-        n1 >= 1 and n2 >= 1,
+        squares >= 1,
         {
             "depth": depth,
             "radius_first": r1,
@@ -842,59 +829,48 @@ def run_proof_walkthrough(
             "axis_first": tube1.axis,
             "axis_second": tube2.axis,
         },
-        {"squares_first": n1, "squares_second": n2},
+        {"squares_first": squares, "squares_second": squares},
         "subdivision produced no interior squares at this depth",
     )
 
     # 2: partial sums against the exact tube measures
-    frac1 = _covered_fraction(m, counts1)
-    frac2 = _covered_fraction(m, counts2)
+    frac = _covered_fraction(m, counts)
     mu1 = unit_ball_volume(m) * float(r1) ** m
     mu2 = unit_ball_volume(m) * float(r2) ** m
-    sum1 = frac1 * mu1
-    sum2 = frac2 * mu2
+    sum1 = frac * mu1
+    sum2 = frac * mu2
     ok = 0.0 < sum1 <= mu1 * (1 + 1e-12) and 0.0 < sum2 <= mu2 * (1 + 1e-12)
     step(
         "partial_sums",
         ok,
-        {"squares_first": n1, "squares_second": n2},
+        {"squares_first": squares, "squares_second": squares},
         {
             "tube_measure_first": mu1,
             "packed_sum_first": sum1,
-            "deficit_first": 1.0 - frac1,
+            "deficit_first": 1.0 - frac,
             "tube_measure_second": mu2,
             "packed_sum_second": sum2,
-            "deficit_second": 1.0 - frac2,
+            "deficit_second": 1.0 - frac,
         },
         "packed square-tube measures must stay within the tube measure",
     )
 
     # 3, 4: pigeonhole selection on synthetic mass shares
-    select_inputs = {"eps": eps, "synthetic": synthetic_weight_fn is None}
-    try:
-        square1, delta_a, out1 = _select_square_tube(
-            n, tube1, r1, depth, counts1, eps, seed, 1, synthetic_weight_fn
-        )
-        step("select_square_tube", True, select_inputs, out1)
-        square2, delta_b, out2 = _select_square_tube(
-            n, tube2, r2, depth, counts2, eps, seed, 2, synthetic_weight_fn
-        )
-        step("select_square_tube_complement", True, select_inputs, out2)
-    except NoWitnessError as exc:
-        name = (
-            "select_square_tube"
-            if len(report.steps) < 3
-            else "select_square_tube_complement"
-        )
-        report.steps.append(
-            WalkthroughStep(
-                name=name,
-                passed=False,
-                inputs=select_inputs,
-                outputs={"error": str(exc)},
+    select_inputs = {"eps": eps, "synthetic": True}
+    selected = []
+    for name, tube, radius, key in (
+        ("select_square_tube", tube1, r1, 1),
+        ("select_square_tube_complement", tube2, r2, 2),
+    ):
+        try:
+            square, half, outputs = _select_square_tube(
+                tube, radius, depth, counts, eps, seed, key
             )
-        )
-        raise StepFailureError(name, str(exc), report=report) from exc
+        except NoWitnessError as exc:
+            step(name, False, select_inputs, {"error": str(exc)}, str(exc), cause=exc)
+        step(name, True, select_inputs, outputs)
+        selected.append((square, half))
+    (square1, delta_a), (square2, delta_b) = selected
 
     # 5: exact common refinement of the two selected widths
     delta, count_a, count_b = common_refinement(delta_a, delta_b)
@@ -944,8 +920,6 @@ def run_proof_walkthrough(
 
     # 7: parameters for the chosen delta (cuboids below need eta = 2 delta p)
     params = choose_parameters(n, delta)
-    if params.eps != eps or params.p != p:
-        raise InvariantError("parameter preview diverged from final parameters")
     root = math.sqrt(1.0 - m * params.p ** 2)
     step(
         "choose_parameters",

@@ -16,6 +16,7 @@ from tubemeasure import (
     shadow_area,
     shadow_area_with_error,
 )
+from tubemeasure.montecarlo import BATCH, TAG_SHADOW, batch_rng
 from tubemeasure.projection import shadow_values_batch
 
 
@@ -88,6 +89,33 @@ class TestMonteCarloShadows:
         area, err = shadow_area_with_error(union, d, samples=400_000, seed=3)
         assert err > 0
         assert abs(area - math.pi) <= 4 * err
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_union_shadow_matches_inline_sampler(self, seed):
+        # the box sampler written out batch by batch is the oracle;
+        # 70,000 samples leave a partial last batch
+        union = UnionShape(
+            members=(
+                Ball(center=np.zeros(3), radius=1.0),
+                Ball(center=np.array([1.5, 0.0, 0.0]), radius=0.7),
+            )
+        )
+        shadow = Shadow(union, np.array([0.3, 0.4, 0.5]))
+        assert shadow.exact_area is None
+        samples = 70_000
+        lo, hi = shadow.bbox(include_measure_zero=False)
+        hits, index, done = 0, 0, 0
+        while done < samples:
+            count = min(BATCH, samples - done)
+            rng = batch_rng(seed, TAG_SHADOW, index)
+            y = lo + rng.random((count, shadow.m)) * (hi - lo)
+            hits += int(np.count_nonzero(shadow.contains(y)))
+            index, done = index + 1, done + count
+        assert samples % BATCH != 0
+        p = hits / samples
+        box = float(np.prod(hi - lo))
+        se = math.sqrt(p * (1.0 - p) / samples)
+        assert shadow.area(samples=samples, seed=seed) == (box * p, box * se)
 
     def test_fubini_lower_bound(self):
         # shadow * extent >= volume, within combined Monte-Carlo error

@@ -301,6 +301,16 @@ class TestSubdivideTube:
         with pytest.raises(ParameterError):
             subdivide_tube(tube, 6)
 
+    def test_materialization_guard_counts_before_listing(self, monkeypatch):
+        # 4,728,240 cells pass the depth guard; listing them took 649 MB
+        def refuse(*args):
+            raise AssertionError("the subdivision guard must not list cells")
+
+        monkeypatch.setattr(proof_module, "_scan_packing", refuse)
+        tube = Tube(point=np.zeros(5), axis=np.eye(5)[-1], radius=1.0)
+        with pytest.raises(ParameterError, match="too large to materialize"):
+            subdivide_tube(tube, 7)
+
 
 class TestPigeonhole:
     def test_trivial_instance(self):
@@ -577,21 +587,49 @@ class TestWalkthrough:
         b = run_proof_walkthrough(3, 4, seed=8).to_dict()
         assert json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
 
-    def test_adversarial_weights_abort(self):
+    @pytest.mark.parametrize(
+        "key, name", [(1, "select_square_tube"), (2, "select_square_tube_complement")]
+    )
+    def test_missing_witness_fails_its_selection(self, monkeypatch, key, name):
+        stream = proof_module._stream_pigeonhole
+        missing = NoWitnessError("synthetic shares kept missing the mass precondition")
+
+        def miss_one(groups, eps, seed, k):
+            if k == key:
+                raise missing
+            return stream(groups, eps, seed, k)
+
+        monkeypatch.setattr(proof_module, "_stream_pigeonhole", miss_one)
         with pytest.raises(StepFailureError) as excinfo:
-            run_proof_walkthrough(2, 3, seed=1, synthetic_weight_fn=lambda m: 0.5 * m)
+            run_proof_walkthrough(2, 3, seed=1)
         exc = excinfo.value
-        assert exc.step == "select_square_tube"
-        assert isinstance(exc.__cause__, NoWitnessError)
+        assert exc.step == name
+        assert exc.__cause__ is missing
         assert exc.report is not None
         assert not exc.report.all_passed
-        assert exc.report.steps[-1].passed is False
+        last = exc.report.steps[-1]
+        assert last.name == name and last.passed is False
+        assert last.outputs == {"error": str(missing)}
+        assert [s.name for s in exc.report.steps] == self.EXPECTED_STEPS[: 2 + key]
 
-    def test_generous_weights_select_first_cell(self):
-        report = run_proof_walkthrough(2, 3, seed=1, synthetic_weight_fn=lambda m: m)
-        select = next(s for s in report.steps if s.name == "select_square_tube")
-        assert select.outputs["selected_index"] == 0
-        assert select.outputs["share"] == 1.0
+    @pytest.mark.parametrize(
+        "n, depth, first, second",
+        [
+            (2, 6, (1, 1, Fraction(1), 0.9433475319180745, 0),
+             (0, 1, Fraction(5, 8), 0.916063556053704, 0)),
+            (3, 5, (1, 2, Fraction(1, 2), 0.9877343808634914, 0),
+             (0, 2, Fraction(5, 16), 0.9818272268097948, 0)),
+            (8, 3, (1, 3, Fraction(1, 4), 0.9999995884908361, 0),
+             (0, 3, Fraction(5, 32), 0.9999993903069533, 0)),
+        ],
+    )
+    def test_streamed_selections_are_pinned(self, n, depth, first, second):
+        # (selected_index, cell_depth, half_width, share, retries) at seed 7
+        keys = ("selected_index", "cell_depth", "half_width", "share", "retries")
+        report = run_proof_walkthrough(n, depth, seed=7)
+        selections = report.steps[2:4]
+        assert [tuple(s.outputs[k] for k in keys) for s in selections] == [first, second]
+        assert all(s.inputs["synthetic"] is True for s in selections)
 
     @pytest.mark.parametrize(
         "n, depth, seed", [(8, 3, 335635780), (3, 2, 283), (4, 2, 151), (5, 2, 17)]
