@@ -40,13 +40,12 @@ from .geometry import (
     Shape,
     SquareTube,
     Tube,
-    UnionShape,
     _leaves,
     canonical_direction,
     diameter,
     unit_ball_volume,
 )
-from .montecarlo import mc_volume
+from .montecarlo import VOLUME_SAMPLES, mc_volume
 from .projection import Shadow, shadow_values_batch
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)  # one Halton base per axis up to MAX_DIM
@@ -55,6 +54,7 @@ _EVAL_CHUNK = 1 << 20  # direction-by-generator products held at once
 _PARALLEL_DECIMALS = 9  # unit normals equal to this many decimals are parallel
 _RANK_TOL = 1e-9  # least singular value of an independent set of unit normals
 _SHADOW_SAMPLES = 20_000  # Monte Carlo samples per shadow of a union
+GRID_POINTS = 2048  # default direction grid of the least-shadow search
 
 
 def tube_exact_measure(tube: Tube) -> float:
@@ -177,14 +177,11 @@ def _min_shadow(s: Shape, grid_points: int, seed: int) -> tuple:
     if n < 2:
         raise DimensionError("projection bounds need ambient dimension >= 2")
     e1 = canonical_direction(np.eye(n)[0])
-    leaves = _leaves(s) if isinstance(s, UnionShape) else [s]
+    leaves = _leaves(s)
     if len(leaves) == 1 and leaves[0] is not s:
         return _min_shadow(leaves[0], grid_points, seed)
-    if isinstance(s, Ball):
-        m = n - 1
-        return unit_ball_volume(m) * s.radius ** m, e1, "closed form"
-    if isinstance(s, PointCloud) or not leaves:
-        return 0.0, e1, "closed form"
+    if isinstance(s, (Ball, PointCloud)) or not leaves:
+        return float(shadow_values_batch(s, e1[None])[0]), e1, "closed form"
     if isinstance(s, Cuboid):
         full = 2.0 * s.half_lengths
         longest = canonical_direction(s.axes[int(np.argmax(full))])
@@ -213,7 +210,7 @@ def _min_shadow(s: Shape, grid_points: int, seed: int) -> tuple:
 def upper_bound_min_projection(
     s: Shape,
     *,
-    grid_points: int = 2048,
+    grid_points: int = GRID_POINTS,
     seed: int = 0,
 ) -> tuple[float, np.ndarray]:
     """Smallest shadow over all directions, with a direction attaining it.
@@ -235,7 +232,7 @@ def upper_bound_min_projection(
 
 
 def lower_bound_volume_diam(
-    s: Shape, samples: int = 1_000_000, seed: int = 0
+    s: Shape, samples: int = VOLUME_SAMPLES, seed: int = 0
 ) -> tuple[float, float]:
     """Volume-over-diameter lower bound with propagated standard error."""
     diam = diameter(s)
@@ -245,7 +242,7 @@ def lower_bound_volume_diam(
     return volume / diam, se / diam
 
 
-def product_measure(base: Shape, samples: int = 1_000_000, seed: int = 0) -> float:
+def product_measure(base: Shape, samples: int = VOLUME_SAMPLES, seed: int = 0) -> float:
     """Tube measure of base x R: exactly the measure of the base.
 
     Exact for bases with closed-form volume, seeded Monte Carlo
@@ -256,7 +253,7 @@ def product_measure(base: Shape, samples: int = 1_000_000, seed: int = 0) -> flo
 
 
 def truncated_product_lower(
-    base: Shape, r_half: float, samples: int = 1_000_000, seed: int = 0
+    base: Shape, r_half: float, samples: int = VOLUME_SAMPLES, seed: int = 0
 ) -> float:
     """Lower bound 2R|A| / (2R + diam A) for the cylinder A x [-R, R].
 
@@ -284,7 +281,7 @@ def plank_value_2d(s: Shape) -> tuple[float, np.ndarray]:
         raise DimensionError("plank width is a planar computation")
     if not isinstance(s, (Ball, ConvexPolytope)):
         raise ParameterError("plank width needs a convex polygon or a disk")
-    width, direction, _ = _min_shadow(s, 2048, 0)
+    width, direction, _ = _min_shadow(s, GRID_POINTS, 0)
     if width <= 0.0:
         raise DegenerateShapeError("degenerate polygon: zero width")
     return width, direction
@@ -316,8 +313,8 @@ class BoundReport:
 def compute_bounds(
     s: Shape,
     *,
-    mc_samples: int = 1_000_000,
-    grid_points: int = 2048,
+    mc_samples: int = VOLUME_SAMPLES,
+    grid_points: int = GRID_POINTS,
     seed: int = 0,
 ) -> BoundReport:
     """Both tube-measure bounds for a bounded shape, as one report."""

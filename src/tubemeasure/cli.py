@@ -11,7 +11,7 @@ print byte-identical output.
 
 Exit codes: 0 success, 1 invariant or step failure (the mathematics
 went wrong), 2 input error (unparseable files, bad parameters, shapes
-out of range).
+out of range or nested too deeply).
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import compute_bounds, plank_value_2d
+from .bounds import GRID_POINTS, compute_bounds, plank_value_2d
 from .covers import (
+    CHECK_SAMPLES,
     cover_check,
     cover_cost,
     cover_search,
@@ -34,8 +35,8 @@ from .covers import (
 )
 from .errors import ParameterError, SchemaError, StepFailureError
 from .geometry import CONTAINS_TOL, FRAME_ORTHO_TOL, regular_tetrahedron, unit_vector
-from .montecarlo import MIN_SAMPLES
-from .projection import shadow_area_with_error
+from .montecarlo import MIN_SAMPLES, VOLUME_SAMPLES
+from .projection import Shadow
 from .proof import (
     AGREEMENT_TOL,
     ball_square_packing,
@@ -82,6 +83,8 @@ def _load_json_file(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path} is nested too deeply: {exc}") from exc
 
 
 def _load_shape(spec: str):
@@ -177,9 +180,7 @@ def _cmd_cover(args) -> dict:
         grid_step = float(_parse_rational(args.parallel[1]))
         cover = parallel_cover_from_projection(shape, direction, grid_step)
         result["source"] = "parallel"
-        area, std_error = shadow_area_with_error(
-            shape, direction, samples=args.mc_samples, seed=args.seed
-        )
+        area, std_error = Shadow(shape, direction).area(samples=args.mc_samples, seed=args.seed)
         result["shadow_area"] = area
         result["shadow_std_error"] = std_error
     else:
@@ -251,8 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="lower and upper tube-measure bounds of a shape")
     p.add_argument("--shape", required=True, help="shape JSON file or 'tetrahedron'")
-    p.add_argument("--grid-points", type=int, default=2048, help="direction grid size")
-    add_common(p, seed=True, samples=1_000_000)
+    p.add_argument("--grid-points", type=int, default=GRID_POINTS, help="direction grid size")
+    add_common(p, seed=True, samples=VOLUME_SAMPLES)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("plank", help="exact minimal width of a planar convex body")
@@ -275,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar=("DIRECTION", "STEP"),
         help="parallel grid cover: comma-separated direction and grid step",
     )
-    add_common(p, seed=True, samples=100_000)
+    add_common(p, seed=True, samples=CHECK_SAMPLES)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("pack", help="dyadic square packing of a ball")
@@ -324,7 +325,7 @@ def main(argv=None) -> int:
             sys.stdout.write(_emit(payload, args.format))
         sys.stderr.write(f"{exc}\n")
         return 1
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # only shape nesting recurses deeply
         sys.stderr.write(f"input error: {exc}\n")
         return 2
     except RuntimeError as exc:

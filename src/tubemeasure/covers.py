@@ -33,7 +33,7 @@ from .geometry import (
     Shape,
     SquareTube,
     Tube,
-    UnionShape,
+    _leaves,
     diameter,
 )
 from .montecarlo import sample_points
@@ -42,6 +42,7 @@ from .projection import Shadow
 # tube radii must stay positive on exact line fits; scaled by the cloud's
 # largest coordinate, at whose scale the axis distances round
 _POINT_FIT_RADIUS = 1e-9
+CHECK_SAMPLES = 100_000  # default points sampled by cover_check
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def cover_cost(cover: TubeCover) -> float:
 
 
 def cover_check(
-    s: Shape, cover: TubeCover, samples: int = 100_000, seed: int = 0
+    s: Shape, cover: TubeCover, samples: int = CHECK_SAMPLES, seed: int = 0
 ) -> tuple[bool, np.ndarray | None]:
     """Point-sampled containment check; exact for point clouds.
 
@@ -122,22 +123,23 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     h = float(grid_step)
     if not (math.isfinite(h) and h > 0):
         raise ParameterError(f"grid_step must be positive, got {grid_step}")
-    if isinstance(s, UnionShape) and not s.members:
+    if not _leaves(s):
         raise DegenerateShapeError("empty shape: nothing to cover")
     shadow = Shadow(s, direction)
     lo, hi = shadow.bbox(include_measure_zero=True)
-    m = shadow.m
-    counts = np.maximum(1, np.ceil((hi - lo) / h - 1e-12).astype(int))
+    counts = np.maximum(1.0, np.ceil((hi - lo) / h - 1e-12))
     if isinstance(s, PointCloud):
         # extreme points sit on the bounding box, where the closed tube test fails
         # by rounding; a quarter cell of margin keeps every point strictly inside
-        counts = np.floor((hi - lo) / h + 0.5).astype(int) + 1
+        counts = np.floor((hi - lo) / h + 0.5) + 1
         lo = lo - (counts * h - (hi - lo)) / 2
-    total = int(np.prod(counts))
+    # counted in floats, which neither wrap nor fail the cast for tiny steps
+    total = math.prod(float(c) for c in counts)
     if total > 2_000_000:
         raise ParameterError(
-            f"grid_step {h} would produce {total} cells; choose a coarser grid"
+            f"grid_step {h} would produce {total:.0f} cells; choose a coarser grid"
         )
+    counts = counts.astype(int)
     grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
     index = np.column_stack([g.ravel() for g in grids])
     cell_lo = lo + index * h

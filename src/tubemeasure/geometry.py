@@ -362,7 +362,7 @@ class ProductSet:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         y = pts @ self._frame.cross.T
-        return shape_contains(self.base, y)
+        return self.base.contains(y)
 
     def support(self, d: np.ndarray) -> float:
         raise UnboundedShapeError("product set is unbounded along its axis")
@@ -398,24 +398,22 @@ class UnionShape:
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts), dtype=bool)
         for m in self.members:
-            out |= shape_contains(m, pts)
+            out |= m.contains(pts)
         return out
 
     def support(self, d: np.ndarray) -> float:
-        if not self.members:
+        leaves = _leaves(self)
+        if not leaves:
             raise DegenerateShapeError("empty union has no support function")
-        return max(m.support(d) for m in self.members)
+        return max(leaf.support(d) for leaf in leaves)
 
 
 Shape = Ball | Cuboid | ConvexPolytope | ProductSet | PointCloud | UnionShape
 
-def shape_contains(s: Shape, pts: np.ndarray) -> np.ndarray:
-    return s.contains(pts)
-
 
 def bounding_box(s: Shape) -> tuple[np.ndarray, np.ndarray]:
     """Axis-aligned bounding box (lo, hi); raises for unbounded shapes."""
-    if isinstance(s, UnionShape) and not s.members:
+    if not _leaves(s):
         z = np.zeros(s.dim)
         return z, z.copy()
     n = s.dim
@@ -437,9 +435,7 @@ def volume_exact(s: Shape) -> float | None:
         return float(np.prod(2.0 * s.half_lengths))
     if isinstance(s, ConvexPolytope):
         return s.volume
-    if isinstance(s, PointCloud):
-        return 0.0
-    if isinstance(s, UnionShape) and not s.members:
+    if isinstance(s, PointCloud) or not _leaves(s):
         return 0.0
     if isinstance(s, ProductSet):
         raise UnboundedShapeError("product set has no finite volume")
@@ -457,9 +453,7 @@ def _leaves(s: Shape) -> list[Shape]:
 
 def _corner_points(leaf: Shape) -> np.ndarray | None:
     """Finite point set whose pairwise distances witness the leaf's extent."""
-    if isinstance(leaf, Cuboid):
-        return leaf.vertices
-    if isinstance(leaf, ConvexPolytope):
+    if isinstance(leaf, (Cuboid, ConvexPolytope)):
         return leaf.vertices
     if isinstance(leaf, PointCloud):
         return leaf.points
@@ -578,16 +572,10 @@ class SquareTube:
         return np.all(y <= float(self.half_width), axis=1)
 
 
-def point_in_tube(p, tube: Tube) -> bool:
-    """Closed membership: distance from p to the tube's axis line <= radius."""
-    p = _as_floats(p, "point").ravel()
-    if p.size != tube.dim:
-        raise DimensionError("point and tube dimensions differ")
-    return bool(tube.contains(p[None, :])[0])
-
-
-def point_in_square_tube(p, tube: SquareTube) -> bool:
-    """Closed membership: every cross-frame coordinate lies in [-delta, delta]."""
+def point_in_tube(p, tube: Tube | SquareTube) -> bool:
+    """Closed membership of one point: within the radius of a round tube's
+    axis line, or every cross-frame coordinate in [-delta, delta] for a
+    square tube."""
     p = _as_floats(p, "point").ravel()
     if p.size != tube.dim:
         raise DimensionError("point and tube dimensions differ")

@@ -18,7 +18,6 @@ from .geometry import (
     PointCloud,
     Shape,
     bounding_box,
-    shape_contains,
     volume_exact,
 )
 
@@ -32,6 +31,7 @@ TAG_PROOF = 6
 TAG_SHADOW = 7
 
 MIN_SAMPLES = 1000
+VOLUME_SAMPLES = 1_000_000  # default samples of a Monte Carlo volume
 _MAX_POINT_BATCHES = 4096  # rejection-sampling batches before giving up as degenerate
 
 
@@ -78,7 +78,18 @@ def _mc_box_fraction(predicate, lo, hi, samples, seed, tag) -> tuple[float, floa
     return p, se
 
 
-def mc_volume(s: Shape, samples: int = 1_000_000, seed: int = 0) -> tuple[float, float]:
+def _box_estimate(s: Shape, predicate, samples, seed, tag) -> tuple[float, float]:
+    """Measure of the points of s's bounding box that pass ``predicate``,
+    with its standard error; a degenerate box gives (0.0, 0.0)."""
+    lo, hi = bounding_box(s)
+    box = _box_volume(lo, hi)
+    if box <= 0.0:
+        return 0.0, 0.0
+    p, se = _mc_box_fraction(predicate, lo, hi, samples, seed, tag)
+    return box * p, box * se
+
+
+def mc_volume(s: Shape, samples: int = VOLUME_SAMPLES, seed: int = 0) -> tuple[float, float]:
     """Volume estimate with standard error, (exact, 0.0) when closed form exists.
 
     Hit-or-miss over the bounding box; a degenerate box means volume zero
@@ -88,12 +99,7 @@ def mc_volume(s: Shape, samples: int = 1_000_000, seed: int = 0) -> tuple[float,
     exact = volume_exact(s)  # raises for unbounded products
     if exact is not None:
         return exact, 0.0
-    lo, hi = bounding_box(s)
-    box = _box_volume(lo, hi)
-    if box <= 0.0:
-        return 0.0, 0.0
-    p, se = _mc_box_fraction(lambda pts: shape_contains(s, pts), lo, hi, samples, seed, TAG_VOLUME)
-    return box * p, box * se
+    return _box_estimate(s, s.contains, samples, seed, TAG_VOLUME)
 
 
 def mc_intersection_volume(
@@ -103,16 +109,9 @@ def mc_intersection_volume(
     samples = _check_samples(samples)
     if s.dim != tube.dim:
         raise GeometryError("shape and tube dimensions differ")
-    lo, hi = bounding_box(s)
-    box = _box_volume(lo, hi)
-    if box <= 0.0:
-        return 0.0, 0.0
-
-    def hit(pts):
-        return shape_contains(s, pts) & tube.contains(pts)
-
-    p, se = _mc_box_fraction(hit, lo, hi, samples, seed, TAG_INTERSECT)
-    return box * p, box * se
+    return _box_estimate(
+        s, lambda pts: s.contains(pts) & tube.contains(pts), samples, seed, TAG_INTERSECT
+    )
 
 
 def sample_points(s: Shape, count: int, seed: int = 0) -> np.ndarray:
@@ -136,7 +135,7 @@ def sample_points(s: Shape, count: int, seed: int = 0) -> np.ndarray:
     for index in range(_MAX_POINT_BATCHES):
         rng = batch_rng(seed, TAG_POINTS, index)
         pts = lo + rng.random((BATCH, n)) * span
-        keep = pts[shape_contains(s, pts)]
+        keep = pts[s.contains(pts)]
         if len(keep):
             out.append(keep)
             got += len(keep)

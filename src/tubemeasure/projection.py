@@ -227,14 +227,7 @@ class Shadow:
 
 def shadow_area(s: Shape, direction, samples: int = 200_000, seed: int = 0) -> float:
     """Measure of the projection of s onto the hyperplane orthogonal to d."""
-    value, _ = shadow_area_with_error(s, direction, samples=samples, seed=seed)
-    return value
-
-
-def shadow_area_with_error(
-    s: Shape, direction, samples: int = 200_000, seed: int = 0
-) -> tuple[float, float]:
-    return Shadow(s, direction).area(samples=samples, seed=seed)
+    return Shadow(s, direction).area(samples=samples, seed=seed)[0]
 
 
 def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:
@@ -257,9 +250,9 @@ def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:
     if isinstance(s, PointCloud):
         return np.zeros(len(D))
     if isinstance(s, UnionShape):
-        if not s.members:
-            return np.zeros(len(D))
         leaves = _leaves(s)
+        if not leaves:
+            return np.zeros(len(D))
         if len(leaves) == 1:
             return shadow_values_batch(leaves[0], D)
         return None

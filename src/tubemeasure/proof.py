@@ -61,6 +61,7 @@ from .geometry import (
     volume_exact,
 )
 from .montecarlo import TAG_PROOF, batch_rng
+from .serialization import _jsonable
 
 _SCAN_CHUNK = 1 << 20
 _MAX_STORED_CELLS = 8_000_000
@@ -137,9 +138,10 @@ def _validate_packing_args(m: int, radius: float, max_depth: int) -> float:
         raise ParameterError(f"radius must be positive, got {radius}")
     if not isinstance(max_depth, (int, np.integer)) or not 1 <= max_depth <= 20:
         raise ParameterError(f"max_depth must be 1..20, got {max_depth}")
-    # boundary cells multiply by ~2^(m-1) per level; this bound keeps the
-    # lattice census near 10^6 budget rows and the walkthrough's one share
-    # per cell practical, and bounds any scan before the stored-cell limit
+    # boundary cells multiply by ~2^(m-1) per level; the cell limits are
+    # checked against the lattice census, so this bound is what keeps the
+    # census near 10^6 budget rows and the walkthrough's share stream (one
+    # share per cell) practical
     if (m - 1) * (max_depth - 1) > 21:
         raise ParameterError(
             f"max_depth {max_depth} too deep for cross dimension {m}; "
@@ -174,17 +176,14 @@ class SquarePacking:
     def half_width(self, depth: int) -> Fraction:
         return Fraction(self.radius) / 2 ** depth
 
-    def iter_squares(self):
-        """(center array, half-width Fraction) in canonical order."""
-        for depth in sorted(self.cells):
-            hw = self.half_width(depth)
-            scale = self.radius / 2 ** depth
-            for row in self.cells[depth]:
-                yield row * scale, hw
-
     @property
     def squares(self) -> list[tuple[np.ndarray, Fraction]]:
-        return list(self.iter_squares())
+        """(center array, half-width Fraction) in canonical order."""
+        return [
+            (row * (self.radius / 2 ** depth), self.half_width(depth))
+            for depth in sorted(self.cells)
+            for row in self.cells[depth]
+        ]
 
     def _exact_center(self, row: np.ndarray, depth: int) -> list[Fraction]:
         r = Fraction(self.radius)
@@ -201,14 +200,12 @@ class SquarePacking:
             remaining -= len(rows)
         raise ParameterError("square index out of range")
 
-    def to_dict(self, include_squares: bool | None = None) -> dict:
+    def to_dict(self) -> dict:
         """JSON-ready summary; squares listed with exact rationals.
 
-        Squares are included by default only up to 100000 cells; the
-        census fields remain exact either way.
+        Squares are listed only up to 100000 cells; the census fields
+        remain exact either way.
         """
-        if include_squares is None:
-            include_squares = self.n_squares <= 100_000
         out = {
             "m": self.m,
             "radius": self.radius,
@@ -217,7 +214,7 @@ class SquarePacking:
             "depth_counts": {str(d): c for d, c in self.depth_counts.items()},
             "covered_fraction": self.covered_fraction,
         }
-        if include_squares:
+        if self.n_squares <= 100_000:
             squares = []
             for depth in sorted(self.cells):
                 hw = self.half_width(depth)
@@ -665,26 +662,6 @@ class WalkthroughReport:
                 for s in self.steps
             ],
         }
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, Fraction):
-        return {"num": x.numerator, "den": x.denominator}
-    if isinstance(x, np.ndarray):
-        return [float(v) for v in x.ravel()]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, (bool, np.bool_)):
-        return bool(x)
-    if isinstance(x, (np.floating, float)):
-        return float(x)
-    if isinstance(x, (np.integer, int)):
-        return int(x)
-    if isinstance(x, str) or x is None:
-        return x
-    return repr(x)
 
 
 def _stream_pigeonhole(

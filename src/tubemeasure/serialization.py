@@ -14,6 +14,7 @@ still the constructors' job; this module only guards the wire format.
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -69,7 +70,10 @@ def _number(x, what: str) -> float:
     # bool is an int subclass; reject it explicitly
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SchemaError(f"{what} must be a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an integer too large for a float
+        raise SchemaError(f"{what} is out of range") from None
 
 
 def _integer(x, what: str) -> int:
@@ -93,9 +97,29 @@ def _matrix(x, what: str, rows: int, cols: int) -> np.ndarray:
     return np.array([_vector(r, f"{what}[{i}]", cols) for i, r in enumerate(x)])
 
 
+def _jsonable(x):
+    """JSON-ready copy of x; the one place a rational becomes {"num", "den"}."""
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return {"num": x.numerator, "den": x.denominator}
+    if isinstance(x, np.ndarray):
+        return [float(v) for v in x.ravel()]
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (np.floating, float)):
+        return float(x)
+    if isinstance(x, (np.integer, int)):
+        return int(x)
+    if isinstance(x, str) or x is None:
+        return x
+    return repr(x)
+
+
 def rational_to_json(q: Fraction) -> dict:
-    q = Fraction(q)
-    return {"num": q.numerator, "den": q.denominator}
+    return _jsonable(Fraction(q))
 
 
 def rational_from_json(obj, what: str = "rational") -> Fraction:
@@ -109,10 +133,7 @@ def rational_from_json(obj, what: str = "rational") -> Fraction:
 
 
 def _frame_to_json(frame: Frame) -> dict:
-    return {
-        "axis": [float(v) for v in frame.axis],
-        "cross": [[float(v) for v in row] for row in frame.cross],
-    }
+    return {"axis": _jsonable(frame.axis), "cross": [_jsonable(row) for row in frame.cross]}
 
 
 def _frame_from_json(obj, what: str, dim: int) -> Frame:
@@ -132,15 +153,15 @@ def shape_to_json(s: Shape) -> dict:
         return {
             "dim": s.dim,
             "kind": "ball",
-            "center": [float(v) for v in s.center],
+            "center": _jsonable(s.center),
             "radius": s.radius,
         }
     if isinstance(s, Cuboid):
         out = {
             "dim": s.dim,
             "kind": "cuboid",
-            "center": [float(v) for v in s.center],
-            "half_lengths": [float(v) for v in s.half_lengths],
+            "center": _jsonable(s.center),
+            "half_lengths": _jsonable(s.half_lengths),
         }
         if s.frame is not None:
             out["frame"] = _frame_to_json(s.frame)
@@ -149,20 +170,20 @@ def shape_to_json(s: Shape) -> dict:
         return {
             "dim": s.dim,
             "kind": "polytope",
-            "vertices": [[float(v) for v in row] for row in s.vertices],
+            "vertices": [_jsonable(row) for row in s.vertices],
         }
     if isinstance(s, PointCloud):
         return {
             "dim": s.dim,
             "kind": "cloud",
-            "points": [[float(v) for v in row] for row in s.points],
+            "points": [_jsonable(row) for row in s.points],
         }
     if isinstance(s, ProductSet):
         return {
             "dim": s.dim,
             "kind": "product",
             "base": shape_to_json(s.base),
-            "axis": [float(v) for v in s.axis],
+            "axis": _jsonable(s.axis),
         }
     if isinstance(s, UnionShape):
         return {
@@ -251,22 +272,20 @@ def cover_to_json(cover: TubeCover) -> list:
             out.append(
                 {
                     "kind": "round",
-                    "point": [float(v) for v in tube.point],
-                    "axis": [float(v) for v in tube.axis],
+                    "point": _jsonable(tube.point),
+                    "axis": _jsonable(tube.axis),
                     "r": tube.radius,
                 }
             )
-        elif isinstance(tube, SquareTube):
+        else:  # a square tube; TubeCover admits no other kind
             out.append(
                 {
                     "kind": "square",
-                    "anchor": [float(v) for v in tube.anchor],
+                    "anchor": _jsonable(tube.anchor),
                     "frame": _frame_to_json(tube.frame),
                     "delta": rational_to_json(tube.half_width),
                 }
             )
-        else:  # TubeCover already rejects other kinds
-            raise SchemaError(f"cannot serialize tube of type {type(tube).__name__}")
     return out
 
 
@@ -308,10 +327,4 @@ def cover_from_json(obj) -> TubeCover:
 
 
 def bound_report_to_json(report: BoundReport) -> dict:
-    return {
-        "lower": report.lower,
-        "lower_std_error": report.lower_std_error,
-        "upper": report.upper,
-        "witness_direction": [float(v) for v in report.witness_direction],
-        "method": report.method,
-    }
+    return _jsonable(dataclasses.asdict(report))

@@ -269,7 +269,9 @@ class TestProductMeasure:
         assert product_measure(disk) == pytest.approx(math.pi, abs=1e-12)
 
     def test_empty_base(self):
-        assert product_measure(UnionShape(members=(), dim_hint=2)) == 0.0
+        empty = UnionShape(members=(), dim_hint=2)
+        assert product_measure(empty) == 0.0
+        assert product_measure(UnionShape(members=(empty,))) == 0.0
 
     def test_truncated_approaches_full(self):
         square = axis_aligned_cuboid(np.full(2, 0.5), np.full(2, 0.5))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tubemeasure import cli
 from tubemeasure.cli import main
 from tubemeasure.geometry import CONTAINS_TOL, FRAME_ORTHO_TOL
 from tubemeasure.proof import AGREEMENT_TOL
@@ -103,6 +104,26 @@ class TestBounds:
         path = shape_file(tmp_path, BALL3)
         code, _, err = run(capsys, ["bounds", "--shape", path, "--samples", "999"])
         assert code == 2 and "input error" in err
+
+    @pytest.mark.parametrize("depth, expected", [(20, 0), (400, 0), (5000, 2)])
+    def test_deeply_nested_shape_is_an_input_error(self, tmp_path, capsys, depth, expected):
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"dim": 3, "kind": "union", "members": [' * depth + json.dumps(BALL3) + "]}" * depth
+        )
+        code, _, err = run(capsys, ["bounds", "--shape", str(path), "--samples", "1000"])
+        assert code == expected, err
+        if expected:
+            assert err.startswith("input error:")
+
+    def test_recursion_past_loading_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        def too_deep(doc):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "shape_from_json", too_deep)
+        code, out, err = run(capsys, ["bounds", "--shape", shape_file(tmp_path, BALL3)])
+        assert code == 2 and out == ""
+        assert err == "input error: maximum recursion depth exceeded\n"
 
 
 class TestPlank:
@@ -200,6 +221,14 @@ class TestCover:
         assert result["covered"] is True
         # three collinear points admit a near-free tube
         assert result["cost"] < 1e-12
+
+    @pytest.mark.parametrize("step", ["1e-300", "1/100000000000000000000"])
+    def test_tiny_grid_step_is_refused(self, capsys, step):
+        code, out, err = run(
+            capsys, ["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", step]
+        )
+        assert code == 2 and out == ""
+        assert "choose a coarser grid" in err
 
     def test_mode_is_required(self, tmp_path, capsys):
         path = shape_file(tmp_path, CUBE3)

@@ -24,10 +24,8 @@ from tubemeasure import (
     diameter,
     identity_frame,
     orthonormal_frame,
-    point_in_square_tube,
     point_in_tube,
     regular_tetrahedron,
-    shape_contains,
     unit_ball_volume,
     volume_exact,
 )
@@ -91,8 +89,8 @@ class TestFrames:
 class TestShapes:
     def test_ball_contains_and_support(self):
         ball = Ball(center=np.array([1.0, 0.0]), radius=2.0)
-        assert shape_contains(ball, np.array([2.9, 0.0]))
-        assert not shape_contains(ball, np.array([3.1, 0.0]))
+        assert ball.contains(np.array([2.9, 0.0]))
+        assert not ball.contains(np.array([3.1, 0.0]))
         assert abs(ball.support(np.array([1.0, 0.0])) - 3.0) <= 1e-12
 
     def test_cuboid_vertices_count_and_support(self):
@@ -134,10 +132,12 @@ class TestShapes:
         b = Ball(center=np.array([5.0, 0.0]), radius=1.0)
         union = UnionShape(members=(a, b))
         assert union.dim == 2
-        assert shape_contains(union, np.array([5.5, 0.0]))
+        assert union.contains(np.array([5.5, 0.0]))
         empty = UnionShape(members=(), dim_hint=3)
-        assert empty.dim == 3
-        assert volume_exact(empty) == 0.0
+        for e in (empty, UnionShape(members=(empty,))):
+            assert e.dim == 3
+            assert volume_exact(e) == 0.0
+            assert all(np.array_equal(b, np.zeros(3)) for b in bounding_box(e))
 
     def test_union_dimension_mismatch(self):
         a = Ball(center=np.zeros(2), radius=1.0)
@@ -148,8 +148,8 @@ class TestShapes:
     def test_product_membership(self):
         base = Ball(center=np.zeros(2), radius=1.0)
         prod = ProductSet(base=base, axis=np.array([0.0, 0.0, 1.0]))
-        assert shape_contains(prod, np.array([0.5, 0.0, 123.0]))
-        assert not shape_contains(prod, np.array([1.5, 0.0, 0.0]))
+        assert prod.contains(np.array([0.5, 0.0, 123.0]))
+        assert not prod.contains(np.array([1.5, 0.0, 0.0]))
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionError):
@@ -244,9 +244,9 @@ class TestTubes:
         st = SquareTube(
             frame=identity_frame(3), anchor=np.zeros(3), half_width=Fraction(1, 2)
         )
-        assert point_in_square_tube(np.zeros(3), st)
-        assert point_in_square_tube(np.array([0.5, 0.5, 9.0]), st)  # closed boundary
-        assert not point_in_square_tube(np.array([0.6, 0.0, 0.0]), st)
+        assert point_in_tube(np.zeros(3), st)
+        assert point_in_tube(np.array([0.5, 0.5, 9.0]), st)  # closed boundary
+        assert not point_in_tube(np.array([0.6, 0.0, 0.0]), st)
 
     def test_square_tube_width_positive(self):
         with pytest.raises(ParameterError):
@@ -290,4 +290,4 @@ class TestBuiltins:
             # a point just beyond the support plane cannot be inside
             lo, hi = bounding_box(shape)
             probe = (lo + hi) / 2 + d * (support - ((lo + hi) / 2) @ d + 0.05)
-            assert not shape_contains(shape, probe)
+            assert not shape.contains(probe)

@@ -14,7 +14,6 @@ from tubemeasure import (
     mc_intersection_volume,
     mc_volume,
     sample_points,
-    shape_contains,
     Tube,
 )
 
@@ -72,7 +71,7 @@ class TestSamplePoints:
             pts = sample_points(shape, 200, seed=int(rng.integers(1 << 32)))
             assert pts.shape == (200, n)
             for p in pts[:20]:
-                assert shape_contains(shape, p)
+                assert shape.contains(p)
 
     def test_cloud_returns_points_verbatim(self):
         cloud = PointCloud(points=np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]))
@@ -81,9 +80,12 @@ class TestSamplePoints:
         assert np.array_equal(pts, cloud.points[:2])
 
     def test_degenerate_raises(self):
-        cloud_like = UnionShape(members=(), dim_hint=2)
-        with pytest.raises(DegenerateShapeError):
-            sample_points(cloud_like, 10, seed=0)
+        for cloud_like in (
+            UnionShape(members=(), dim_hint=2),
+            UnionShape(members=(UnionShape(members=(), dim_hint=2),)),
+        ):
+            with pytest.raises(DegenerateShapeError):
+                sample_points(cloud_like, 10, seed=0)
 
 
 class TestIntersectionVolume:

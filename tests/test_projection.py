@@ -14,7 +14,6 @@ from tubemeasure import (
     axis_aligned_cuboid,
     mc_volume,
     shadow_area,
-    shadow_area_with_error,
 )
 from tubemeasure.montecarlo import BATCH, TAG_SHADOW, batch_rng
 from tubemeasure.projection import shadow_values_batch
@@ -53,7 +52,7 @@ class TestExactShadows:
                 Ball(center=np.array([3.0, 0.0]), radius=0.5),
             )
         )
-        area, err = shadow_area_with_error(disks, np.array([0.0, 1.0]))
+        area, err = Shadow(disks, np.array([0.0, 1.0])).area()
         assert err == 0.0
         assert area == pytest.approx(2.0, abs=1e-12)
 
@@ -64,7 +63,7 @@ class TestExactShadows:
                 Ball(center=np.array([1.0, 0.0]), radius=1.0),
             )
         )
-        area, err = shadow_area_with_error(disks, np.array([0.0, 1.0]))
+        area, err = Shadow(disks, np.array([0.0, 1.0])).area()
         assert err == 0.0
         assert area == pytest.approx(3.0, abs=1e-12)
 
@@ -86,7 +85,7 @@ class TestMonteCarloShadows:
         ball = Ball(center=np.zeros(3), radius=1.0)
         union = UnionShape(members=(ball, ball))
         d = np.array([0.0, 0.0, 1.0])
-        area, err = shadow_area_with_error(union, d, samples=400_000, seed=3)
+        area, err = Shadow(union, d).area(samples=400_000, seed=3)
         assert err > 0
         assert abs(area - math.pi) <= 4 * err
 
@@ -124,7 +123,7 @@ class TestMonteCarloShadows:
             n = int(rng.integers(2, 5))
             shape = random_shape(rng, n)
             d = random_direction(rng, n)
-            area, a_err = shadow_area_with_error(shape, d, samples=50_000, seed=1)
+            area, a_err = Shadow(shape, d).area(samples=50_000, seed=1)
             vol, v_err = mc_volume(shape, samples=50_000, seed=2)
             extent = shape.support(d) + shape.support(-d)
             assert extent > 0

@@ -77,7 +77,7 @@ class TestSquarePacking:
         for m in (1, 2, 3):
             packing = ball_square_packing(m, 1.5, 6)
             total = math.fsum(
-                float((2 * hw) ** m) for _, hw in packing.iter_squares()
+                float((2 * hw) ** m) for _, hw in packing.squares
             )
             assert total <= unit_ball_volume(m) * 1.5 ** m + 1e-12
             assert packing.covered_fraction <= 1.0 + 1e-12
