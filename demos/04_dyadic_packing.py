@@ -17,12 +17,14 @@ print(f"{'depth':>5} {'new squares':>12} {'covered fraction':>18}")
 previous = 0
 for depth in range(1, 11):
     packing = ball_square_packing(2, 1.0, depth)
-    total = sum(len(v) for v in packing.cells.values())
+    total = packing.n_squares
     print(f"{depth:>5} {total - previous:>12} {packing.covered_fraction:>18.7f}")
     previous = total
 
-# the census is radius-free: centers and half-widths are stored as exact
-# rationals scaled by the radius, so the same tree serves every disk
+# the census is radius-free: cells are stored as integer lattice indices,
+# scaled by the radius only on output, so the same tree serves every disk.
+# ``squares`` gives float centers with rational half-widths; ``square_exact``
+# and ``to_dict`` give exact rationals
 deep = ball_square_packing(2, 1.0, 4)
 print(f"\ndepth 4 holds {len(deep.squares)} squares; the first three:")
 for center, half in deep.squares[:3]:

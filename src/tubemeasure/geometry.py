@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateShapeError,
@@ -34,6 +34,7 @@ MAX_DIM = 8
 UNIT_NORM_TOL = 1e-12   # directions must be unit length within this
 FRAME_ORTHO_TOL = 1e-10  # frames must be orthonormal within this
 CONTAINS_TOL = 1e-9     # hull membership allows this slack past each facet
+_DIAMETER_ROWS = 1024   # pairwise-distance rows held at once by ``diameter``
 
 
 def unit_ball_volume(m: int) -> float:
@@ -240,6 +241,15 @@ def axis_aligned_cuboid(center, half_lengths) -> Cuboid:
     return Cuboid(center=center, frame=frame, half_lengths=half_lengths)
 
 
+def _hull(points: np.ndarray, what: str) -> ConvexHull:
+    """qhull of ``points``; a set that spans no full-dimensional hull is a
+    DegenerateShapeError naming ``what``."""
+    try:
+        return ConvexHull(points)
+    except QhullError as exc:
+        raise DegenerateShapeError(f"{what} do not span a full-dimensional hull: {exc}") from exc
+
+
 @dataclass(frozen=True, eq=False)
 class ConvexPolytope:
     """Convex hull given by vertices in convex position.
@@ -256,10 +266,7 @@ class ConvexPolytope:
     def __post_init__(self):
         v = np.atleast_2d(_as_floats(self.vertices, "vertices"))
         _check_ambient(v.shape[1], low=2)
-        try:
-            hull = ConvexHull(v)
-        except QhullError as exc:
-            raise DegenerateShapeError(f"vertices do not span a full-dimensional hull: {exc}") from exc
+        hull = _hull(v, "vertices")
         if len(hull.vertices) != len(v) or len(np.unique(v, axis=0)) != len(v):
             raise GeometryError("vertices are not in convex position")
         object.__setattr__(self, "vertices", _freeze(v))
@@ -268,11 +275,7 @@ class ConvexPolytope:
     @classmethod
     def hull_of(cls, points) -> "ConvexPolytope":
         pts = np.atleast_2d(_as_floats(points, "points"))
-        try:
-            hull = ConvexHull(pts)
-        except QhullError as exc:
-            raise DegenerateShapeError(f"points do not span a full-dimensional hull: {exc}") from exc
-        return cls(vertices=pts[hull.vertices])
+        return cls(vertices=pts[_hull(pts, "points").vertices])
 
     @property
     def dim(self) -> int:
@@ -435,10 +438,11 @@ def volume_exact(s: Shape) -> float | None:
         return float(np.prod(2.0 * s.half_lengths))
     if isinstance(s, ConvexPolytope):
         return s.volume
-    if isinstance(s, PointCloud) or not _leaves(s):
-        return 0.0
-    if isinstance(s, ProductSet):
+    leaves = _leaves(s)
+    if any(isinstance(leaf, ProductSet) for leaf in leaves):
         raise UnboundedShapeError("product set has no finite volume")
+    if isinstance(s, PointCloud) or not leaves:
+        return 0.0
     return None
 
 
@@ -451,46 +455,33 @@ def _leaves(s: Shape) -> list[Shape]:
     return [s]
 
 
-def _corner_points(leaf: Shape) -> np.ndarray | None:
-    """Finite point set whose pairwise distances witness the leaf's extent."""
-    if isinstance(leaf, (Cuboid, ConvexPolytope)):
-        return leaf.vertices
-    if isinstance(leaf, PointCloud):
-        return leaf.points
-    return None  # ball handled analytically
-
-
-def _max_dist(a: Shape, b: Shape) -> float:
-    """sup of |x - y| over x in a, y in b; exact for the bounded kinds."""
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return float(np.linalg.norm(a.center - b.center)) + a.radius + b.radius
-    if isinstance(a, Ball):
-        pts = _corner_points(b)
-        return float(np.max(np.linalg.norm(pts - a.center, axis=1))) + a.radius
-    if isinstance(b, Ball):
-        return _max_dist(b, a)
-    pa, pb = _corner_points(a), _corner_points(b)
-    if a is b:
-        return float(np.max(pdist(pa))) if len(pa) > 1 else 0.0
-    return float(np.max(cdist(pa, pb)))
+def _witnesses(leaf: Shape) -> tuple[np.ndarray, np.ndarray]:
+    """Points p_i and radii r_i with max |q - p_i| + r_i the leaf's farthest
+    reach from any q: a ball's center and radius, else vertices or points."""
+    if isinstance(leaf, Ball):
+        return leaf.center[None, :], np.array([leaf.radius])
+    pts = leaf.points if isinstance(leaf, PointCloud) else leaf.vertices
+    return pts, np.zeros(len(pts))
 
 
 def diameter(s: Shape) -> float:
-    """Exact diameter of a bounded shape.
-
-    Unions pool their members pairwise: the diameter of a union is the
-    largest of the member diameters and the cross-member distances, and
-    all of those are exact for balls, boxes, polytopes, and clouds.
+    """Exact diameter of a bounded shape: the largest |p_i - p_j| + r_i + r_j
+    over all pairs, a point with itself included, of the witnesses that
+    all leaves pool (see ``_witnesses``), taken a block of rows at a time.
+    A product anywhere in the shape makes it unbounded.
     """
-    if isinstance(s, ProductSet):
-        raise UnboundedShapeError("product set has infinite diameter")
     leaves = _leaves(s)
+    if any(isinstance(leaf, ProductSet) for leaf in leaves):
+        raise UnboundedShapeError("product set has infinite diameter")
     if not leaves:
         return 0.0
+    pts, radii = (np.concatenate(parts) for parts in zip(*map(_witnesses, leaves)))
     best = 0.0
-    for i, a in enumerate(leaves):
-        for b in leaves[i:]:
-            best = max(best, _max_dist(a, b))
+    for i in range(0, len(pts), _DIAMETER_ROWS):  # pairs (i, j) with j >= i suffice
+        block = cdist(pts[i:i + _DIAMETER_ROWS], pts[i:])
+        block += radii[i:i + _DIAMETER_ROWS, None]
+        block += radii[i:]
+        best = max(best, float(block.max()))
     return best
 
 
@@ -538,7 +529,9 @@ class SquareTube:
     """Square cross-section tube: cross-frame coordinates in [-delta, delta].
 
     The half-width is kept as an exact rational so that refinement and
-    packing arguments can compare widths without rounding.
+    packing arguments can compare widths without rounding; membership
+    tests use its float, taken once.  A half-width whose float or whose
+    cost (2 delta)^(n-1) overflows is rejected.
     """
 
     frame: Frame
@@ -556,8 +549,16 @@ class SquareTube:
             hw = Fraction(hw)
         if hw <= 0:
             raise ParameterError(f"square tube half-width must be positive, got {hw}")
+        try:
+            width = float(hw)
+            finite = math.isfinite((2.0 * width) ** (a.size - 1))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParameterError("square tube half-width too large: its cost overflows a float")
         object.__setattr__(self, "anchor", _freeze(a))
         object.__setattr__(self, "half_width", hw)
+        object.__setattr__(self, "_width", width)
 
     @property
     def dim(self) -> int:
@@ -569,7 +570,7 @@ class SquareTube:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         y = np.abs(self.cross_coordinates(pts))
-        return np.all(y <= float(self.half_width), axis=1)
+        return np.all(y <= self._width, axis=1)
 
 
 def point_in_tube(p, tube: Tube | SquareTube) -> bool:

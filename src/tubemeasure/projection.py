@@ -33,76 +33,8 @@ from .geometry import (
 )
 from .montecarlo import TAG_SHADOW, _check_samples, _mc_box_fraction
 
-class _DiskOracle:
-    measure_zero = False
-
-    def __init__(self, center_y: np.ndarray, radius: float):
-        self.center = center_y
-        self.radius = radius
-
-    def bbox(self):
-        return self.center - self.radius, self.center + self.radius
-
-    def contains(self, y):
-        return np.linalg.norm(y - self.center, axis=1) <= self.radius
-
-    def cell_touch(self, cl, ch):
-        nearest = np.clip(self.center, cl, ch)
-        d2 = np.sum((nearest - self.center) ** 2, axis=1)
-        return d2 <= self.radius ** 2
-
-
-class _HullOracle:
-    """Convex hull of projected vertices, m >= 2.
-
-    ``cell_touch`` is the standard conservative box-against-halfspace
-    test: a cell passes when no single facet separates it, which never
-    rejects a cell that meets the hull.
-    """
-
-    measure_zero = False
-
-    def __init__(self, points_y: np.ndarray):
-        hull = ConvexHull(points_y)
-        self.equations = hull.equations
-        self.lo = points_y.min(axis=0)
-        self.hi = points_y.max(axis=0)
-
-    def bbox(self):
-        return self.lo, self.hi
-
-    def contains(self, y):
-        eq = self.equations
-        return np.all(y @ eq[:, :-1].T + eq[:, -1] <= CONTAINS_TOL, axis=1)
-
-    def cell_touch(self, cl, ch):
-        overlap = np.all(ch >= self.lo, axis=1) & np.all(cl <= self.hi, axis=1)
-        a = self.equations[:, :-1]
-        b = -self.equations[:, -1]
-        low = cl @ np.where(a.T > 0, a.T, 0.0) + ch @ np.where(a.T < 0, a.T, 0.0)
-        return overlap & np.all(low <= b + CONTAINS_TOL, axis=1)
-
-
-class _PointsOracle:
-    """Finite projected point set: measure zero, but covers must hit it."""
-
-    measure_zero = True
-
-    def __init__(self, points_y: np.ndarray):
-        self.points = points_y
-
-    def bbox(self):
-        return self.points.min(axis=0), self.points.max(axis=0)
-
-    def cell_touch(self, cl, ch):
-        mask = np.zeros(len(cl), dtype=bool)
-        for p in self.points:
-            mask |= np.all(cl <= p, axis=1) & np.all(p <= ch, axis=1)
-        return mask
-
-
 class _BoxOracle:
-    """Axis-aligned box shadow.
+    """Axis-aligned box shadow, and the bounding box of every oracle.
 
     Exact for a convex leaf in the plane (m = 1); for an affinely
     degenerate projection, a conservative stand-in of measure zero,
@@ -113,14 +45,64 @@ class _BoxOracle:
         self.lo, self.hi = lo, hi
         self.measure_zero = measure_zero
 
-    def bbox(self):
-        return self.lo, self.hi
-
     def contains(self, y):
         return np.all(y >= self.lo, axis=1) & np.all(y <= self.hi, axis=1)
 
     def cell_touch(self, cl, ch):
         return np.all(ch >= self.lo, axis=1) & np.all(cl <= self.hi, axis=1)
+
+
+class _DiskOracle(_BoxOracle):
+    def __init__(self, center_y: np.ndarray, radius: float):
+        super().__init__(center_y - radius, center_y + radius, measure_zero=False)
+        self.center = center_y
+        self.radius = radius
+
+    def contains(self, y):
+        return np.linalg.norm(y - self.center, axis=1) <= self.radius
+
+    def cell_touch(self, cl, ch):
+        nearest = np.clip(self.center, cl, ch)
+        d2 = np.sum((nearest - self.center) ** 2, axis=1)
+        return d2 <= self.radius ** 2
+
+
+class _HullOracle(_BoxOracle):
+    """Convex hull of projected vertices, m >= 2.
+
+    ``cell_touch`` is the standard conservative box-against-halfspace
+    test: a cell passes when it meets the bounding box and no single
+    facet separates it, which never rejects a cell that meets the hull.
+    """
+
+    def __init__(self, points_y: np.ndarray):
+        hull = ConvexHull(points_y)
+        super().__init__(points_y.min(axis=0), points_y.max(axis=0), measure_zero=False)
+        self.equations = hull.equations
+
+    def contains(self, y):
+        eq = self.equations
+        return np.all(y @ eq[:, :-1].T + eq[:, -1] <= CONTAINS_TOL, axis=1)
+
+    def cell_touch(self, cl, ch):
+        a = self.equations[:, :-1]
+        b = -self.equations[:, -1]
+        low = cl @ np.where(a.T > 0, a.T, 0.0) + ch @ np.where(a.T < 0, a.T, 0.0)
+        return super().cell_touch(cl, ch) & np.all(low <= b + CONTAINS_TOL, axis=1)
+
+
+class _PointsOracle(_BoxOracle):
+    """Finite projected point set: measure zero, but covers must hit it."""
+
+    def __init__(self, points_y: np.ndarray):
+        super().__init__(points_y.min(axis=0), points_y.max(axis=0), measure_zero=True)
+        self.points = points_y
+
+    def cell_touch(self, cl, ch):
+        mask = np.zeros(len(cl), dtype=bool)
+        for p in self.points:
+            mask |= np.all(cl <= p, axis=1) & np.all(p <= ch, axis=1)
+        return mask
 
 
 def _leaf_oracle(leaf: Shape, cross: np.ndarray):
@@ -168,7 +150,7 @@ class Shadow:
             return float(shadow_values_batch(solid_leaves[0], self.direction[None])[0])
         if self.m == 1:
             # merged intervals: exact union length in the plane
-            spans = sorted((float(o.bbox()[0][0]), float(o.bbox()[1][0])) for o in self._solid)
+            spans = sorted((float(o.lo[0]), float(o.hi[0])) for o in self._solid)
             total = 0.0
             cur_lo, cur_hi = spans[0]
             for lo, hi in spans[1:]:
@@ -189,8 +171,7 @@ class Shadow:
         if not oracles:
             z = np.zeros(self.m)
             return z, z.copy()
-        los, his = zip(*(o.bbox() for o in oracles))
-        return np.min(los, axis=0), np.max(his, axis=0)
+        return np.min([o.lo for o in oracles], axis=0), np.max([o.hi for o in oracles], axis=0)
 
     def contains(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(y)
@@ -258,6 +239,4 @@ def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:
         return None
     if isinstance(s, ProductSet):
         raise UnboundedShapeError("product set has no bounded shadow")
-    if not isinstance(s, Shape):
-        raise ParameterError(f"not a shape: {type(s).__name__}")
-    return None
+    raise ParameterError(f"not a shape: {type(s).__name__}")

@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import square_tube_exact_measure
+from .bounds import square_tube_exact_measure, tube_exact_measure
 from .errors import (
     DimensionError,
     GeometryError,
@@ -367,9 +367,10 @@ def _packing_cell_by_rank(m: int, max_depth: int, rank: int) -> tuple[int, np.nd
     return depth, cell
 
 
-def _cell_anchor(tube: Tube, frame: Frame, cell: np.ndarray, depth: int) -> np.ndarray:
-    """World anchor of the square tube over one packing cell of ``tube``."""
-    return tube.point + (cell * (tube.radius / 2 ** depth)) @ frame.cross
+def _cell_tube(tube: Tube, frame: Frame, cell: np.ndarray, depth: int) -> SquareTube:
+    """Square tube over one packing cell of ``tube`` at ``depth``."""
+    anchor = tube.point + (cell * (tube.radius / 2 ** depth)) @ frame.cross
+    return SquareTube(frame=frame, anchor=anchor, half_width=Fraction(tube.radius) / 2 ** depth)
 
 
 def subdivide_tube(tube: Tube, max_depth: int) -> list[SquareTube]:
@@ -383,13 +384,11 @@ def subdivide_tube(tube: Tube, max_depth: int) -> list[SquareTube]:
     if sum(_packing_census(m, max_depth).values()) > _MAX_SUBDIVISION_TUBES:
         raise ParameterError("subdivision too large to materialize; lower max_depth")
     frame = orthonormal_frame(tube.axis)
-    out = []
-    for depth, block in _scan_packing(m, max_depth):
-        hw = Fraction(tube.radius) / 2 ** depth
-        for cell in block:
-            anchor = _cell_anchor(tube, frame, cell, depth)
-            out.append(SquareTube(frame=frame, anchor=anchor, half_width=hw))
-    return out
+    return [
+        _cell_tube(tube, frame, cell, depth)
+        for depth, block in _scan_packing(m, max_depth)
+        for cell in block
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -675,12 +674,7 @@ def _stream_pigeonhole(
     (expected margin eps/4 of the total); rare shortfalls retry with a
     fresh subseed.  Returns (global index, its share, retries used).
     """
-    total_cells = sum(count for count, _ in groups)
     total_mass = math.fsum(count * mass for count, mass in groups)
-    if total_cells == 0:
-        raise NoWitnessError("no cells to select from")
-    if total_cells == 1:
-        return 0, 1.0 - 0.5 * eps, 0
     threshold = 1.0 - eps
     low = 1.0 - 1.5 * eps
     for retry in range(8):
@@ -710,39 +704,30 @@ def _stream_pigeonhole(
 
 
 def _select_square_tube(
-    tube: Tube,
-    radius: Fraction,
-    depth: int,
-    counts: dict[int, int],
-    eps: float,
-    seed: int,
-    key: int,
+    tube: Tube, depth: int, counts: dict[int, int], eps: float, seed: int, key: int
 ):
     """Pigeonhole a square tube out of a packed subdivision.
 
-    ``radius`` is the tube's radius as a Fraction.  Shares stream from
-    (seed, key); the cell is found by its rank, without listing the
-    packing.  Returns (SquareTube, half-width Fraction, detail dict).
+    Shares stream from (seed, key); the cell is found by its rank, without
+    listing the packing.  Returns (SquareTube, detail dict).
     """
     m = tube.dim - 1
+    radius = Fraction(tube.radius)
     groups = [
         (counts[d], float((2 * radius / 2 ** d) ** m)) for d in sorted(counts)
     ]
     index, share, retries = _stream_pigeonhole(groups, eps, seed, key)
     cell_depth, cell = _packing_cell_by_rank(m, depth, index)
-    half = radius / 2 ** cell_depth
-    frame = orthonormal_frame(tube.axis)
-    anchor = _cell_anchor(tube, frame, cell, cell_depth)
-    square = SquareTube(frame=frame, anchor=anchor, half_width=half)
+    square = _cell_tube(tube, orthonormal_frame(tube.axis), cell, cell_depth)
     outputs = {
         "selected_index": index,
         "cell_depth": cell_depth,
-        "half_width": half,
+        "half_width": square.half_width,
         "share": share,
         "retries": retries,
-        "anchor": anchor,
+        "anchor": square.anchor,
     }
-    return square, half, outputs
+    return square, outputs
 
 
 def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughReport:
@@ -762,9 +747,9 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
     m = n - 1
     _validate_packing_args(m, 1.0, depth)
-    # every dyadic cell reaches the corner (2^(1-depth), ..., 2^(1-depth)) or
-    # farther, so none fits inside the unit ball when m * 4^(1-depth) > 1
-    if 4 ** (depth - 1) < m:
+    # the integer-lattice census is radius-free, so both tubes share it
+    counts = _packing_census(m, depth)
+    if not counts:
         raise ParameterError(
             f"depth {depth} too shallow for n = {n}: no dyadic cell fits inside the "
             "ball unless 4^(depth-1) >= n-1"
@@ -792,9 +777,7 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
         for r in (r1, r2)
     )
 
-    # 1: dyadic subdivision of both tubes (census only; cells streamed);
-    # the integer-lattice census is radius-free, so both tubes share it
-    counts = _packing_census(m, depth)
+    # 1: dyadic subdivision of both tubes (census only; cells streamed)
     squares = sum(counts.values())
     step(
         "subdivide_tubes",
@@ -812,8 +795,8 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
 
     # 2: partial sums against the exact tube measures
     frac = _covered_fraction(m, counts)
-    mu1 = unit_ball_volume(m) * float(r1) ** m
-    mu2 = unit_ball_volume(m) * float(r2) ** m
+    mu1 = tube_exact_measure(tube1)
+    mu2 = tube_exact_measure(tube2)
     sum1 = frac * mu1
     sum2 = frac * mu2
     ok = 0.0 < sum1 <= mu1 * (1 + 1e-12) and 0.0 < sum2 <= mu2 * (1 + 1e-12)
@@ -835,19 +818,18 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     # 3, 4: pigeonhole selection on synthetic mass shares
     select_inputs = {"eps": eps, "synthetic": True}
     selected = []
-    for name, tube, radius, key in (
-        ("select_square_tube", tube1, r1, 1),
-        ("select_square_tube_complement", tube2, r2, 2),
+    for name, tube, key in (
+        ("select_square_tube", tube1, 1),
+        ("select_square_tube_complement", tube2, 2),
     ):
         try:
-            square, half, outputs = _select_square_tube(
-                tube, radius, depth, counts, eps, seed, key
-            )
+            square, outputs = _select_square_tube(tube, depth, counts, eps, seed, key)
         except NoWitnessError as exc:
             step(name, False, select_inputs, {"error": str(exc)}, str(exc), cause=exc)
         step(name, True, select_inputs, outputs)
-        selected.append((square, half))
-    (square1, delta_a), (square2, delta_b) = selected
+        selected.append(square)
+    square1, square2 = selected
+    delta_a, delta_b = square1.half_width, square2.half_width
 
     # 5: exact common refinement of the two selected widths
     delta, count_a, count_b = common_refinement(delta_a, delta_b)

@@ -115,6 +115,32 @@ class TestUpperBound:
             upper_bound_min_projection(segment)
 
 
+class TestUnionShadowGrid:
+    def test_planar_union_takes_exact_shadows(self):
+        union = UnionShape(
+            members=(
+                Ball(center=np.zeros(2), radius=1.0),
+                Ball(center=np.zeros(2), radius=0.5),
+            )
+        )
+        report = compute_bounds(union, mc_samples=2000)
+        assert report.upper == 2.0
+        assert "grid 256 of exact shadows" in report.method
+
+    def test_solid_union_takes_monte_carlo_shadows(self):
+        # the cube's shadow runs the hull oracle's membership test
+        union = UnionShape(
+            members=(
+                Ball(center=np.zeros(3), radius=1.0),
+                axis_aligned_cuboid(np.zeros(3), np.full(3, 0.5)),
+            )
+        )
+        report = compute_bounds(union, mc_samples=2000, seed=1)
+        assert "grid 256 of Monte Carlo shadows" in report.method
+        assert repr(compute_bounds(union, mc_samples=2000, seed=1)) == repr(report)
+        assert abs(report.upper - math.pi) <= 0.05
+
+
 def arrangement_oracle(poly):
     """Brute-force least shadow: a batched SVD over every (n-1)-subset of
     the raw, unmerged qhull facet normals, each null direction evaluated

@@ -230,6 +230,23 @@ class TestCover:
         assert code == 2 and out == ""
         assert "choose a coarser grid" in err
 
+    @pytest.mark.parametrize("exponent", [400, 200])
+    def test_huge_square_tube_is_an_input_error(self, tmp_path, capsys, exponent):
+        # 10**400 has no float; 10**200 has one, but its cost (2 delta)^2 has none
+        square = {
+            "kind": "square",
+            "anchor": [0.0, 0.0, 0.0],
+            "frame": {"axis": [0.0, 0.0, 1.0], "cross": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+            "delta": {"num": 10 ** exponent, "den": 1},
+        }
+        cover_path = tmp_path / "huge.json"
+        cover_path.write_text(json.dumps([square]))
+        code, out, err = run(
+            capsys, ["cover", "--shape", "tetrahedron", "--cover", str(cover_path)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "too large" in err
+
     def test_mode_is_required(self, tmp_path, capsys):
         path = shape_file(tmp_path, CUBE3)
         code, _, err = run(capsys, ["cover", "--shape", path])

@@ -190,13 +190,26 @@ class TestDiameter:
         a = Ball(center=np.zeros(2), radius=1.0)
         b = Ball(center=np.array([10.0, 0.0]), radius=2.0)
         assert diameter(UnionShape(members=(a, b))) == pytest.approx(13.0, abs=1e-12)
+        # mixed kinds pool their witnesses: a ball's center with its radius,
+        # a cloud's points and a cube's vertices with radius 0
+        ball = Ball(center=np.zeros(3), radius=1.0)
+        cube = axis_aligned_cuboid(np.full(3, 0.5), np.full(3, 0.5))
+        for members, expected in (
+            ((ball, PointCloud(points=np.array([[3.0, 4.0, 0.0]]))), 6.0),
+            ((cube, PointCloud(points=np.array([[-1.0, 0.0, 0.0]]))), math.sqrt(6.0)),
+        ):
+            assert diameter(UnionShape(members=members)) == pytest.approx(expected, abs=1e-12)
 
     def test_product_unbounded(self):
         prod = ProductSet(
             base=Ball(center=np.zeros(2), radius=1.0), axis=np.array([0.0, 0.0, 1.0])
         )
-        with pytest.raises(UnboundedShapeError):
-            diameter(prod)
+        ball = Ball(center=np.zeros(3), radius=1.0)
+        for shape in (prod, UnionShape(members=(ball, prod))):
+            with pytest.raises(UnboundedShapeError):
+                diameter(shape)
+            with pytest.raises(UnboundedShapeError):
+                volume_exact(shape)
 
 
 class TestTubes:
