@@ -491,7 +491,10 @@ def diameter(s: Shape) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Tube:
-    """Closed r-neighbourhood of the line through ``point`` along ``axis``."""
+    """Closed r-neighbourhood of the line through ``point`` along ``axis``.
+
+    A radius whose cost gamma_(n-1) r^(n-1) overflows a float is rejected.
+    """
 
     point: np.ndarray
     axis: np.ndarray
@@ -506,6 +509,12 @@ class Tube:
         r = float(self.radius)
         if not (math.isfinite(r) and r > 0):
             raise ParameterError(f"tube radius must be positive and finite, got {r}")
+        try:
+            finite = math.isfinite(unit_ball_volume(p.size - 1) * r ** (p.size - 1))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ParameterError("tube radius too large: its cost overflows a float")
         object.__setattr__(self, "point", _freeze(p))
         object.__setattr__(self, "axis", _freeze(a))
         object.__setattr__(self, "radius", r)
@@ -569,8 +578,21 @@ class SquareTube:
         return (pts - self.anchor) @ self.frame.cross.T
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        y = np.abs(self.cross_coordinates(pts))
-        return np.all(y <= self._width, axis=1)
+        return _in_square_tubes(np.atleast_2d(pts), self.anchor, self.frame.cross, self._width)
+
+
+def _in_square_tubes(pts: np.ndarray, anchors: np.ndarray, cross: np.ndarray, width: float) -> np.ndarray:
+    """Closed square-tube test of each row of pts against the anchor in the
+    same row of anchors (or against one anchor), all sharing cross and width.
+
+    A one-row product runs through another BLAS kernel than a batch and can
+    round the last bit differently, so a lone row is evaluated as a batch of
+    two: a point's verdict then never depends on how many points share its
+    call, which lets callers test points in any grouping.
+    """
+    rel = pts - anchors
+    batch = np.vstack([rel, rel]) if len(rel) == 1 else rel
+    return np.all(np.abs(batch @ cross.T) <= width, axis=1)[: len(rel)]
 
 
 def point_in_tube(p, tube: Tube | SquareTube) -> bool:

@@ -136,12 +136,19 @@ def _frame_to_json(frame: Frame) -> dict:
     return {"axis": _jsonable(frame.axis), "cross": [_jsonable(row) for row in frame.cross]}
 
 
-def _frame_from_json(obj, what: str, dim: int) -> Frame:
+def _frame_from_json(obj, what: str, dim: int, frames: dict | None = None) -> Frame:
+    """Decode a frame; with ``frames``, equal rows decode to one shared
+    Frame, built and validated once and memoized by their float bytes."""
     obj = _require_dict(obj, what)
     _check_fields(obj, what, ("axis", "cross"))
     axis = _vector(obj["axis"], f"{what}.axis", dim)
     cross = _matrix(obj["cross"], f"{what}.cross", dim - 1, dim)
-    return Frame(axis=axis, cross=cross)
+    if frames is None:
+        return Frame(axis=axis, cross=cross)
+    key = (axis.tobytes(), cross.tobytes())
+    if key not in frames:
+        frames[key] = Frame(axis=axis, cross=cross)
+    return frames[key]
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +300,7 @@ def cover_from_json(obj) -> TubeCover:
     if not isinstance(obj, list):
         raise SchemaError("a cover document must be a top-level list of tubes")
     tubes = []
+    frames = {}
     for i, entry in enumerate(obj):
         what = f"cover[{i}]"
         entry = _require_dict(entry, what)
@@ -309,7 +317,7 @@ def cover_from_json(obj) -> TubeCover:
         elif kind == "square":
             _check_fields(entry, what, ("kind", "anchor", "frame", "delta"))
             anchor = _vector(entry["anchor"], f"{what}.anchor")
-            frame = _frame_from_json(entry["frame"], f"{what}.frame", len(anchor))
+            frame = _frame_from_json(entry["frame"], f"{what}.frame", len(anchor), frames)
             tubes.append(
                 SquareTube(
                     frame=frame,

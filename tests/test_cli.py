@@ -247,6 +247,17 @@ class TestCover:
         assert code == 2 and out == ""
         assert err.startswith("input error:") and "too large" in err
 
+    def test_huge_round_tube_is_an_input_error(self, tmp_path, capsys):
+        # the radius has a float, but its cost gamma_2 r^2 has none
+        thick = {"kind": "round", "point": [0.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0], "r": 1e200}
+        cover_path = tmp_path / "huge.json"
+        cover_path.write_text(json.dumps([thick]))
+        code, out, err = run(
+            capsys, ["cover", "--shape", "tetrahedron", "--cover", str(cover_path)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "too large" in err
+
     def test_mode_is_required(self, tmp_path, capsys):
         path = shape_file(tmp_path, CUBE3)
         code, _, err = run(capsys, ["cover", "--shape", path])

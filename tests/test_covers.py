@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_shape
+from conftest import random_direction, random_shape
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tubemeasure import (
     Ball,
@@ -19,7 +20,10 @@ from tubemeasure import (
     cover_search,
     identity_frame,
     lower_bound_volume_diam,
+    orthonormal_frame,
     parallel_cover_from_projection,
+    regular_tetrahedron,
+    sample_points,
 )
 
 
@@ -101,6 +105,123 @@ class TestCoverCheck:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             cover_check(unit_cube(), TubeCover(tubes=(round_tube(2, 1.0),)))
+
+
+def all_tubes_check(s, cover, samples=100_000, seed=0):
+    """Reference cover_check: every block of points against every tube."""
+    pts = s.points if isinstance(s, PointCloud) else sample_points(s, samples, seed)
+    chunk = 1 << 14
+    for start in range(0, len(pts), chunk):
+        block = pts[start : start + chunk]
+        covered = np.zeros(len(block), dtype=bool)
+        for tube in cover.tubes:
+            todo = ~covered
+            if not np.any(todo):
+                break
+            covered[todo] = tube.contains(block[todo])
+        if not np.all(covered):
+            first = int(np.nonzero(~covered)[0][0])
+            return False, block[first].copy()
+    return True, None
+
+
+def assert_same_check(found, expected):
+    assert found[0] == expected[0]
+    if expected[1] is None:
+        assert found[1] is None
+    else:
+        assert found[1].tobytes() == expected[1].tobytes()
+
+
+@st.composite
+def clouds_and_covers(draw):
+    """A cloud and a cover of square tubes in several frames and half-widths,
+    some groups larger and some smaller than 3^(n-1), anchors off any
+    lattice and several to a cell, round tubes mixed in and random tubes
+    dropped.  The cloud mixes points on tube faces (anchor +/- delta along a
+    cross row), points inside tubes and points anywhere."""
+    n = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = [orthonormal_frame(random_direction(rng, n)) for _ in range(draw(st.integers(1, 3)))]
+    tubes = []
+    for frame in frames:
+        for den in draw(st.lists(st.sampled_from([10, 16, 27, 64]), min_size=1, max_size=2)):
+            delta = Fraction(int(rng.integers(1, 4)), den)
+            count = draw(st.integers(1, 40))
+            cross = rng.uniform(-1.0, 1.0, (count, n - 1))
+            # a share of the anchors within a fraction of delta of another
+            close = rng.random(count) < 0.3
+            cross[close] = cross[0] + rng.uniform(-0.4, 0.4, (int(close.sum()), n - 1)) * float(delta)
+            along = rng.uniform(-1.0, 1.0, count)
+            anchors = cross @ frame.cross + np.outer(along, frame.axis)
+            tubes += [SquareTube(frame=frame, anchor=a, half_width=delta) for a in anchors]
+    for _ in range(draw(st.integers(0, 3))):
+        point = rng.uniform(-1.0, 1.0, n)
+        tubes.append(Tube(point=point, axis=random_direction(rng, n), radius=float(rng.uniform(0.05, 0.5))))
+    drop = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    kept = [t for t in tubes if rng.random() >= drop]
+    kept = kept or tubes[:1]
+    rows = []
+    for tube in rng.choice(np.array(kept, dtype=object), int(rng.integers(1, 40))):
+        if isinstance(tube, Tube):
+            offset = rng.standard_normal(n)
+            offset -= (offset @ tube.axis) * tube.axis
+            offset *= rng.uniform(0.0, 0.99) * tube.radius / np.linalg.norm(offset)
+            rows.append(tube.point + offset + rng.uniform(-2.0, 2.0) * tube.axis)
+            continue
+        width = float(tube.half_width)
+        y = rng.uniform(-width, width, n - 1)
+        if rng.random() < 0.5:
+            y[int(rng.integers(n - 1))] = width * rng.choice([-1.0, 1.0])
+        rows.append(tube.anchor + y @ tube.frame.cross + rng.uniform(-2.0, 2.0) * tube.frame.axis)
+    if draw(st.booleans()):
+        rows += list(rng.uniform(-1.5, 1.5, (int(rng.integers(1, 20)), n)))
+    order = rng.permutation(len(rows))
+    return PointCloud(points=np.array(rows)[order]), TubeCover(tubes=tuple(kept))
+
+
+class TestIndexedCoverCheck:
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=80,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(clouds_and_covers())
+    def test_matches_all_tubes_oracle(self, case):
+        cloud, cover = case
+        assert_same_check(cover_check(cloud, cover), all_tubes_check(cloud, cover))
+
+    def test_face_verdict_does_not_depend_on_batch(self):
+        # cover_check groups points otherwise than the all-tubes loop, so
+        # the two agree bit for bit only if a point on a face rounds the
+        # same alone as in a batch
+        rng = np.random.default_rng(11)
+        verdicts = []
+        for n in (2, 3, 4, 5):
+            for _ in range(10):
+                frame = orthonormal_frame(random_direction(rng, n))
+                tube = SquareTube(frame=frame, anchor=rng.uniform(-1, 1, n), half_width=Fraction(1, 7))
+                width = float(tube.half_width)
+                y = rng.uniform(-width, width, (40, n - 1))
+                y[np.arange(40), rng.integers(n - 1, size=40)] = width * rng.choice([-1.0, 1.0], 40)
+                pts = tube.anchor + y @ frame.cross + np.outer(rng.uniform(-2, 2, 40), frame.axis)
+                alone = [bool(tube.contains(p[None, :])[0]) for p in pts]
+                assert tube.contains(pts).tolist() == alone
+                verdicts += alone
+        assert any(verdicts) and not all(verdicts)  # faces round both ways
+
+    @pytest.mark.parametrize("drop", [0.0, 0.02])
+    def test_tetrahedron_grid_matches_oracle(self, drop):
+        # 529 square tubes; sampling spans two blocks of points
+        tet = regular_tetrahedron()
+        cover = parallel_cover_from_projection(tet, np.array([0.0, 0.0, 1.0]), 1 / 32)
+        keep = np.random.default_rng(7).random(len(cover)) >= drop
+        cover = TubeCover(tubes=tuple(t for t, k in zip(cover.tubes, keep) if k))
+        found = cover_check(tet, cover, samples=20_000, seed=3)
+        assert_same_check(found, all_tubes_check(tet, cover, samples=20_000, seed=3))
+        assert found[0] == (drop == 0.0)
 
 
 class TestParallelCover:
