@@ -50,7 +50,7 @@ print()
 line = PointCloud(points=np.outer(np.arange(20.0), np.array([1.0, 2.0, 2.0])))
 scattered = PointCloud(points=np.random.default_rng(3).uniform(-2.0, 2.0, (20, 3)))
 for name, cloud in (("collinear", line), ("scattered", scattered)):
-    found = cover_search(cloud, seed=3)
+    found = cover_search(cloud)
     covered, _ = cover_check(cloud, found)
     print(
         f"search on a {name} cloud of 20 points: {len(found.tubes)} tube(s), "

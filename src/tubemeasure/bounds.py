@@ -11,8 +11,12 @@ countable tube covers of E.  Two workhorse inequalities bracket it:
 The upper bound is best at the least shadow, which
 ``upper_bound_min_projection`` finds exactly for convex polytopes, by
 enumerating the vertices of their facet-normal arrangement, and in
-closed form for balls and cuboids; unions scan a direction grid.  In
-the plane the least shadow is the minimal width (the plank problem).
+closed form for balls and cuboids.  A union's shadow is at most the sum
+of its members' shadows, whose minimum the same arrangement gives; in
+R^2 and R^3 the union's exact shadows over a direction grid join in.
+Every candidate is an exact shadow, so the reported least one is a
+valid upper bound.  In the plane the least shadow is the minimal width
+(the plank problem).
 Product sets A x R have mu = |A| exactly, with an explicit lower bound
 for truncated cylinders A x [-R, R].
 """
@@ -21,10 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DegenerateShapeError,
@@ -53,7 +57,6 @@ _VERTEX_BUDGET = 1 << 18  # arrangement vertices enumerated per polytope
 _EVAL_CHUNK = 1 << 20  # direction-by-generator products held at once
 _PARALLEL_DECIMALS = 9  # unit normals equal to this many decimals are parallel
 _RANK_TOL = 1e-9  # least singular value of an independent set of unit normals
-_SHADOW_SAMPLES = 20_000  # Monte Carlo samples per shadow of a union
 GRID_POINTS = 2048  # default direction grid of the least-shadow search
 
 
@@ -100,6 +103,8 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         d = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     else:
+        from scipy.special import ndtri  # 0.6 s to import; only this branch uses it
+
         index = np.arange(1, count + 1)
         g = ndtri(np.column_stack([_radical_inverse(index, p) for p in _PRIMES[:n]]))
         d = g / np.linalg.norm(g, axis=1)[:, None]
@@ -118,10 +123,9 @@ def _least(values: np.ndarray, directions: np.ndarray, best: tuple) -> tuple:
     return v, np.array(min(tied)) + 0.0  # no -0.0 in reports
 
 
-def _generators(poly: ConvexPolytope) -> tuple[np.ndarray, np.ndarray]:
+def _generators(normals: np.ndarray, measures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Facet normals merged up to sign (m, n), with their summed measures (m,);
     qhull triangulates facets, so a cube's 12 normals become 3 generators."""
-    normals, measures = poly.facet_arrays
     first = np.argmax(np.abs(normals) > 1e-9, axis=1)
     signed = normals * np.sign(normals[np.arange(len(normals)), first])[:, None]
     _, pick, group = np.unique(
@@ -171,7 +175,34 @@ def _arrangement_minimum(gens: np.ndarray, weights: np.ndarray, pool: np.ndarray
     return best
 
 
-def _min_shadow(s: Shape, grid_points: int, seed: int) -> tuple:
+def _cauchy_minimum(gens, weights, constant, grid_points, shadows) -> tuple:
+    """(value, direction, path) of the least constant + 1/2 sum_i w_i |g_i . d|.
+
+    The minimum sits at a vertex of the arrangement {g_i . d = 0}.  Above
+    ``_VERTEX_BUDGET`` vertices only the k heaviest generators form
+    vertices, and ``shadows``, the same sum on a grid of ``grid_points``
+    directions, joins in.  With fewer than n - 1 generators every
+    direction orthogonal to all of them is a minimizer.
+    """
+    n = gens.shape[1]
+    m = len(gens)
+    if m < n - 1:
+        d = canonical_direction(np.linalg.svd(np.vstack([gens, np.zeros(n)]))[2][-1])
+        return constant + float(0.5 * np.abs(gens @ d) @ weights), d, "closed form"
+    k = m
+    while math.comb(k, n - 1) > _VERTEX_BUDGET:
+        k -= 1
+    pool = np.sort(np.argsort(-weights, kind="stable")[:k])  # the k heaviest
+    value, direction = _arrangement_minimum(gens, weights, pool)
+    best = (constant + value, direction)
+    if k == m:
+        return (*best, f"exact arrangement vertices of {m} generators")
+    grid = sphere_directions(n, grid_points)
+    best = _least(shadows(grid), grid, best)
+    return (*best, f"truncated arrangement, {k} of {m} generators, plus grid {grid_points}")
+
+
+def _min_shadow(s: Shape, grid_points: int) -> tuple:
     """(value, direction, method) behind ``upper_bound_min_projection``."""
     n = s.dim
     if n < 2:
@@ -179,7 +210,7 @@ def _min_shadow(s: Shape, grid_points: int, seed: int) -> tuple:
     e1 = canonical_direction(np.eye(n)[0])
     leaves = _leaves(s)
     if len(leaves) == 1 and leaves[0] is not s:
-        return _min_shadow(leaves[0], grid_points, seed)
+        return _min_shadow(leaves[0], grid_points)
     if isinstance(s, (Ball, PointCloud)) or not leaves:
         return float(shadow_values_batch(s, e1[None])[0]), e1, "closed form"
     if isinstance(s, Cuboid):
@@ -187,31 +218,40 @@ def _min_shadow(s: Shape, grid_points: int, seed: int) -> tuple:
         longest = canonical_direction(s.axes[int(np.argmax(full))])
         return float(np.prod(full) / full.max()), longest, "closed form"
     if isinstance(s, ConvexPolytope):
-        gens, weights = _generators(s)
-        m = len(gens)
-        k = m
-        while math.comb(k, n - 1) > _VERTEX_BUDGET:
-            k -= 1
-        pool = np.sort(np.argsort(-weights, kind="stable")[:k])  # the k heaviest
-        best = _arrangement_minimum(gens, weights, pool)
-        if k == m:
-            return (*best, f"exact arrangement vertices of {m} generators")
-        grid = sphere_directions(n, grid_points)
-        best = _least(shadow_values_batch(s, grid), grid, best)
-        return (*best, f"truncated arrangement, {k} of {m} generators, plus grid {grid_points}")
-    directions = sphere_directions(n, min(grid_points, 256))
-    shadows = [Shadow(s, d) for d in directions]
-    values = np.array([sh.area(samples=_SHADOW_SAMPLES, seed=seed)[0] for sh in shadows])
-    i = int(np.argmin(values))
-    kind = "exact" if all(sh.exact_area is not None for sh in shadows) else "Monte Carlo"
-    return float(values[i]), directions[i], f"grid {len(directions)} of {kind} shadows"
+        gens, weights = _generators(*s.facet_arrays)
+        return _cauchy_minimum(gens, weights, 0.0, grid_points, partial(shadow_values_batch, s))
+    # a union: balls add a constant to the sum of member shadows, cuboids
+    # and polytopes their Cauchy generators, clouds nothing; products raise
+    normals, measures, constant = [np.zeros((0, n))], [np.zeros(0)], 0.0
+    for leaf in leaves:
+        if isinstance(leaf, Cuboid):
+            full = 2.0 * leaf.half_lengths
+            normals.append(leaf.axes)
+            measures.append(2.0 * np.prod(full) / full)
+        elif isinstance(leaf, ConvexPolytope):
+            normals.append(leaf.facet_arrays[0])
+            measures.append(leaf.facet_arrays[1])
+        else:
+            constant += float(shadow_values_batch(leaf, e1[None])[0])
+    gens, weights = _generators(np.concatenate(normals), np.concatenate(measures))
+    value, direction, path = _cauchy_minimum(
+        gens, weights, constant, grid_points,
+        lambda D: sum(shadow_values_batch(leaf, D) for leaf in leaves),
+    )
+    if n > 3:
+        return value, direction, f"sum of member shadows, {path}"
+    # the union's own shadow is exact in R^2 and R^3, and never above the sum
+    grid = sphere_directions(n, min(grid_points, 256))
+    directions = np.vstack([grid, direction])
+    values = np.array([Shadow(s, d).exact_area for d in directions])
+    best = _least(values, directions, (math.inf, None))
+    return (*best, f"grid {len(grid)} of exact shadows, plus the member-sum minimizer")
 
 
 def upper_bound_min_projection(
     s: Shape,
     *,
     grid_points: int = GRID_POINTS,
-    seed: int = 0,
 ) -> tuple[float, np.ndarray]:
     """Smallest shadow over all directions, with a direction attaining it.
 
@@ -222,12 +262,14 @@ def upper_bound_min_projection(
     vertex of the arrangement {g_i . d = 0}, and all vertices are tried.
     Above ``_VERTEX_BUDGET`` vertices only the k heaviest generators form
     vertices and the ``grid_points`` grid joins in, every candidate still
-    an exact shadow.  Unions take the least Monte Carlo shadow, of
-    ``_SHADOW_SAMPLES`` samples each, over a grid of at most 256
-    directions.  Ties go to the lexicographically smallest canonical
-    direction.
+    an exact shadow.  A union is bounded by the least sum of its members'
+    shadows, found on the arrangement of all members' generators; in
+    R^2 and R^3 the union's exact shadows along a grid of at most 256
+    directions and along that minimizer take its place, so the value is
+    never above the sum.  Ties go to the lexicographically smallest
+    canonical direction.
     """
-    value, direction, _ = _min_shadow(s, grid_points, seed)
+    value, direction, _ = _min_shadow(s, grid_points)
     return value, direction
 
 
@@ -281,7 +323,7 @@ def plank_value_2d(s: Shape) -> tuple[float, np.ndarray]:
         raise DimensionError("plank width is a planar computation")
     if not isinstance(s, (Ball, ConvexPolytope)):
         raise ParameterError("plank width needs a convex polygon or a disk")
-    width, direction, _ = _min_shadow(s, GRID_POINTS, 0)
+    width, direction, _ = _min_shadow(s, GRID_POINTS)
     if width <= 0.0:
         raise DegenerateShapeError("degenerate polygon: zero width")
     return width, direction
@@ -318,7 +360,7 @@ def compute_bounds(
     seed: int = 0,
 ) -> BoundReport:
     """Both tube-measure bounds for a bounded shape, as one report."""
-    upper, direction, path = _min_shadow(s, grid_points, seed)
+    upper, direction, path = _min_shadow(s, grid_points)
     methods = [f"upper: min shadow, {path}"]
     try:
         lower, lower_se = lower_bound_volume_diam(s, samples=mc_samples, seed=seed)

@@ -173,7 +173,7 @@ def _cmd_cover(args) -> dict:
         cover = cover_from_json(_load_json_file(args.cover))
         result["source"] = "file"
     elif args.search:
-        cover = cover_search(shape, seed=args.seed)
+        cover = cover_search(shape)
         result["source"] = "search"
     elif args.parallel is not None:
         direction = _parse_direction(args.parallel[0])

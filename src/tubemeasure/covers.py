@@ -292,7 +292,7 @@ def _point_lines(cloud: PointCloud) -> TubeCover:
     return TubeCover(tubes=tuple(tubes))
 
 
-def cover_search(s: Shape, seed: int = 0) -> TubeCover:
+def cover_search(s: Shape) -> TubeCover:
     """Cheapest of the exact cover constructions for s.
 
     Every shape gets the projection cover along the least-shadow witness
@@ -301,7 +301,7 @@ def cover_search(s: Shape, seed: int = 0) -> TubeCover:
     its radius r (1e-9 for clouds inside the unit cube), and that cover
     wins when strictly cheaper.
     """
-    _, witness = upper_bound_min_projection(s, grid_points=256, seed=seed)
+    _, witness = upper_bound_min_projection(s, grid_points=256)
     h = max(diameter(s) / 16.0, 1e-6)
     best = parallel_cover_from_projection(s, witness, h)
     if isinstance(s, PointCloud):

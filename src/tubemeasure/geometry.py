@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
-from scipy.spatial.distance import cdist
 
 from .errors import (
     DegenerateShapeError,
@@ -241,9 +239,24 @@ def axis_aligned_cuboid(center, half_lengths) -> Cuboid:
     return Cuboid(center=center, frame=frame, half_lengths=half_lengths)
 
 
-def _hull(points: np.ndarray, what: str) -> ConvexHull:
+def ConvexHull(points: np.ndarray):
+    """scipy's qhull of ``points``, imported at the first hull.
+
+    scipy.spatial takes about 0.6 s to import, and ``refine``, ``pack`` and
+    ``proof`` build no hull.  The name stays scipy's, so that every hull is
+    still built through ``geometry.ConvexHull`` or ``projection.ConvexHull``,
+    where the benchmark's tracer counts them.
+    """
+    from scipy.spatial import ConvexHull as qhull
+
+    return qhull(points)
+
+
+def _hull(points: np.ndarray, what: str):
     """qhull of ``points``; a set that spans no full-dimensional hull is a
     DegenerateShapeError naming ``what``."""
+    from scipy.spatial import QhullError
+
     try:
         return ConvexHull(points)
     except QhullError as exc:
@@ -475,6 +488,8 @@ def diameter(s: Shape) -> float:
         raise UnboundedShapeError("product set has infinite diameter")
     if not leaves:
         return 0.0
+    from scipy.spatial.distance import cdist
+
     pts, radii = (np.concatenate(parts) for parts in zip(*map(_witnesses, leaves)))
     best = 0.0
     for i in range(0, len(pts), _DIAMETER_ROWS):  # pairs (i, j) with j >= i suffice

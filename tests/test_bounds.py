@@ -127,8 +127,9 @@ class TestUnionShadowGrid:
         assert report.upper == 2.0
         assert "grid 256 of exact shadows" in report.method
 
-    def test_solid_union_takes_monte_carlo_shadows(self):
-        # the cube's shadow runs the hull oracle's membership test
+    def test_solid_union_takes_exact_shadows(self):
+        # the cube lies inside the ball, so every shadow of the union is
+        # the ball's disk, and the polygon's boundary drops out exactly
         union = UnionShape(
             members=(
                 Ball(center=np.zeros(3), radius=1.0),
@@ -136,9 +137,64 @@ class TestUnionShadowGrid:
             )
         )
         report = compute_bounds(union, mc_samples=2000, seed=1)
-        assert "grid 256 of Monte Carlo shadows" in report.method
+        assert "grid 256 of exact shadows" in report.method
         assert repr(compute_bounds(union, mc_samples=2000, seed=1)) == repr(report)
-        assert abs(report.upper - math.pi) <= 0.05
+        assert report.upper == math.pi
+
+
+    def test_two_ball_union_upper_is_the_larger_disk(self):
+        # the least of noisy Monte Carlo shadows used to fall below pi here
+        union = UnionShape(
+            members=(
+                Ball(center=np.zeros(3), radius=1.0),
+                Ball(center=np.array([1.5, 0.0, 0.0]), radius=0.7),
+            )
+        )
+        for seed in (0, 1, 5, 12):
+            report = compute_bounds(union, mc_samples=2000, seed=seed)
+            assert report.upper == math.pi, f"seed {seed}"
+            assert "exact shadows" in report.method
+
+
+def member_sum(members, directions):
+    return sum(shadow_values_batch(m, directions) for m in members)
+
+
+class TestUnionMemberSum:
+    def test_ball_and_box_in_r4(self):
+        ball = Ball(center=np.zeros(4), radius=1.0)
+        box = axis_aligned_cuboid(np.array([3.0, 0.0, 0.0, 0.0]), np.array([0.5, 0.4, 0.3, 0.2]))
+        report = compute_bounds(UnionShape(members=(ball, box)), mc_samples=2000)
+        assert "upper: min shadow, sum of member shadows, exact arrangement vertices of 4 generators" in report.method
+        # the ball's cross-section plus the box's face seen along its longest edge
+        assert report.upper == pytest.approx(4.0 * math.pi / 3.0 + 0.8 * 0.6 * 0.4, rel=1e-12)
+        assert abs(report.witness_direction[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_balls_only_take_any_direction(self):
+        balls = (Ball(center=np.zeros(5), radius=1.0), Ball(center=np.full(5, 0.1), radius=0.5))
+        value, d = upper_bound_min_projection(UnionShape(members=balls))
+        assert value == pytest.approx(float(member_sum(balls, d[None])[0]), rel=1e-15)
+        report = compute_bounds(UnionShape(members=balls), mc_samples=2000)
+        assert "sum of member shadows, closed form" in report.method
+
+    def test_never_below_a_member_nor_above_the_sum(self):
+        # every shadow of a union lies between its largest member's shadow
+        # and the sum of its members' shadows; in R^4 and up the sum is the
+        # bound, in R^3 the union's own exact shadow along its minimizer
+        rng = np.random.default_rng(29)
+        for trial in range(24):
+            n = 3 + trial % 3
+            members = tuple(random_shape(rng, n) for _ in range(int(rng.integers(2, 4))))
+            value, d = upper_bound_min_projection(UnionShape(members=members), grid_points=256)
+            largest = max(upper_bound_min_projection(m)[0] for m in members)
+            assert value >= largest * (1.0 - 1e-12), f"trial {trial}"
+            at_witness = float(member_sum(members, d[None])[0])
+            assert value <= at_witness * (1.0 + 1e-12), f"trial {trial}"
+            if n > 3:
+                assert value == pytest.approx(at_witness, rel=1e-12), f"trial {trial}"
+            else:
+                grid = sphere_directions(3, 2048)
+                assert value <= member_sum(members, grid).min() * (1.0 + 1e-12), f"trial {trial}"
 
 
 def arrangement_oracle(poly):

@@ -414,14 +414,21 @@ class TestConfigEcho:
 
 
 def test_import_leaves_out_heavy_scipy_modules():
-    # the command line must not pay for scipy.optimize or scipy.stats
-    probe = (
-        "import sys, tubemeasure.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
-    )
+    # the command line must not pay for scipy.optimize or scipy.stats, and
+    # scipy.spatial and scipy.special load only when a hull, a distance
+    # matrix or Halton directions are needed, which a walkthrough never is
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import tubemeasure.cli",
+        "heavy = ('scipy.optimize', 'scipy.stats', 'scipy.spatial', 'scipy.special')",
+        "after_import = [m for m in heavy if m in sys.modules]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = tubemeasure.cli.main(['proof', '--dim', '3', '--depth', '4'])",
+        "print(code, after_import, [m for m in heavy if m in sys.modules])",
+    ])
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "0 [] []"

@@ -267,7 +267,7 @@ class TestCoverSearch:
         t = np.linspace(0.0, 5.0, 40)
         pts = np.column_stack([t, 2.0 * t, -t])
         cloud = PointCloud(points=pts)
-        cover = cover_search(cloud, seed=0)
+        cover = cover_search(cloud)
         assert len(cover) == 1
         assert cover_cost(cover) < 1e-12
         ok, _ = cover_check(cloud, cover)
@@ -281,14 +281,13 @@ class TestCoverSearch:
         from tubemeasure.serialization import cover_to_json
 
         rng = np.random.default_rng(41)
-        shapes = [(unit_cube(), 0)]
-        shapes += [(random_shape(rng, int(rng.integers(2, 5))), t) for t in range(10)]
-        for shape, seed in shapes:
-            _, witness = upper_bound_min_projection(shape, grid_points=256, seed=seed)
+        shapes = [unit_cube()] + [random_shape(rng, int(rng.integers(2, 5))) for _ in range(10)]
+        for i, shape in enumerate(shapes):
+            _, witness = upper_bound_min_projection(shape, grid_points=256)
             h = max(diameter(shape) / 16.0, 1e-6)
             incumbent = parallel_cover_from_projection(shape, witness, h)
-            found = cover_search(shape, seed=seed)
-            assert cover_to_json(found) == cover_to_json(incumbent), f"seed {seed}"
+            found = cover_search(shape)
+            assert cover_to_json(found) == cover_to_json(incumbent), f"shape {i}"
 
     def test_cost_respects_lower_bound(self):
         # any verified cover costs at least the certified lower bound
@@ -296,7 +295,7 @@ class TestCoverSearch:
         for trial in range(20):
             n = int(rng.integers(2, 4))
             shape = random_shape(rng, n)
-            cover = cover_search(shape, seed=trial)
+            cover = cover_search(shape)
             cost = cover_cost(cover)
             lower, se = lower_bound_volume_diam(shape, samples=20_000, seed=trial)
             assert cost >= lower - 3 * se - 1e-9, f"trial {trial}"
