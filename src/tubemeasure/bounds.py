@@ -13,8 +13,8 @@ The upper bound is best at the least shadow, which
 enumerating the vertices of their facet-normal arrangement, and in
 closed form for balls and cuboids.  A union's shadow is at most the sum
 of its members' shadows, whose minimum the same arrangement gives; in
-R^2 and R^3 the union's exact shadows over a direction grid join in.
-Every candidate is an exact shadow, so the reported least one is a
+R^2 and R^3 the union's exact shadows along 256 fixed directions join
+in.  Every candidate is an exact shadow, so the reported least one is a
 valid upper bound.  In the plane the least shadow is the minimal width
 (the plank problem).
 Product sets A x R have mu = |A| exactly, with an explicit lower bound
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -52,12 +51,11 @@ from .geometry import (
 from .montecarlo import VOLUME_SAMPLES, mc_volume
 from .projection import Shadow, shadow_values_batch
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)  # one Halton base per axis up to MAX_DIM
 _VERTEX_BUDGET = 1 << 18  # arrangement vertices enumerated per polytope
 _EVAL_CHUNK = 1 << 20  # direction-by-generator products held at once
 _PARALLEL_DECIMALS = 9  # unit normals equal to this many decimals are parallel
 _RANK_TOL = 1e-9  # least singular value of an independent set of unit normals
-GRID_POINTS = 2048  # default direction grid of the least-shadow search
+_UNION_DIRECTIONS = 256  # fixed directions of a union's own shadow in R^2 and R^3
 
 
 def tube_exact_measure(tube: Tube) -> float:
@@ -72,24 +70,11 @@ def square_tube_exact_measure(tube: SquareTube) -> float:
     return float((2 * tube.half_width) ** m)
 
 
-def _radical_inverse(index: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput points: base-``base`` digits mirrored about the point."""
-    out = np.zeros(len(index))
-    scale = 1.0 / base
-    while np.any(index):
-        out += scale * (index % base)
-        index = index // base
-        scale /= base
-    return out
-
-
 def sphere_directions(n: int, count: int) -> np.ndarray:
     """Deterministic quasi-uniform unit directions, one per projective class.
 
     n = 2 uses evenly spaced angles on the half-circle, n = 3 the
-    Fibonacci sphere, and higher dimensions the Halton sequence (one
-    prime base per axis, starting at index 1 so no coordinate is 0)
-    pushed through the inverse normal CDF.
+    Fibonacci sphere; other dimensions raise ``DimensionError``.
     """
     if count < 1:
         raise ParameterError("direction count must be positive")
@@ -103,11 +88,7 @@ def sphere_directions(n: int, count: int) -> np.ndarray:
         rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
         d = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
     else:
-        from scipy.special import ndtri  # 0.6 s to import; only this branch uses it
-
-        index = np.arange(1, count + 1)
-        g = ndtri(np.column_stack([_radical_inverse(index, p) for p in _PRIMES[:n]]))
-        d = g / np.linalg.norm(g, axis=1)[:, None]
+        raise DimensionError(f"sphere directions are defined for n = 2 and 3, got {n}")
     return np.array([canonical_direction(row) for row in d])
 
 
@@ -175,14 +156,15 @@ def _arrangement_minimum(gens: np.ndarray, weights: np.ndarray, pool: np.ndarray
     return best
 
 
-def _cauchy_minimum(gens, weights, constant, grid_points, shadows) -> tuple:
+def _cauchy_minimum(gens, weights, constant) -> tuple:
     """(value, direction, path) of the least constant + 1/2 sum_i w_i |g_i . d|.
 
     The minimum sits at a vertex of the arrangement {g_i . d = 0}.  Above
-    ``_VERTEX_BUDGET`` vertices only the k heaviest generators form
-    vertices, and ``shadows``, the same sum on a grid of ``grid_points``
-    directions, joins in.  With fewer than n - 1 generators every
-    direction orthogonal to all of them is a minimizer.
+    ``_VERTEX_BUDGET`` vertices only a pool forms vertices: the k heaviest
+    generators, plus each further one, heaviest first, that raises the
+    pool's rank, until the pool spans n - 1 dimensions.  With fewer than
+    n - 1 generators every direction orthogonal to all of them is a
+    minimizer.
     """
     n = gens.shape[1]
     m = len(gens)
@@ -192,17 +174,22 @@ def _cauchy_minimum(gens, weights, constant, grid_points, shadows) -> tuple:
     k = m
     while math.comb(k, n - 1) > _VERTEX_BUDGET:
         k -= 1
-    pool = np.sort(np.argsort(-weights, kind="stable")[:k])  # the k heaviest
-    value, direction = _arrangement_minimum(gens, weights, pool)
-    best = (constant + value, direction)
+    order = np.argsort(-weights, kind="stable")
+    pool = list(order[:k])  # the k heaviest
+    rank = np.linalg.matrix_rank(gens[pool], tol=_RANK_TOL)
+    for i in order[k:]:
+        if rank >= n - 1:
+            break
+        if np.linalg.matrix_rank(gens[pool + [i]], tol=_RANK_TOL) > rank:
+            pool.append(i)
+            rank += 1
+    value, direction = _arrangement_minimum(gens, weights, np.sort(pool))
     if k == m:
-        return (*best, f"exact arrangement vertices of {m} generators")
-    grid = sphere_directions(n, grid_points)
-    best = _least(shadows(grid), grid, best)
-    return (*best, f"truncated arrangement, {k} of {m} generators, plus grid {grid_points}")
+        return constant + value, direction, f"exact arrangement vertices of {m} generators"
+    return constant + value, direction, f"truncated arrangement, {len(pool)} of {m} generators"
 
 
-def _min_shadow(s: Shape, grid_points: int) -> tuple:
+def _min_shadow(s: Shape) -> tuple:
     """(value, direction, method) behind ``upper_bound_min_projection``."""
     n = s.dim
     if n < 2:
@@ -210,7 +197,7 @@ def _min_shadow(s: Shape, grid_points: int) -> tuple:
     e1 = canonical_direction(np.eye(n)[0])
     leaves = _leaves(s)
     if len(leaves) == 1 and leaves[0] is not s:
-        return _min_shadow(leaves[0], grid_points)
+        return _min_shadow(leaves[0])
     if isinstance(s, (Ball, PointCloud)) or not leaves:
         return float(shadow_values_batch(s, e1[None])[0]), e1, "closed form"
     if isinstance(s, Cuboid):
@@ -219,7 +206,7 @@ def _min_shadow(s: Shape, grid_points: int) -> tuple:
         return float(np.prod(full) / full.max()), longest, "closed form"
     if isinstance(s, ConvexPolytope):
         gens, weights = _generators(*s.facet_arrays)
-        return _cauchy_minimum(gens, weights, 0.0, grid_points, partial(shadow_values_batch, s))
+        return _cauchy_minimum(gens, weights, 0.0)
     # a union: balls add a constant to the sum of member shadows, cuboids
     # and polytopes their Cauchy generators, clouds nothing; products raise
     normals, measures, constant = [np.zeros((0, n))], [np.zeros(0)], 0.0
@@ -234,25 +221,18 @@ def _min_shadow(s: Shape, grid_points: int) -> tuple:
         else:
             constant += float(shadow_values_batch(leaf, e1[None])[0])
     gens, weights = _generators(np.concatenate(normals), np.concatenate(measures))
-    value, direction, path = _cauchy_minimum(
-        gens, weights, constant, grid_points,
-        lambda D: sum(shadow_values_batch(leaf, D) for leaf in leaves),
-    )
+    value, direction, path = _cauchy_minimum(gens, weights, constant)
     if n > 3:
         return value, direction, f"sum of member shadows, {path}"
     # the union's own shadow is exact in R^2 and R^3, and never above the sum
-    grid = sphere_directions(n, min(grid_points, 256))
+    grid = sphere_directions(n, _UNION_DIRECTIONS)
     directions = np.vstack([grid, direction])
     values = np.array([Shadow(s, d).exact_area for d in directions])
     best = _least(values, directions, (math.inf, None))
     return (*best, f"grid {len(grid)} of exact shadows, plus the member-sum minimizer")
 
 
-def upper_bound_min_projection(
-    s: Shape,
-    *,
-    grid_points: int = GRID_POINTS,
-) -> tuple[float, np.ndarray]:
+def upper_bound_min_projection(s: Shape) -> tuple[float, np.ndarray]:
     """Smallest shadow over all directions, with a direction attaining it.
 
     Balls and cuboids have closed forms; a cuboid shows its largest face
@@ -261,15 +241,15 @@ def upper_bound_min_projection(
     w_i their facet measures; its minimum over the sphere sits at a
     vertex of the arrangement {g_i . d = 0}, and all vertices are tried.
     Above ``_VERTEX_BUDGET`` vertices only the k heaviest generators form
-    vertices and the ``grid_points`` grid joins in, every candidate still
-    an exact shadow.  A union is bounded by the least sum of its members'
-    shadows, found on the arrangement of all members' generators; in
-    R^2 and R^3 the union's exact shadows along a grid of at most 256
-    directions and along that minimizer take its place, so the value is
-    never above the sum.  Ties go to the lexicographically smallest
+    vertices, joined, heaviest first, by those that raise their rank
+    until they span n - 1 dimensions; every candidate is an exact shadow.  A union is
+    bounded by the least sum of its members' shadows, found on the
+    arrangement of all members' generators; in R^2 and R^3 the union's
+    exact shadows along 256 fixed directions and along that minimizer
+    take its place, so the value is never above the sum.  Ties go to the lexicographically smallest
     canonical direction.
     """
-    value, direction, _ = _min_shadow(s, grid_points)
+    value, direction, _ = _min_shadow(s)
     return value, direction
 
 
@@ -323,7 +303,7 @@ def plank_value_2d(s: Shape) -> tuple[float, np.ndarray]:
         raise DimensionError("plank width is a planar computation")
     if not isinstance(s, (Ball, ConvexPolytope)):
         raise ParameterError("plank width needs a convex polygon or a disk")
-    width, direction, _ = _min_shadow(s, GRID_POINTS)
+    width, direction, _ = _min_shadow(s)
     if width <= 0.0:
         raise DegenerateShapeError("degenerate polygon: zero width")
     return width, direction
@@ -356,11 +336,10 @@ def compute_bounds(
     s: Shape,
     *,
     mc_samples: int = VOLUME_SAMPLES,
-    grid_points: int = GRID_POINTS,
     seed: int = 0,
 ) -> BoundReport:
     """Both tube-measure bounds for a bounded shape, as one report."""
-    upper, direction, path = _min_shadow(s, grid_points)
+    upper, direction, path = _min_shadow(s)
     methods = [f"upper: min shadow, {path}"]
     try:
         lower, lower_se = lower_bound_volume_diam(s, samples=mc_samples, seed=seed)

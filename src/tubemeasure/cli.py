@@ -5,8 +5,8 @@ only the options its computation reads: ``--format`` everywhere,
 ``--seed`` for bounds, cover and proof, ``--samples`` for bounds and
 cover.  Every report carries a ``config`` echo of the settings in effect
 for that command: its options (as ``seed``, ``mc_samples``,
-``grid_points``, ``output_format``) and the comparison tolerances, read
-from the constants the code compares against.  Identical invocations
+``output_format``) and the comparison tolerances, read from the
+constants the code compares against.  Identical invocations
 print byte-identical output.
 
 Exit codes: 0 success, 1 invariant or step failure (the mathematics
@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import GRID_POINTS, compute_bounds, plank_value_2d
+from .bounds import compute_bounds, plank_value_2d
 from .covers import (
     CHECK_SAMPLES,
     cover_check,
@@ -63,9 +63,7 @@ def _config(args) -> dict:
     options = vars(args)
     if options.get("mc_samples", MIN_SAMPLES) < MIN_SAMPLES:
         raise ParameterError(f"mc_samples must be at least {MIN_SAMPLES}")
-    if options.get("grid_points", 1) < 1:
-        raise ParameterError("grid_points must be positive")
-    config = {key: options[key] for key in ("seed", "mc_samples", "grid_points") if key in options}
+    config = {key: options[key] for key in ("seed", "mc_samples") if key in options}
     config["tolerances"] = dict(_TOLERANCES)
     config["output_format"] = args.format
     return config
@@ -147,12 +145,7 @@ def _emit(report: dict, fmt: str) -> str:
 
 def _cmd_bounds(args) -> dict:
     shape = _load_shape(args.shape)
-    report = compute_bounds(
-        shape,
-        mc_samples=args.mc_samples,
-        grid_points=args.grid_points,
-        seed=args.seed,
-    )
+    report = compute_bounds(shape, mc_samples=args.mc_samples, seed=args.seed)
     return bound_report_to_json(report)
 
 
@@ -252,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="lower and upper tube-measure bounds of a shape")
     p.add_argument("--shape", required=True, help="shape JSON file or 'tetrahedron'")
-    p.add_argument("--grid-points", type=int, default=GRID_POINTS, help="direction grid size")
     add_common(p, seed=True, samples=VOLUME_SAMPLES)
     p.set_defaults(handler=_cmd_bounds)
 

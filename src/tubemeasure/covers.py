@@ -301,7 +301,7 @@ def cover_search(s: Shape) -> TubeCover:
     its radius r (1e-9 for clouds inside the unit cube), and that cover
     wins when strictly cheaper.
     """
-    _, witness = upper_bound_min_projection(s, grid_points=256)
+    _, witness = upper_bound_min_projection(s)
     h = max(diameter(s) / 16.0, 1e-6)
     best = parallel_cover_from_projection(s, witness, h)
     if isinstance(s, PointCloud):

@@ -29,7 +29,7 @@ from .errors import (
 )
 
 MAX_DIM = 8
-UNIT_NORM_TOL = 1e-12   # directions must be unit length within this
+UNIT_NORM_TOL = 1e-12   # ``unit_vector`` rejects vectors no longer than this
 FRAME_ORTHO_TOL = 1e-10  # frames must be orthonormal within this
 CONTAINS_TOL = 1e-9     # hull membership allows this slack past each facet
 _DIAMETER_ROWS = 1024   # pairwise-distance rows held at once by ``diameter``

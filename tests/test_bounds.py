@@ -185,7 +185,7 @@ class TestUnionMemberSum:
         for trial in range(24):
             n = 3 + trial % 3
             members = tuple(random_shape(rng, n) for _ in range(int(rng.integers(2, 4))))
-            value, d = upper_bound_min_projection(UnionShape(members=members), grid_points=256)
+            value, d = upper_bound_min_projection(UnionShape(members=members))
             largest = max(upper_bound_min_projection(m)[0] for m in members)
             assert value >= largest * (1.0 - 1e-12), f"trial {trial}"
             at_witness = float(member_sum(members, d[None])[0])
@@ -218,7 +218,26 @@ def small_polytopes(seed):
 
 
 def grid_minimum(shape):
-    return float(shadow_values_batch(shape, sphere_directions(shape.dim, 2048)).min())
+    """Least shadow over 2048 directions: the fixed grid in R^2 and R^3,
+    seeded Gaussian unit directions above."""
+    n = shape.dim
+    if n <= 3:
+        dirs = sphere_directions(n, 2048)
+    else:
+        g = np.random.default_rng(n).standard_normal((2048, n))
+        dirs = g / np.linalg.norm(g, axis=1)[:, None]
+    return float(shadow_values_batch(shape, dirs).min())
+
+
+def thin_prism(sides, n):
+    """A regular polygon of circumradius 0.01 times a cube of side 10 in
+    R^(n-2), with the exact least shadow area(polygon) * 10^(n-3)."""
+    t = 2.0 * math.pi * np.arange(sides) / sides
+    polygon = 0.01 * np.column_stack([np.cos(t), np.sin(t)])
+    corners = np.array(list(itertools.product([0.0, 10.0], repeat=n - 2)))
+    points = np.array([np.concatenate([p, c]) for p in polygon for c in corners])
+    area = 0.5 * sides * 0.01 ** 2 * math.sin(2.0 * math.pi / sides)
+    return ConvexPolytope.hull_of(points), area * 10.0 ** (n - 3)
 
 
 class TestExactMinimumShadow:
@@ -253,12 +272,27 @@ class TestExactMinimumShadow:
         for trial, poly in enumerate(small_polytopes(19)):
             if poly.dim < 3:
                 continue
-            report = compute_bounds(poly, mc_samples=2000, grid_points=256)
+            report = compute_bounds(poly, mc_samples=2000)
             assert "truncated" in report.method, f"trial {trial}"
             d = np.array(report.witness_direction)
             attained = float(shadow_values_batch(poly, d[None, :])[0])
             assert report.upper == pytest.approx(attained, rel=1e-12, abs=0.0)
             assert report.upper >= arrangement_oracle(poly) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("sides, n, pool", [(402, 4, "118 of 203"), (202, 5, "53 of 104")])
+    def test_truncated_pool_spans_n_minus_1_dimensions(self, sides, n, pool):
+        # the heaviest generators are the polygon's edge normals, which span
+        # only its plane; the least shadow, seen along a cube edge, is a
+        # vertex only once the pool takes in cube normals until it spans
+        # n - 1 dimensions
+        prism, exact = thin_prism(sides, n)
+        report = compute_bounds(prism, mc_samples=1000)
+        assert f"truncated arrangement, {pool} generators" in report.method
+        assert report.upper == pytest.approx(exact, rel=1e-6)
+
+    def test_sphere_directions_only_in_the_plane_and_space(self):
+        with pytest.raises(DimensionError):
+            sphere_directions(4, 8)
 
     def test_method_names_exact_path(self):
         report = compute_bounds(regular_tetrahedron(), mc_samples=2000)
@@ -296,14 +330,14 @@ class TestBoundOrdering:
         for trial in range(1000):
             n = int(rng.integers(2, 6))
             shape = random_shape(rng, n)
-            report = compute_bounds(shape, mc_samples=20_000, grid_points=128)
+            report = compute_bounds(shape, mc_samples=20_000)
             gap = report.lower - 3 * report.lower_std_error - report.upper
             worst = max(worst, gap)
             assert gap <= 1e-9, f"trial {trial}: ordering violated by {gap}"
         assert worst <= 1e-9
 
     def test_report_fields(self):
-        report = compute_bounds(unit_cube(), mc_samples=2000, grid_points=64)
+        report = compute_bounds(unit_cube(), mc_samples=2000)
         assert isinstance(report, BoundReport)
         assert len(report.witness_direction) == 3
         assert "upper" in report.method and "lower" in report.method
@@ -317,7 +351,7 @@ class TestBoundOrdering:
 
     def test_tetrahedron_bracket(self):
         tet = regular_tetrahedron()
-        report = compute_bounds(tet, mc_samples=200_000, grid_points=512)
+        report = compute_bounds(tet, mc_samples=200_000)
         # volume edge^3 / (6 sqrt 2), diameter = edge
         exact_lower = 1.0 / (6 * math.sqrt(2.0))
         assert report.lower == pytest.approx(exact_lower, abs=1e-9)
@@ -407,7 +441,7 @@ class TestPlankWidth:
         for _ in range(20):
             poly = random_convex_polygon(rng)
             width, d = plank_value_2d(poly)
-            upper, _ = upper_bound_min_projection(poly, grid_points=4096)
+            upper, _ = upper_bound_min_projection(poly)
             assert upper == pytest.approx(width, abs=1e-5)
             # the witness direction attains the width as a shadow
             attained = float(shadow_values_batch(poly, d[None, :])[0])

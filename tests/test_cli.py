@@ -70,7 +70,6 @@ class TestBounds:
         assert report["command"] == "bounds"
         assert report["config"]["seed"] == 3
         assert report["config"]["mc_samples"] == 2000
-        assert report["config"]["grid_points"] == 2048
         result = report["result"]
         assert result["upper"] == pytest.approx(math.pi, abs=1e-12)
         assert result["lower"] == pytest.approx(2 * math.pi / 3, abs=1e-12)
@@ -79,7 +78,7 @@ class TestBounds:
     def test_builtin_tetrahedron(self, capsys):
         report = run_json(
             capsys,
-            ["bounds", "--shape", "tetrahedron", "--samples", "2000", "--grid-points", "128"],
+            ["bounds", "--shape", "tetrahedron", "--samples", "2000"],
         )
         result = report["result"]
         assert 0.0 < result["lower"] <= result["upper"]
@@ -374,7 +373,7 @@ class TestConfigEcho:
         "argv, options",
         [
             (["bounds", "--shape", "tetrahedron", "--samples", "2000"],
-             ["seed", "mc_samples", "grid_points"]),
+             ["seed", "mc_samples"]),
             (["plank", "--shape", "SQUARE2"], []),
             (["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1/4"],
              ["seed", "mc_samples"]),
@@ -396,6 +395,7 @@ class TestConfigEcho:
             ["refine", "--widths", "3/4", "5/6", "--seed", "1"],
             ["proof", "--dim", "2", "--depth", "3", "--samples", "5000"],
             ["cover", "--shape", "tetrahedron", "--search", "--budget", "64"],
+            ["bounds", "--shape", "tetrahedron", "--grid-points", "128"],
         ],
     )
     def test_options_nothing_reads_are_rejected(self, capsys, argv):
@@ -415,8 +415,8 @@ class TestConfigEcho:
 
 def test_import_leaves_out_heavy_scipy_modules():
     # the command line must not pay for scipy.optimize or scipy.stats, and
-    # scipy.spatial and scipy.special load only when a hull, a distance
-    # matrix or Halton directions are needed, which a walkthrough never is
+    # scipy.spatial and scipy.special load only when a hull or a distance
+    # matrix is needed, which a walkthrough never is
     probe = "\n".join([
         "import contextlib, io, sys",
         "import tubemeasure.cli",

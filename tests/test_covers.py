@@ -283,7 +283,7 @@ class TestCoverSearch:
         rng = np.random.default_rng(41)
         shapes = [unit_cube()] + [random_shape(rng, int(rng.integers(2, 5))) for _ in range(10)]
         for i, shape in enumerate(shapes):
-            _, witness = upper_bound_min_projection(shape, grid_points=256)
+            _, witness = upper_bound_min_projection(shape)
             h = max(diameter(shape) / 16.0, 1e-6)
             incumbent = parallel_cover_from_projection(shape, witness, h)
             found = cover_search(shape)

@@ -292,9 +292,7 @@ class TestCoverDocuments:
 
 class TestBoundReportDocument:
     def test_exactly_five_fields(self):
-        report = compute_bounds(
-            Ball(center=np.zeros(3), radius=1.0), mc_samples=2000, grid_points=64
-        )
+        report = compute_bounds(Ball(center=np.zeros(3), radius=1.0), mc_samples=2000)
         doc = bound_report_to_json(report)
         assert set(doc) == {
             "lower",
