@@ -140,8 +140,8 @@ def _validate_packing_args(m: int, radius: float, max_depth: int) -> float:
         raise ParameterError(f"max_depth must be 1..20, got {max_depth}")
     # boundary cells multiply by ~2^(m-1) per level; the cell limits are
     # checked against the lattice census, so this bound is what keeps the
-    # census near 10^6 budget rows and the walkthrough's share stream (one
-    # share per cell) practical
+    # census rows (lattice points of an (m-1)-ball of radius 2^(depth-1))
+    # near 10^6 and the walkthrough's last-rank lookup practical
     if (m - 1) * (max_depth - 1) > 21:
         raise ParameterError(
             f"max_depth {max_depth} too deep for cross dimension {m}; "
@@ -203,8 +203,11 @@ class SquarePacking:
     def to_dict(self) -> dict:
         """JSON-ready summary; squares listed with exact rationals.
 
-        Squares are listed only up to 100000 cells; the census fields
-        remain exact either way.
+        Each centre coordinate r k / 2^depth is written as its reduced
+        integer pair {"num", "den"} straight from the lattice row, the
+        same pair ``square_exact`` gives as a Fraction.  Squares are
+        listed only up to 100000 cells; the census fields remain exact
+        either way.
         """
         out = {
             "m": self.m,
@@ -215,13 +218,23 @@ class SquarePacking:
             "covered_fraction": self.covered_fraction,
         }
         if self.n_squares <= 100_000:
+            a, b = Fraction(self.radius).as_integer_ratio()
+            gcd = math.gcd
             squares = []
             for depth in sorted(self.cells):
                 hw = self.half_width(depth)
-                for row in self.cells[depth]:
-                    center = self._exact_center(row, depth)
-                    squares.append({"center": center, "half_width": hw})
-            out["squares"] = _jsonable(squares)
+                hw_num, hw_den = hw.numerator, hw.denominator
+                den = b << depth
+                for row in self.cells[depth].tolist():
+                    center = []
+                    for k in row:
+                        num = a * k
+                        g = gcd(num, den)
+                        center.append({"num": num // g, "den": den // g})
+                    squares.append(
+                        {"center": center, "half_width": {"num": hw_num, "den": hw_den}}
+                    )
+            out["squares"] = squares
         return out
 
 
@@ -673,17 +686,30 @@ def _stream_pigeonhole(
     draw must satisfy the mass precondition sum(q m) >= (1 - eps) sum(m)
     (expected margin eps/4 of the total); rare shortfalls retry with a
     fresh subseed.  Returns (global index, its share, retries used).
+
+    A try stops after the chunk at which its outcome is certain: the
+    first qualifying index is known, and the shares drawn so far plus
+    the least possible share 1 - 1.5 eps of every undrawn mass already
+    reach the threshold, with a relative margin of 1e-9 for rounding.
+    The chunks and their subseeds do not depend on where a try stops,
+    so the undrawn shares could neither move the first qualifying index
+    nor turn the try into a retry: the result is that of the full stream.
     """
     total_mass = math.fsum(count * mass for count, mass in groups)
+    if not total_mass > 0.0:
+        raise InvariantError("the share stream needs cells of positive total mass")
     threshold = 1.0 - eps
     low = 1.0 - 1.5 * eps
+    certain = threshold * total_mass * (1.0 + 1e-9)
+    # mass of the groups after each group, for the mass not yet drawn
+    after = [math.fsum(c * w for c, w in groups[g + 1 :]) for g in range(len(groups))]
     for retry in range(8):
         first = None
         first_q = 0.0
         acc = 0.0
         base = 0
         bindex = 0
-        for count, mass in groups:
+        for (count, mass), rest in zip(groups, after):
             done = 0
             while done < count:
                 c = min(_SCAN_CHUNK, count - done)
@@ -697,6 +723,8 @@ def _stream_pigeonhole(
                         first_q = float(q[hits[0]])
                 done += c
                 bindex += 1
+                if first is not None and acc + low * ((count - done) * mass + rest) >= certain:
+                    return first, first_q, retry
             base += count
         if acc >= threshold * total_mass and first is not None:
             return first, first_q, retry

@@ -10,11 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import assert_packing_exact
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tubemeasure import (
     Ball,
     DimensionError,
     GeometryError,
+    InvariantError,
     NoWitnessError,
     ParameterError,
     ProofParameters,
@@ -34,6 +36,8 @@ from tubemeasure import (
     volume_exact,
 )
 from tubemeasure import proof as proof_module
+from tubemeasure.montecarlo import TAG_PROOF, batch_rng
+from tubemeasure.serialization import _jsonable
 
 
 class TestSquarePacking:
@@ -145,6 +149,27 @@ class TestSquarePacking:
         first = d["squares"][0]
         assert set(first) == {"center", "half_width"}
         assert first["half_width"] == {"num": 1, "den": 4}
+
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=60,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        m=st.integers(1, 7),
+        depth=st.integers(1, 3),
+        radius=st.floats(1e-3, 1e3) | st.integers(-9, 9).map(lambda e: 2.0 ** e),
+    )
+    def test_listing_matches_square_exact(self, m, depth, radius):
+        # the integer pairs of the listing against the Fraction oracle
+        packing = ball_square_packing(m, radius, depth)
+        squares = packing.to_dict()["squares"]
+        assert len(squares) == packing.n_squares
+        for i, entry in enumerate(squares):
+            center, half_width = packing.square_exact(i)
+            assert entry == {"center": _jsonable(center), "half_width": _jsonable(half_width)}
 
 
 def _scan_census(m, max_depth):
@@ -358,6 +383,100 @@ class TestPigeonhole:
                     pigeonhole_select(masses, weights, eps)
                 rejected += 1
         assert qualified >= 1000 and rejected >= 1000
+
+
+def _full_stream(groups, eps, seed, key):
+    """The share stream drawn to the end of every try, without the stop."""
+    total_mass = math.fsum(count * mass for count, mass in groups)
+    threshold = 1.0 - eps
+    low = 1.0 - 1.5 * eps
+    for retry in range(8):
+        first = None
+        first_q = 0.0
+        acc = 0.0
+        base = 0
+        bindex = 0
+        for count, mass in groups:
+            done = 0
+            while done < count:
+                c = min(proof_module._SCAN_CHUNK, count - done)
+                rng = batch_rng(seed, TAG_PROOF, key, retry, bindex)
+                q = low + rng.random(c) * (1.0 - low)
+                acc += mass * float(q.sum())
+                if first is None:
+                    hits = np.nonzero(q >= threshold)[0]
+                    if hits.size:
+                        first = base + done + int(hits[0])
+                        first_q = float(q[hits[0]])
+                done += c
+                bindex += 1
+            base += count
+        if acc >= threshold * total_mass and first is not None:
+            return first, first_q, retry
+    raise NoWitnessError("synthetic shares kept missing the mass precondition")
+
+
+def _stream_groups(n, depth, radius):
+    """(count, mass) per depth, as the walkthrough builds them."""
+    m = n - 1
+    counts = proof_module._packing_census(m, depth)
+    return [(counts[d], float((2 * radius / 2 ** d) ** m)) for d in sorted(counts)]
+
+
+class TestShareStreamStop:
+    @pytest.mark.parametrize(
+        "n, depths",
+        [(2, (3, 10, 20)), (3, (2, 8, 14)), (4, (2, 6, 10)), (5, (2, 5, 7)),
+         (6, (3, 4, 5)), (7, (3, 4)), (8, (3, 4))],
+    )
+    def test_matches_full_stream(self, n, depths):
+        _, eps = proof_module._p_eps(n)
+        for depth in depths:
+            for radius in (Fraction(1), Fraction(3, 2), Fraction(1, 2)):
+                groups = _stream_groups(n, depth, radius)
+                for seed in (0, 1, 7, 335635780):
+                    for key in (1, 2):
+                        assert proof_module._stream_pigeonhole(groups, eps, seed, key) == (
+                            _full_stream(groups, eps, seed, key)
+                        ), (depth, radius, seed, key)
+
+    def test_matches_full_stream_on_retries(self):
+        retried = 0
+        for groups in ([(1, 1.0), (3, 0.25)], [(2, 1.0), (5, 0.1)]):
+            for eps in (0.1, 0.2, 0.3):
+                for seed in range(40):
+                    for key in (1, 2):
+                        got = proof_module._stream_pigeonhole(groups, eps, seed, key)
+                        assert got == _full_stream(groups, eps, seed, key)
+                        retried += got[2] > 0
+        assert retried >= 20
+
+    def test_missing_witness_matches_full_stream(self):
+        # at this seed all eight tries of the single cell fall short
+        for stream in (proof_module._stream_pigeonhole, _full_stream):
+            with pytest.raises(NoWitnessError):
+                stream([(1, 1.0)], 0.2, 5166, 1)
+
+    def test_no_mass_is_an_invariant_error(self):
+        for groups in ([], [(0, 1.0)], [(3, 0.0)]):
+            with pytest.raises(InvariantError):
+                proof_module._stream_pigeonhole(groups, 0.1, 0, 1)
+
+    def test_stops_before_the_last_chunk(self, monkeypatch):
+        # 4.7 M cells, most of them at the deepest depths; the shallow
+        # depths carry enough mass to settle the result
+        drawn = []
+
+        def counting_rng(*key):
+            drawn.append(key)
+            return batch_rng(*key)
+
+        monkeypatch.setattr(proof_module, "batch_rng", counting_rng)
+        _, eps = proof_module._p_eps(5)
+        groups = _stream_groups(5, 7, Fraction(1))
+        assert sum(count for count, _ in groups) > 4 * proof_module._SCAN_CHUNK
+        proof_module._stream_pigeonhole(groups, eps, 7, 1)
+        assert 0 < len(drawn) < len(groups)  # one chunk per depth reached
 
 
 class TestCommonRefinement:
@@ -630,6 +749,27 @@ class TestWalkthrough:
         selections = report.steps[2:4]
         assert [tuple(s.outputs[k] for k in keys) for s in selections] == [first, second]
         assert all(s.inputs["synthetic"] is True for s in selections)
+
+    @pytest.mark.parametrize(
+        "n, depth, first, second",
+        [
+            (4, 10, (1, 2, Fraction(1, 2), 0.9979557301439153, 0),
+             (0, 2, Fraction(5, 16), 0.9969712044682991, 0)),
+            (5, 7, (1, 2, Fraction(1, 2), 0.9997125245514881, 0),
+             (0, 2, Fraction(5, 16), 0.9995740756283545, 0)),
+            (6, 5, (1, 3, Fraction(1, 4), 0.999964371596015, 0),
+             (0, 3, Fraction(5, 32), 0.99994721286406, 0)),
+            (7, 4, (1, 3, Fraction(1, 4), 0.9999960072854374, 0),
+             (0, 3, Fraction(5, 32), 0.9999940843837272, 0)),
+        ],
+    )
+    def test_stopped_selections_are_pinned(self, n, depth, first, second):
+        # seed 7 at depths where the share stream stops early; the values
+        # are those of the stream drawn to the end
+        keys = ("selected_index", "cell_depth", "half_width", "share", "retries")
+        report = run_proof_walkthrough(n, depth, seed=7)
+        selections = report.steps[2:4]
+        assert [tuple(s.outputs[k] for k in keys) for s in selections] == [first, second]
 
     @pytest.mark.parametrize(
         "n, depth, seed", [(8, 3, 335635780), (3, 2, 283), (4, 2, 151), (5, 2, 17)]
