@@ -21,10 +21,11 @@ for depth in range(1, 11):
     print(f"{depth:>5} {total - previous:>12} {packing.covered_fraction:>18.7f}")
     previous = total
 
-# the census is radius-free: cells are stored as integer lattice indices,
-# scaled by the radius only on output, so the same tree serves every disk.
-# ``squares`` gives float centers with rational half-widths; ``square_exact``
-# and ``to_dict`` give exact rationals
+# the census is radius-free: it counts integer lattice cells, and the
+# cells are listed, on first use, as lattice indices scaled by the radius
+# only on output, so the same tree serves every disk.  ``squares`` gives
+# float centers with rational half-widths; ``square_exact`` and ``to_dict``
+# give exact rationals
 deep = ball_square_packing(2, 1.0, 4)
 print(f"\ndepth 4 holds {len(deep.squares)} squares; the first three:")
 for center, half in deep.squares[:3]:

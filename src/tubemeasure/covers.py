@@ -13,10 +13,11 @@ generators aim to cover a shape cheaply:
   direction, or, for a point cloud, thin tubes through pairs of its
   points when those cost less.
 
-``cover_check`` verifies a cover on sampled points (all points of a
-cloud).  It hashes the anchors of each group of square tubes sharing a
-frame and half-width into a grid of side 2 delta, so it makes about
-points x 3^(n-1) candidate tests per group instead of points x tubes.
+``cover_check`` verifies a cover on points sampled from the shape's
+solid members and on every point of its cloud members.  It hashes the
+anchors of each group of square tubes sharing a frame and half-width
+into a grid of side 2 delta, so it makes about points x 3^(n-1)
+candidate tests per group instead of points x tubes.
 """
 
 from __future__ import annotations
@@ -167,8 +168,10 @@ def cover_check(
 ) -> tuple[bool, np.ndarray | None]:
     """Point-sampled containment check; exact for point clouds.
 
-    Returns (True, None) or (False, first uncovered point) in the
-    deterministic sampling order.
+    The points are ``samples`` points drawn from the shape, when some
+    member of it has volume, followed by every point of every cloud
+    member in member order.  Returns (True, None) or (False, first
+    uncovered point) in that order.
 
     Square tubes are grouped by cross frame and half-width, and each
     group's anchors are hashed into cells of side 2 delta in cross
@@ -176,18 +179,18 @@ def cover_check(
     and Williams).  A point inside a tube lies within delta of its anchor
     in every cross coordinate, so it is tested only against the anchors in
     the 3^(n-1) cells around it: about points x 3^(n-1) candidate tests
-    per group, instead of points x tubes.  Round tubes, and groups with no
-    more tubes than that, are tested one tube at a time against the points
-    still uncovered.  Whether a point is covered does not depend on the
-    order in which tubes are tried, so the verdict and the witness are
-    those of testing every tube.
+    per group, instead of points x tubes.  Round tubes are tested one tube
+    at a time against the points still uncovered.  Whether a point is
+    covered does not depend on the order in which tubes are tried, so the
+    verdict and the witness are those of testing every tube.
     """
     if s.dim != cover.dim:
         raise DimensionError("shape and cover dimensions differ")
-    if isinstance(s, PointCloud):
-        pts = s.points
-    else:
-        pts = sample_points(s, samples, seed)
+    leaves = _leaves(s)
+    clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
+    # sample unless every leaf is a cloud; an empty union fails in the sampler
+    sampled = [] if clouds and len(clouds) == len(leaves) else [sample_points(s, samples, seed)]
+    pts = np.concatenate(sampled + clouds)
     reach = float(np.abs(pts).max(initial=0.0))
     groups = {}
     for tube in cover.tubes:
@@ -195,13 +198,10 @@ def cover_check(
             key = (tube.frame.cross.tobytes(), tube._width)
             groups.setdefault(key, []).append(tube)
     looped = [t for t in cover.tubes if isinstance(t, Tube)]
-    grids = []
-    for group in groups.values():
-        if len(group) <= 3 ** (cover.dim - 1):
-            looped += group
-        else:
-            anchors = np.array([t.anchor for t in group])
-            grids.append(_AnchorGrid(group[0].frame.cross, group[0]._width, anchors, reach))
+    grids = [
+        _AnchorGrid(g[0].frame.cross, g[0]._width, np.array([t.anchor for t in g]), reach)
+        for g in groups.values()
+    ]
     chunk = 1 << 14
     for start in range(0, len(pts), chunk):
         block = pts[start : start + chunk]
@@ -231,14 +231,15 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     h = float(grid_step)
     if not (math.isfinite(h) and h > 0):
         raise ParameterError(f"grid_step must be positive, got {grid_step}")
-    if not _leaves(s):
+    leaves = _leaves(s)
+    if not leaves:
         raise DegenerateShapeError("empty shape: nothing to cover")
     shadow = Shadow(s, direction)
     lo, hi = shadow.bbox(include_measure_zero=True)
     counts = np.maximum(1.0, np.ceil((hi - lo) / h - 1e-12))
-    if isinstance(s, PointCloud):
-        # extreme points sit on the bounding box, where the closed tube test fails
-        # by rounding; a quarter cell of margin keeps every point strictly inside
+    if any(isinstance(leaf, PointCloud) for leaf in leaves):
+        # extreme cloud points sit on the bounding box, where the closed tube test
+        # fails by rounding; a quarter cell of margin keeps every point strictly inside
         counts = np.floor((hi - lo) / h + 0.5) + 1
         lo = lo - (counts * h - (hi - lo)) / 2
     # the 2,000,000-cell guard bounds the memory of the cell arrays and the

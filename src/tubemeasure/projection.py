@@ -374,8 +374,8 @@ def shadow_area(s: Shape, direction, samples: int = 200_000, seed: int = 0) -> f
 def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:
     """Vectorized exact shadows over many unit directions, or None.
 
-    Serves the grid of a truncated arrangement minimum and single-leaf
-    shadows; only closed-form kinds qualify.  ``directions`` has unit rows.
+    Serves the closed-form shadows of single leaves; only closed-form
+    kinds qualify.  ``directions`` has unit rows.
     """
     D = np.atleast_2d(directions)
     if isinstance(s, Ball):

@@ -25,13 +25,15 @@ k * r / 2^d with every component of k odd, so disjointness and ball
 containment are integer comparisons, exact at any depth.  The canonical
 cell order is depth-major; within a depth it is parent-major, children
 in sign-vector order, which is Z-order (Morton order) on the lattice, so
-listing it needs no global sort.  The walkthrough never lists cells: it
-counts them per depth by lattice points in the ball and finds the cell
-at a given rank by descending the Z-order tree, counting each subtree.
+listing it needs no global sort.  Cells are counted per depth by lattice
+points in the ball and listed only when read; the walkthrough never
+lists them, finding the cell at a given rank by descending the Z-order
+tree, counting each subtree.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -83,23 +85,17 @@ def _classify(cells: np.ndarray, depth: int, need_boundary: bool = True):
     """Masks (inside, boundary) for integer cells against the unit sphere.
 
     A cell at depth d with center index k (odd components) has corners
-    (|k| +/- 1) * r / 2^d, so it lies inside the radius-r ball iff
-    sum (|k_i| + 1)^2 <= 4^d and fully outside iff
-    sum max(|k_i| - 1, 0)^2 >= 4^d.  Radius-free by design.  float64
-    keeps these integer comparisons exact: depth <= 20 bounds |k| by
-    2^20, so every square-sum stays far below 2^53.
+    (|k| +/- 1) * r / 2^d.  With j = (|k| + 1) / 2 it lies inside the
+    radius-r ball iff sum j_i^2 <= 4^(d-1) and fully outside iff
+    sum (j_i - 1)^2 >= 4^(d-1).  Radius-free, and exact in int64.
     """
-    thr = float(4 ** depth)
-    a = np.abs(cells).astype(np.float64)
-    a += 1.0
-    far = np.einsum("ij,ij->i", a, a)
-    inside = far <= thr
+    j = (np.abs(cells).astype(np.int64) + 1) // 2
+    bound = 4 ** (depth - 1)
+    inside = np.einsum("ij,ij->i", j, j) <= bound
     if not need_boundary:
         return inside, None
-    a -= 2.0
-    np.maximum(a, 0.0, out=a)
-    near = np.einsum("ij,ij->i", a, a)
-    boundary = (~inside) & (near < thr)
+    j -= 1
+    boundary = ~inside & (np.einsum("ij,ij->i", j, j) < bound)
     return inside, boundary
 
 
@@ -155,23 +151,32 @@ class SquarePacking:
     """Dyadic squares inside a ball of R^m, in canonical order.
 
     Pairwise interior-disjoint by lattice construction, each cell inside
-    the closed ball by the exact corner check.  ``covered_fraction`` is
-    the packed share of the ball volume; it can only grow with depth.
+    the closed ball by the exact corner check.  ``depth_counts`` is the
+    lattice census; the cells themselves are listed on first use.
+    ``covered_fraction`` is the packed share of the ball volume; it can
+    only grow with depth.
     """
 
     m: int
     radius: float
     max_depth: int
-    cells: dict[int, np.ndarray]
-    covered_fraction: float
-
-    @property
-    def depth_counts(self) -> dict[int, int]:
-        return {d: len(rows) for d, rows in sorted(self.cells.items())}
+    depth_counts: dict[int, int]
 
     @property
     def n_squares(self) -> int:
-        return sum(len(rows) for rows in self.cells.values())
+        return sum(self.depth_counts.values())
+
+    @property
+    def covered_fraction(self) -> float:
+        return _covered_fraction(self.m, self.depth_counts)
+
+    @functools.cached_property
+    def cells(self) -> dict[int, np.ndarray]:
+        """Integer cell rows per depth, listed by the scan."""
+        blocks: dict[int, list[np.ndarray]] = {}
+        for depth, block in _scan_packing(self.m, self.max_depth):
+            blocks.setdefault(depth, []).append(block)
+        return {d: np.concatenate(rows, axis=0) for d, rows in blocks.items()}
 
     def half_width(self, depth: int) -> Fraction:
         return Fraction(self.radius) / 2 ** depth
@@ -185,18 +190,14 @@ class SquarePacking:
             for row in self.cells[depth]
         ]
 
-    def _exact_center(self, row: np.ndarray, depth: int) -> list[Fraction]:
-        r = Fraction(self.radius)
-        return [r * int(k) / 2 ** depth for k in row]
-
     def square_exact(self, index: int) -> tuple[tuple[Fraction, ...], Fraction]:
         """Exact rational center and half-width of one square."""
         remaining = int(index)
         for depth in sorted(self.cells):
             rows = self.cells[depth]
             if remaining < len(rows):
-                center = tuple(self._exact_center(rows[remaining], depth))
-                return center, self.half_width(depth)
+                hw = self.half_width(depth)
+                return tuple(hw * int(k) for k in rows[remaining]), hw
             remaining -= len(rows)
         raise ParameterError("square index out of range")
 
@@ -251,8 +252,8 @@ def ball_square_packing(m: int, radius: float, max_depth: int) -> SquarePacking:
     Cells start at side r (depth 1) and halve per depth; a cell is kept
     once it fits entirely inside the ball, otherwise subdivided until
     max_depth.  Deep packings in high dimension can hold millions of
-    cells; beyond a sanity limit, counted by the lattice census before
-    any cell is listed, storage is refused.
+    cells; beyond a sanity limit, counted by the lattice census, the
+    packing is refused.  No cell is listed until one is read.
     """
     radius = _validate_packing_args(m, radius, max_depth)
     counts = _packing_census(m, max_depth)
@@ -261,17 +262,7 @@ def ball_square_packing(m: int, radius: float, max_depth: int) -> SquarePacking:
             f"packing exceeds {_MAX_STORED_CELLS} stored cells; "
             "reduce max_depth for this dimension"
         )
-    cells: dict[int, list[np.ndarray]] = {}
-    for depth, block in _scan_packing(m, max_depth):
-        cells.setdefault(depth, []).append(block)
-    packed = {d: np.concatenate(blocks, axis=0) for d, blocks in cells.items()}
-    return SquarePacking(
-        m=m,
-        radius=radius,
-        max_depth=max_depth,
-        cells=packed,
-        covered_fraction=_covered_fraction(m, counts),
-    )
+    return SquarePacking(m=m, radius=radius, max_depth=max_depth, depth_counts=counts)
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
@@ -314,10 +305,8 @@ def _box_lattice_counts(lo: np.ndarray, hi: np.ndarray, bound: int) -> np.ndarra
 def _kept_below(cells: np.ndarray, level: int, depth: int) -> np.ndarray:
     """Kept cells of ``depth`` under each cell of ``level`` (rows of k).
 
-    With |k_i| = 2 j_i - 1 a cell's corner test sum (|k_i| + 1)^2 <= 4^level
-    reads sum j_i^2 <= 4^(level-1), j >= 1.  A cell never straddles an axis,
-    so the cell with j = (|k| + 1) / 2 holds the depth-d cells whose own j
-    lies in ((j - 1) 2^(d - level), j 2^(d - level)].  Every inside cell
+    A cell never straddles an axis, so the cell with j = (|k| + 1) / 2
+    (the j of ``_classify``) holds the depth-d cells whose own j lies in ((j - 1) 2^(d - level), j 2^(d - level)].  Every inside cell
     splits into 2^m inside children, so the cells kept at depth d (inside,
     parent not inside) number I_d - 2^m I_(d-1), with I_d the inside count
     over those boxes.  A cell inside the ball was kept at its own level and
@@ -325,11 +314,11 @@ def _kept_below(cells: np.ndarray, level: int, depth: int) -> np.ndarray:
     is taken once per sorted j.
     """
     m = cells.shape[1]
-    j = (np.abs(cells).astype(np.int64) + 1) // 2
-    inside = (j * j).sum(axis=1) <= 4 ** (level - 1)
+    inside, _ = _classify(cells, level, need_boundary=False)
     if level == depth:
         return inside.astype(np.int64)
-    keys, inverse = np.unique(np.sort(j[~inside], axis=1), axis=0, return_inverse=True)
+    j = (np.abs(cells[~inside]).astype(np.int64) + 1) // 2
+    keys, inverse = np.unique(np.sort(j, axis=1), axis=0, return_inverse=True)
 
     def inside_below(d: int) -> np.ndarray:
         side = 2 ** (d - level)
@@ -341,11 +330,18 @@ def _kept_below(cells: np.ndarray, level: int, depth: int) -> np.ndarray:
 
 
 def _kept_counts(m: int, max_depth: int):
-    """Yield (depth, cells kept at that depth) for depth = 1..max_depth: the
-    kept cells below the 2^m depth-1 cells."""
-    orthants = _sign_vectors(m)
+    """Yield (depth, cells kept at that depth) for depth = 1..max_depth.
+
+    The I_d = 2^m #{j >= 1 : sum j_i^2 <= 4^(d-1)} inside cells of depth d,
+    one lattice count over the positive orthant, hold the 2^m I_(d-1)
+    children of the inside cells of depth d - 1; the rest are kept at d.
+    """
+    inside_above = 0
     for depth in range(1, max_depth + 1):
-        yield depth, int(_kept_below(orthants, 1, depth).sum())
+        side = np.full((1, m), 2 ** (depth - 1), dtype=np.int64)
+        inside = 2**m * int(_box_lattice_counts(np.ones_like(side), side, 4 ** (depth - 1))[0])
+        yield depth, inside - 2**m * inside_above
+        inside_above = inside
 
 
 def _packing_census(m: int, max_depth: int) -> dict[int, int]:

@@ -14,6 +14,7 @@ from tubemeasure import (
     SquareTube,
     Tube,
     TubeCover,
+    UnionShape,
     axis_aligned_cuboid,
     cover_check,
     cover_cost,
@@ -25,6 +26,7 @@ from tubemeasure import (
     regular_tetrahedron,
     sample_points,
 )
+from tubemeasure import covers as covers_module
 
 
 def unit_cube():
@@ -136,7 +138,7 @@ def assert_same_check(found, expected):
 @st.composite
 def clouds_and_covers(draw):
     """A cloud and a cover of square tubes in several frames and half-widths,
-    some groups larger and some smaller than 3^(n-1), anchors off any
+    groups of 1 to 40 tubes, anchors off any
     lattice and several to a cell, round tubes mixed in and random tubes
     dropped.  The cloud mixes points on tube faces (anchor +/- delta along a
     cross row), points inside tubes and points anywhere."""
@@ -338,3 +340,58 @@ class TestCoverSearch:
             assert all(isinstance(t, Tube) for t in cover.tubes), label
             assert len(cover) <= math.ceil(len(points) / 2), label
             assert cover_cost(cover) < max_cost, label
+
+
+# a ball and a cloud whose points reach the outer edges of a grid cover
+UNION_CLOUD = [[1.2, 1.2, 0.1], [-0.9, -1.8, -0.5], [-0.4, -1.8, -1.8], [2.0, 0.6, -1.1]]
+
+
+class TestCloudLeaves:
+    """Cloud members of a union are covered and checked like a bare cloud."""
+
+    def union(self):
+        cloud = PointCloud(points=np.array(UNION_CLOUD))
+        return cloud, UnionShape(members=(Ball(center=np.zeros(3), radius=0.5), cloud))
+
+    def test_union_cover_holds_its_cloud_points(self):
+        # without the margin, (-0.4, -1.8, -1.8) fell outside every tube
+        cloud, union = self.union()
+        cover = parallel_cover_from_projection(union, np.array([1.0, -1.6, -0.2]), 0.25)
+        assert cover_check(cloud, cover) == (True, None)
+        assert cover_check(union, cover, samples=20_000) == (True, None)
+
+    def test_random_union_covers_hold_their_cloud_points(self):
+        # without the margin, 193 of these 300 covers missed a cloud point
+        rng = np.random.default_rng(0)
+        for trial in range(300):
+            n = int(rng.integers(2, 5))
+            cloud = PointCloud(points=np.round(rng.uniform(-2.0, 2.0, (4, n)), 1))
+            union = UnionShape(members=(Ball(center=np.zeros(n), radius=0.5), cloud))
+            cover = parallel_cover_from_projection(union, rng.standard_normal(n), 0.25)
+            assert cover_check(cloud, cover)[0], trial
+
+    def test_check_reads_the_cloud_leaves_of_a_union(self):
+        # the ball's own cover holds the sampled points but no cloud point;
+        # the cloud points follow the sample, in member order
+        cloud, union = self.union()
+        ball = union.members[0]
+        cover = parallel_cover_from_projection(ball, np.array([1.0, -1.6, -0.2]), 0.25)
+        assert cover_check(ball, cover, samples=20_000) == (True, None)
+        ok, witness = cover_check(union, cover, samples=20_000)
+        assert not ok
+        assert witness.tolist() == UNION_CLOUD[0]
+
+    def test_union_of_clouds_is_never_sampled(self, monkeypatch):
+        # rejection sampling could not draw from a union of clouds and ran on
+        def refuse(*args):
+            raise AssertionError("a union of clouds has no volume to sample")
+
+        monkeypatch.setattr(covers_module, "sample_points", refuse)
+        first = PointCloud(points=np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.5, -1.0, 0.3]]))
+        second = PointCloud(points=np.array([[2.0, 0.0, 1.0], [-1.0, 1.0, 0.5]]))
+        union = UnionShape(members=(first, second))
+        cover = cover_search(union)
+        assert cover_check(union, cover) == (True, None)
+        lone = TubeCover(tubes=(Tube(point=np.zeros(3), axis=np.array([1.0, 2.0, 2.0]), radius=0.1),))
+        ok, witness = cover_check(union, lone)
+        assert not ok and witness.tolist() == [0.5, -1.0, 0.3]

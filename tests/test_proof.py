@@ -253,6 +253,33 @@ class TestLatticeCensus:
             depth, cell = proof_module._packing_cell_by_rank(4, 7, rank)
             assert cell.shape == (4,) and np.all(cell % 2 == 1)
 
+    def test_packing_reports_its_census_without_listing(self, monkeypatch):
+        # above 100,000 squares the report holds the census alone
+        def refuse(*args):
+            raise AssertionError("a census-only report must not list cells")
+
+        monkeypatch.setattr(proof_module, "_scan_packing", refuse)
+        d = ball_square_packing(4, 1.0, 7).to_dict()
+        assert "squares" not in d
+        assert d["n_squares"] == 4_728_240
+        assert d["depth_counts"] == {
+            "2": 16, "3": 256, "4": 4672, "5": 54240, "6": 482880, "7": 4186176
+        }
+        assert d["covered_fraction"] == 0.9480192550751374
+
+    @pytest.mark.parametrize("m, depth", [(1, 20), (2, 14), (3, 10), (4, 8), (5, 6), (7, 4)])
+    def test_census_counts_each_depth_once(self, monkeypatch, m, depth):
+        calls = []
+        count = proof_module._box_lattice_counts
+
+        def counted(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(proof_module, "_box_lattice_counts", counted)
+        proof_module._packing_census(m, depth)
+        assert len(calls) <= depth
+
     @pytest.mark.parametrize(
         "n, depths",
         [(2, (3, 6)), (3, (2, 5)), (4, (2, 4)), (5, (2, 4)), (6, (3, 4)), (7, (3, 4)), (8, (3,))],
@@ -269,26 +296,35 @@ class TestLatticeCensus:
                 assert json.dumps(fast) == json.dumps(slow), (depth, seed)
 
     def test_deep_walkthrough_memory(self):
-        # scanning this packing peaked at 2.65 GB; the child of an
-        # intermediate interpreter is measured, so earlier children do not count
-        root = Path(__file__).resolve().parents[1]
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
-        )
-        probe = (
-            "import resource, subprocess, sys\n"
-            "argv = [sys.executable, '-m', 'tubemeasure', 'proof', '--dim', '8', '--depth', '4']\n"
-            "code = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode\n"
-            "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert out.returncode == 0, out.stderr
-        code, max_rss_kb = map(int, out.stdout.split())
-        assert code == 0, out.stderr
-        assert max_rss_kb < 265 * 1024
+        # scanning this packing peaked at 2.65 GB
+        assert _child_peak_rss_kb("proof", "--dim", "8", "--depth", "4") < 265 * 1024
+
+    def test_census_only_packing_memory(self):
+        # 4,728,240 squares; listing them to print the census took 611 MB
+        assert _child_peak_rss_kb("pack", "--dim", "4", "--depth", "7") < 150 * 1024
+
+
+def _child_peak_rss_kb(*argv):
+    """Peak RSS of one successful CLI run; the child of an intermediate
+    interpreter is measured, so earlier children do not count."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]),
+    )
+    probe = (
+        "import resource, subprocess, sys\n"
+        "argv = [sys.executable, '-m', 'tubemeasure', *sys.argv[1:]]\n"
+        "code = subprocess.run(argv, stdout=subprocess.DEVNULL).returncode\n"
+        "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    code, max_rss_kb = map(int, out.stdout.split())
+    assert code == 0, out.stderr
+    return max_rss_kb
 
 
 class TestSubdivideTube:
