@@ -16,8 +16,9 @@ generators aim to cover a shape cheaply:
 ``cover_check`` verifies a cover on points sampled from the shape's
 solid members and on every point of its cloud members.  It hashes the
 anchors of each group of square tubes sharing a frame and half-width
-into a grid of side 2 delta, so it makes about points x 3^(n-1)
-candidate tests per group instead of points x tubes.
+into a grid of side 2 delta, each cell found by one sorted-row lookup,
+so it makes about points x 3^(n-1) candidate tests per group instead of
+points x tubes.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from .geometry import (
     Shape,
     SquareTube,
     Tube,
+    _find_rows,
     _in_square_tubes,
     _leaves,
+    _row_values,
     diameter,
 )
 from .montecarlo import sample_points
@@ -96,8 +99,8 @@ class _AnchorGrid:
     Cells are cubes of side 2 delta in cross coordinates, widened only when
     rounding at the scale of the coordinates could approach delta.  A point
     inside a tube then has the tube's anchor in its own cell or in one of
-    the 3^(n-1) - 1 around it.  A cell is numbered by ranking its integer
-    coordinates one axis at a time among the occupied values, so no code
+    the 3^(n-1) - 1 around it.  A cell's code is its place among the sorted
+    distinct rows of the anchors' integer cell coordinates, so no code
     exceeds the number of anchors, whatever the extent of the cover.
     """
 
@@ -111,13 +114,7 @@ class _AnchorGrid:
         # whenever the exact test puts p in the tube at a
         err = 4.0 * n * n * np.finfo(float).eps * reach
         self.side = max(2.0 * width, 4.0 * err)
-        keys = self._keys(anchors)
-        self.levels = [np.unique(k) for k in keys.T]
-        code = np.searchsorted(self.levels[0], keys[:, 0])
-        self.joins = []
-        for level, k in zip(self.levels[1:], keys.T[1:]):
-            join, code = np.unique(code * len(level) + np.searchsorted(level, k), return_inverse=True)
-            self.joins.append(join)
+        self.cells, code = np.unique(_row_values(self._keys(anchors)), return_inverse=True)
         self.order = np.argsort(code, kind="stable")
         count = np.bincount(code)
         # one empty cell past the last, which code -1 (no anchor there) reads
@@ -127,22 +124,6 @@ class _AnchorGrid:
     def _keys(self, pts: np.ndarray) -> np.ndarray:
         return np.floor(pts @ self.cross.T / self.side).astype(np.int64)
 
-    @staticmethod
-    def _rank(values: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Index of each x in the sorted values, -1 where it is absent."""
-        i = np.searchsorted(values, x)
-        hit = values[np.minimum(i, len(values) - 1)] == x
-        return np.where(hit, i, -1)
-
-    def _cells(self, keys: np.ndarray) -> np.ndarray:
-        """Code of the cell at each row of keys, -1 where no anchor lies."""
-        code = self._rank(self.levels[0], keys[:, 0])
-        for level, join, k in zip(self.levels[1:], self.joins, keys.T[1:]):
-            rank = self._rank(level, k)
-            pair = self._rank(join, code * len(level) + rank)
-            code = np.where((code >= 0) & (rank >= 0), pair, -1)
-        return code
-
     def mark(self, block: np.ndarray, covered: np.ndarray) -> None:
         """Set covered for every row of block inside one of the tubes."""
         keys = self._keys(block)
@@ -150,7 +131,7 @@ class _AnchorGrid:
             todo = np.flatnonzero(~covered)
             if not todo.size:
                 return
-            cell = self._cells(keys[todo] + offset)
+            cell = _find_rows(self.cells, keys[todo] + offset)
             first, count = self.first[cell], self.count[cell]
             for r in range(int(count.max())):
                 live = np.flatnonzero((count > r) & ~covered[todo])

@@ -65,6 +65,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _row_values(a: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one void value, equal when its bytes are."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.dtype.itemsize * a.shape[1]))).ravel()
+
+
+def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Index of each row in the sorted ``_row_values`` table, -1 where absent."""
+    x = _row_values(rows)
+    i = np.searchsorted(table, x)
+    hit = table[np.minimum(i, len(table) - 1)] == x
+    return np.where(hit, i, -1)
+
+
 def unit_vector(v) -> np.ndarray:
     """Normalize v to unit length; rejects (near-)zero vectors."""
     v = _as_floats(v, "direction").ravel()
@@ -327,6 +341,9 @@ class ConvexPolytope:
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
+    """Finite point set in the given order.  A query is a member when it equals
+    a point: one binary search among the sorted rows of points + 0.0 (no -0.0)."""
+
     points: np.ndarray
 
     def __post_init__(self):
@@ -335,14 +352,17 @@ class PointCloud:
             raise DegenerateShapeError("point cloud needs at least one point")
         _check_ambient(p.shape[1])
         object.__setattr__(self, "points", _freeze(p))
+        object.__setattr__(self, "_rows", np.sort(_row_values(p + 0.0)))
 
     @property
     def dim(self) -> int:
         return self.points.shape[1]
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return (pts[:, None, :] == self.points[None, :, :]).all(axis=2).any(axis=1)
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise DimensionError(f"query points must have {self.dim} coordinates")
+        return _find_rows(self._rows, pts + 0.0) >= 0
 
     def support(self, d: np.ndarray) -> float:
         return float(np.max(self.points @ d))
@@ -488,12 +508,12 @@ def diameter(s: Shape) -> float:
         raise UnboundedShapeError("product set has infinite diameter")
     if not leaves:
         return 0.0
-    from scipy.spatial.distance import cdist
-
     pts, radii = (np.concatenate(parts) for parts in zip(*map(_witnesses, leaves)))
     best = 0.0
     for i in range(0, len(pts), _DIAMETER_ROWS):  # pairs (i, j) with j >= i suffice
-        block = cdist(pts[i:i + _DIAMETER_ROWS], pts[i:])
+        rows = pts[i:i + _DIAMETER_ROWS]
+        # summed one coordinate at a time, as scipy's cdist sums: equal bit for bit
+        block = np.sqrt(sum((rows[:, k, None] - pts[i:, k]) ** 2 for k in range(pts.shape[1])))
         block += radii[i:i + _DIAMETER_ROWS, None]
         block += radii[i:]
         best = max(best, float(block.max()))

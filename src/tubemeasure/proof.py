@@ -134,8 +134,7 @@ def _validate_packing_args(m: int, radius: float, max_depth: int) -> float:
         raise ParameterError(f"radius must be positive, got {radius}")
     if not isinstance(max_depth, (int, np.integer)) or not 1 <= max_depth <= 20:
         raise ParameterError(f"max_depth must be 1..20, got {max_depth}")
-    # boundary cells multiply by ~2^(m-1) per level; the cell limits are
-    # checked against the lattice census, so this bound is what keeps the
+    # boundary cells multiply by ~2^(m-1) per level; this bound keeps the
     # census rows (lattice points of an (m-1)-ball of radius 2^(depth-1))
     # near 10^6 and the walkthrough's last-rank lookup practical
     if (m - 1) * (max_depth - 1) > 21:
@@ -172,7 +171,12 @@ class SquarePacking:
 
     @functools.cached_property
     def cells(self) -> dict[int, np.ndarray]:
-        """Integer cell rows per depth, listed by the scan."""
+        """Integer cell rows per depth, listed by the scan below the storage limit."""
+        if self.n_squares > _MAX_STORED_CELLS:
+            raise ParameterError(
+                f"packing exceeds {_MAX_STORED_CELLS} stored cells; "
+                "reduce max_depth for this dimension"
+            )
         blocks: dict[int, list[np.ndarray]] = {}
         for depth, block in _scan_packing(self.m, self.max_depth):
             blocks.setdefault(depth, []).append(block)
@@ -251,17 +255,11 @@ def ball_square_packing(m: int, radius: float, max_depth: int) -> SquarePacking:
 
     Cells start at side r (depth 1) and halve per depth; a cell is kept
     once it fits entirely inside the ball, otherwise subdivided until
-    max_depth.  Deep packings in high dimension can hold millions of
-    cells; beyond a sanity limit, counted by the lattice census, the
-    packing is refused.  No cell is listed until one is read.
+    max_depth.  Deep packings in high dimension hold millions of cells, so
+    none is listed until one is read (see ``SquarePacking.cells``).
     """
     radius = _validate_packing_args(m, radius, max_depth)
     counts = _packing_census(m, max_depth)
-    if sum(counts.values()) > _MAX_STORED_CELLS:
-        raise ParameterError(
-            f"packing exceeds {_MAX_STORED_CELLS} stored cells; "
-            "reduce max_depth for this dimension"
-        )
     return SquarePacking(m=m, radius=radius, max_depth=max_depth, depth_counts=counts)
 
 

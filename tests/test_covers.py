@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import random_direction, random_shape
 from hypothesis import HealthCheck, given, settings, strategies as st
+from test_proof import _child_peak_rss_kb
 
 from tubemeasure import (
     Ball,
@@ -226,6 +228,33 @@ class TestIndexedCoverCheck:
         assert found[0] == (drop == 0.0)
 
 
+class TestAnchorCells:
+    def test_far_apart_anchors_match_oracle(self):
+        # anchor cells 1e9 apart at delta = 1e-6: cell coordinates near
+        # 10^13, and a side widened past 2 delta by rounding at that scale
+        rng = np.random.default_rng(5)
+        delta = Fraction(1, 10**6)
+        width = float(delta)
+        for trial in range(20):
+            n = int(rng.integers(2, 5))
+            frame = orthonormal_frame(random_direction(rng, n))
+            first = rng.uniform(-1.0, 1.0, n)
+            second = first + 1e9 * frame.cross[0]
+            tubes = tuple(SquareTube(frame=frame, anchor=a, half_width=delta) for a in (first, second))
+            inside = trial % 2 == 1  # well inside both tubes, or some points outside
+            rows = []
+            for anchor in (first, second, first, second):
+                y = rng.uniform(-1.0, 1.0, (10, n - 1)) * width * (0.25 if inside else 2.5)
+                if not inside:
+                    y[0, int(rng.integers(n - 1))] = width  # on a face
+                rows += list(anchor + y @ frame.cross + np.outer(rng.uniform(-5.0, 5.0, 10), frame.axis))
+            cloud = PointCloud(points=np.array(rows))
+            cover = TubeCover(tubes=tubes)
+            found = cover_check(cloud, cover)
+            assert_same_check(found, all_tubes_check(cloud, cover))
+            assert found[0] == inside
+
+
 class TestParallelCover:
     def test_cube_grid_is_exact(self):
         cover = parallel_cover_from_projection(unit_cube(), np.array([0, 0, 1.0]), 0.25)
@@ -380,6 +409,17 @@ class TestCloudLeaves:
         ok, witness = cover_check(union, cover, samples=20_000)
         assert not ok
         assert witness.tolist() == UNION_CLOUD[0]
+
+    def test_large_cloud_member_memory(self, tmp_path):
+        # comparing each sampled batch with all 2,000 cloud points peaked at 542 MB
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 3)).tolist()
+        shape = tmp_path / "F.json"
+        shape.write_text(json.dumps({"dim": 3, "kind": "union", "members": [
+            {"dim": 3, "kind": "ball", "center": [0, 0, 0], "radius": 0.5},
+            {"dim": 3, "kind": "cloud", "points": pts},
+        ]}))
+        argv = ("cover", "--shape", str(shape), "--parallel", "0,0,1", "1/8", "--samples", "20000")
+        assert _child_peak_rss_kb(*argv) < 150 * 1024
 
     def test_union_of_clouds_is_never_sampled(self, monkeypatch):
         # rejection sampling could not draw from a union of clouds and ran on

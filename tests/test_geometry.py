@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from conftest import random_direction, random_rotation, random_shape
+from hypothesis import given, settings, strategies as st
+from scipy.spatial.distance import cdist
 
 from tubemeasure import (
     Ball,
@@ -156,6 +158,45 @@ class TestShapes:
             Ball(center=np.zeros(9), radius=1.0)
 
 
+def broadcast_contains(points, pts):
+    """Reference PointCloud.contains: each query against every cloud point."""
+    pts = np.atleast_2d(pts)
+    return (pts[:, None, :] == points[None, :, :]).all(axis=2).any(axis=1)
+
+
+@st.composite
+def clouds_and_queries(draw):
+    """A cloud with repeated points and signed zeros, and queries drawn
+    from it (with the signs of their zeros flipped too) and from outside,
+    as floats or as integers."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]), min_size=n, max_size=n)
+    points = draw(st.lists(row, min_size=1, max_size=8))
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    queries = draw(st.lists(st.one_of(st.sampled_from(points), row), min_size=1, max_size=12))
+    queries += [[-x if x == 0.0 else x for x in q] for q in draw(st.lists(st.sampled_from(points), max_size=3))]
+    queries = np.array(queries)
+    if draw(st.booleans()):
+        queries = np.trunc(queries).astype(np.int64)
+    return np.array(points), queries
+
+
+class TestPointCloudMembership:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(clouds_and_queries())
+    def test_matches_broadcast_oracle(self, case):
+        points, queries = case
+        found = PointCloud(points=points).contains(queries)
+        assert found.tolist() == broadcast_contains(points, queries).tolist()
+
+    def test_query_of_another_dimension(self):
+        # a width-1 query used to broadcast against the 3-D point
+        cloud = PointCloud(points=np.array([[1.0, 1.0, 1.0]]))
+        for bad in ([[1.0]], [[1.0, 1.0]], np.ones((2, 4))):
+            with pytest.raises(DimensionError):
+                cloud.contains(bad)
+
+
 class TestDiameter:
     def test_ball(self):
         assert diameter(Ball(center=np.zeros(3), radius=1.0)) == pytest.approx(2.0)
@@ -199,6 +240,14 @@ class TestDiameter:
             ((cube, PointCloud(points=np.array([[-1.0, 0.0, 0.0]]))), math.sqrt(6.0)),
         ):
             assert diameter(UnionShape(members=members)) == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_cdist_bit_for_bit(self):
+        # the last set spans two blocks of rows
+        rng = np.random.default_rng(4)
+        for count in [*rng.integers(1, 40, 200), 1500]:
+            n = int(rng.integers(1, 9))
+            pts = rng.standard_normal((int(count), n)) * 10.0 ** rng.integers(-6, 7)
+            assert diameter(PointCloud(points=pts)) == float(cdist(pts, pts).max())
 
     def test_product_unbounded(self):
         prod = ProductSet(

@@ -233,13 +233,17 @@ class TestLatticeCensus:
         assert last == (61, 13)
 
     def test_storage_guard_counts_before_listing(self, monkeypatch):
-        # 38.7 M cells; listing them up to the limit took 4.7 GB
+        # 38.7 M cells; listing them up to the limit took 4.7 GB.  The
+        # census is reported; only reading the cells is refused.
         def refuse(*args):
             raise AssertionError("the storage guard must not list cells")
 
         monkeypatch.setattr(proof_module, "_scan_packing", refuse)
+        packing = ball_square_packing(4, 1.0, 8)
+        assert packing.n_squares == 38_749_648
+        assert "squares" not in packing.to_dict()
         with pytest.raises(ParameterError, match="stored cells"):
-            ball_square_packing(4, 1.0, 8)
+            packing.cells
 
     def test_census_and_rank_never_scan(self, monkeypatch):
         def refuse(*args):
