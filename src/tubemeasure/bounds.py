@@ -1,7 +1,8 @@
 """Upper and lower bounds for the tube measure of a bounded set.
 
 The tube measure mu(E) is the infimum of sum gamma_{n-1} r_i^{n-1} over
-countable tube covers of E.  Two workhorse inequalities bracket it:
+countable tube covers of E; each tube evaluates its own cost once, at
+construction.  Two workhorse inequalities bracket it:
 
 * any single direction d gives mu(E) <= measure of the shadow of E
   along d, because a parallel bundle of tubes over the shadow covers E;
@@ -9,10 +10,10 @@ countable tube covers of E.  Two workhorse inequalities bracket it:
   at most diam(E) * gamma_{n-1} r^{n-1} of E's volume.
 
 The upper bound is best at the least shadow, which
-``upper_bound_min_projection`` finds exactly for convex polytopes, by
-enumerating the vertices of their facet-normal arrangement, and in
-closed form for balls and cuboids.  A union's shadow is at most the sum
-of its members' shadows, whose minimum the same arrangement gives; in
+``upper_bound_min_projection`` finds in closed form for balls and
+cuboids.  A polytope's shadow, and an upper bound for a union's, is a
+sum of its leaves' Cauchy terms (``projection._cauchy_terms``), whose
+least value sits at a vertex of the arrangement of their normals; in
 R^2 and R^3 the union's exact shadows along 256 fixed directions join
 in.  Every candidate is an exact shadow, so the reported least one is a
 valid upper bound.  In the plane the least shadow is the minimal width
@@ -46,10 +47,9 @@ from .geometry import (
     _leaves,
     canonical_direction,
     diameter,
-    unit_ball_volume,
 )
 from .montecarlo import VOLUME_SAMPLES, mc_volume
-from .projection import Shadow, shadow_values_batch
+from .projection import Shadow, _cauchy_terms, shadow_values_batch
 
 _VERTEX_BUDGET = 1 << 18  # arrangement vertices enumerated per polytope
 _EVAL_CHUNK = 1 << 20  # direction-by-generator products held at once
@@ -59,15 +59,13 @@ _UNION_DIRECTIONS = 256  # fixed directions of a union's own shadow in R^2 and R
 
 
 def tube_exact_measure(tube: Tube) -> float:
-    """Cost gamma_{n-1} r^{n-1} of one round tube: its exact tube measure."""
-    m = tube.dim - 1
-    return unit_ball_volume(m) * tube.radius ** m
+    """Cost gamma_{n-1} r^{n-1} of one round tube, as it keeps it: its exact tube measure."""
+    return tube._cost
 
 
 def square_tube_exact_measure(tube: SquareTube) -> float:
-    """Cost (2 delta)^{n-1} of one square tube."""
-    m = tube.dim - 1
-    return float((2 * tube.half_width) ** m)
+    """Cost (2 delta)^{n-1} of one square tube, as it keeps it."""
+    return tube._cost
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:
@@ -204,24 +202,12 @@ def _min_shadow(s: Shape) -> tuple:
         full = 2.0 * s.half_lengths
         longest = canonical_direction(s.axes[int(np.argmax(full))])
         return float(np.prod(full) / full.max()), longest, "closed form"
-    if isinstance(s, ConvexPolytope):
-        gens, weights = _generators(*s.facet_arrays)
-        return _cauchy_minimum(gens, weights, 0.0)
-    # a union: balls add a constant to the sum of member shadows, cuboids
-    # and polytopes their Cauchy generators, clouds nothing; products raise
-    normals, measures, constant = [np.zeros((0, n))], [np.zeros(0)], 0.0
-    for leaf in leaves:
-        if isinstance(leaf, Cuboid):
-            full = 2.0 * leaf.half_lengths
-            normals.append(leaf.axes)
-            measures.append(2.0 * np.prod(full) / full)
-        elif isinstance(leaf, ConvexPolytope):
-            normals.append(leaf.facet_arrays[0])
-            measures.append(leaf.facet_arrays[1])
-        else:
-            constant += float(shadow_values_batch(leaf, e1[None])[0])
+    # a polytope or a union: the least sum of its leaves' Cauchy terms
+    normals, measures, constants = zip(*map(_cauchy_terms, leaves))
     gens, weights = _generators(np.concatenate(normals), np.concatenate(measures))
-    value, direction, path = _cauchy_minimum(gens, weights, constant)
+    value, direction, path = _cauchy_minimum(gens, weights, sum(constants))
+    if isinstance(s, ConvexPolytope):
+        return value, direction, path
     if n > 3:
         return value, direction, f"sum of member shadows, {path}"
     # the union's own shadow is exact in R^2 and R^3, and never above the sum

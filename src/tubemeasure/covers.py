@@ -31,11 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateShapeError, DimensionError, ParameterError
-from .bounds import (
-    square_tube_exact_measure,
-    tube_exact_measure,
-    upper_bound_min_projection,
-)
+from .bounds import upper_bound_min_projection
 from .geometry import (
     PointCloud,
     Shape,
@@ -81,16 +77,11 @@ class TubeCover:
         return len(self.tubes)
 
 
-def _tube_cost(tube) -> float:
-    if isinstance(tube, Tube):
-        return tube_exact_measure(tube)
-    return square_tube_exact_measure(tube)
-
-
 def cover_cost(cover: TubeCover) -> float:
-    """Total cost of the cover; math.fsum makes the float sum exact,
-    so cost is additive under list concatenation."""
-    return math.fsum(_tube_cost(t) for t in cover.tubes)
+    """Total cost of the cover: the sum of the costs each tube kept at
+    construction (see ``Tube`` and ``SquareTube``); math.fsum makes the
+    float sum exact, so cost is additive under list concatenation."""
+    return math.fsum(t._cost for t in cover.tubes)
 
 
 class _AnchorGrid:

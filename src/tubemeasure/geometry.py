@@ -524,11 +524,18 @@ def diameter(s: Shape) -> float:
 # tubes
 
 
+def _square_cost(num: int, den: int, m: int) -> float:
+    """Cost (2 delta)^m of a square tube, delta = num / den, by one correctly
+    rounded integer division: float((2 delta)^m), or OverflowError."""
+    return (2 * num) ** m / den ** m
+
+
 @dataclass(frozen=True, eq=False)
 class Tube:
     """Closed r-neighbourhood of the line through ``point`` along ``axis``.
 
-    A radius whose cost gamma_(n-1) r^(n-1) overflows a float is rejected.
+    Its cost gamma_(n-1) r^(n-1) is evaluated once and kept; a radius
+    whose cost is not a finite float is rejected.
     """
 
     point: np.ndarray
@@ -545,14 +552,15 @@ class Tube:
         if not (math.isfinite(r) and r > 0):
             raise ParameterError(f"tube radius must be positive and finite, got {r}")
         try:
-            finite = math.isfinite(unit_ball_volume(p.size - 1) * r ** (p.size - 1))
+            cost = unit_ball_volume(p.size - 1) * r ** (p.size - 1)
         except OverflowError:
-            finite = False
-        if not finite:
+            cost = math.inf
+        if not math.isfinite(cost):
             raise ParameterError("tube radius too large: its cost overflows a float")
         object.__setattr__(self, "point", _freeze(p))
         object.__setattr__(self, "axis", _freeze(a))
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "_cost", cost)
 
     @property
     def dim(self) -> int:
@@ -574,8 +582,9 @@ class SquareTube:
 
     The half-width is kept as an exact rational so that refinement and
     packing arguments can compare widths without rounding; membership
-    tests use its float, taken once.  A half-width whose float or whose
-    cost (2 delta)^(n-1) overflows is rejected.
+    tests use its float, taken once.  The cost (2 delta)^(n-1) is rounded
+    once from the exact rational and kept; a half-width whose cost does
+    not round to a finite float is rejected.
     """
 
     frame: Frame
@@ -593,16 +602,17 @@ class SquareTube:
             hw = Fraction(hw)
         if hw <= 0:
             raise ParameterError(f"square tube half-width must be positive, got {hw}")
+        num, den = hw.as_integer_ratio()
         try:
-            width = float(hw)
-            finite = math.isfinite((2.0 * width) ** (a.size - 1))
+            cost = _square_cost(num, den, a.size - 1)
         except OverflowError:
-            finite = False
-        if not finite:
-            raise ParameterError("square tube half-width too large: its cost overflows a float")
+            raise ParameterError(
+                "square tube half-width too large: its cost overflows a float"
+            ) from None
         object.__setattr__(self, "anchor", _freeze(a))
         object.__setattr__(self, "half_width", hw)
-        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_width", num / den)
+        object.__setattr__(self, "_cost", cost)
 
     @property
     def dim(self) -> int:

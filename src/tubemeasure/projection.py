@@ -1,9 +1,10 @@
 """Shadows: orthogonal projections onto the hyperplane of a direction.
 
 ``Shadow`` fixes a direction d, builds the cross-frame of d, and exposes
-the projected shape in cross-frame coordinates (n-1 of them).  Convex
-pieces project to convex sets with closed-form measure, via the facet
-formula  area = 1/2 * sum_F |d . n_F| * measure(F).  Unions are exact in
+the projected shape in cross-frame coordinates (n-1 of them).  A leaf's
+shadow is closed form by Cauchy's formula constant + 1/2 sum_i w_i |d . n_i|,
+whose terms ``_cauchy_terms`` alone tabulates per kind, for the batched
+shadows here and the least-shadow search in ``bounds``.  Unions are exact in
 R^2, where their shadow is a union of intervals, and in R^3, where it is a
 union of disks and convex polygons whose area Green's theorem gives in
 closed form; from R^4 on they fall back to seeded Monte Carlo.
@@ -38,6 +39,7 @@ from .geometry import (
 from .montecarlo import TAG_SHADOW, _check_samples, _mc_box_fraction
 
 _CONTACT_RTOL = 1e-9  # planar boundaries this close, relative to the shadow's size, touch
+_SHADOW_SAMPLES = 200_000  # default Monte Carlo samples of a shadow's measure
 
 
 class _BoxOracle:
@@ -353,7 +355,7 @@ class Shadow:
         """World point whose cross-frame coordinates equal y."""
         return np.asarray(y, dtype=float) @ self.frame.cross
 
-    def area(self, samples: int = 200_000, seed: int = 0) -> tuple[float, float]:
+    def area(self, samples: int = _SHADOW_SAMPLES, seed: int = 0) -> tuple[float, float]:
         """(measure, standard error); exact values report zero error."""
         if self._exact is not None:
             return self._exact, 0.0
@@ -366,37 +368,44 @@ class Shadow:
         return box * p, box * se
 
 
-def shadow_area(s: Shape, direction, samples: int = 200_000, seed: int = 0) -> float:
+def shadow_area(s: Shape, direction, samples: int = _SHADOW_SAMPLES, seed: int = 0) -> float:
     """Measure of the projection of s onto the hyperplane orthogonal to d."""
     return Shadow(s, direction).area(samples=samples, seed=seed)[0]
+
+
+def _cauchy_terms(leaf: Shape) -> tuple[np.ndarray, np.ndarray, float]:
+    """(normals, weights, constant): along a unit d the leaf's shadow measures
+    constant + 1/2 sum_i weights_i |normals_i . d| (Cauchy's formula).  A ball
+    gives gamma_(n-1) r^(n-1), a cloud 0, a cuboid its axes weighted by their
+    two faces' measure, a polytope its facets weighted by their measures."""
+    if isinstance(leaf, Ball):
+        m = leaf.dim - 1
+        return np.zeros((0, leaf.dim)), np.zeros(0), unit_ball_volume(m) * leaf.radius ** m
+    if isinstance(leaf, Cuboid):
+        full = 2.0 * leaf.half_lengths
+        return leaf.axes, 2.0 * (np.prod(full) / full), 0.0  # finite wherever the faces are
+    if isinstance(leaf, ConvexPolytope):
+        return *leaf.facet_arrays, 0.0
+    if isinstance(leaf, PointCloud):
+        return np.zeros((0, leaf.dim)), np.zeros(0), 0.0
+    if isinstance(leaf, ProductSet):
+        raise UnboundedShapeError("product set has no bounded shadow")
+    raise ParameterError(f"not a shape: {type(leaf).__name__}")
 
 
 def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:
     """Vectorized exact shadows over many unit directions, or None.
 
-    Serves the closed-form shadows of single leaves; only closed-form
-    kinds qualify.  ``directions`` has unit rows.
+    Exact for one leaf, alone or as a union, from its ``_cauchy_terms``;
+    None for a union of more leaves.  ``directions`` has unit rows.
     """
     D = np.atleast_2d(directions)
-    if isinstance(s, Ball):
-        m = s.dim - 1
-        return np.full(len(D), unit_ball_volume(m) * s.radius ** m)
-    if isinstance(s, Cuboid):
-        full = 2.0 * s.half_lengths
-        per_axis = float(np.prod(full)) / full
-        return np.abs(D @ s.axes.T) @ per_axis
-    if isinstance(s, ConvexPolytope):
-        normals, measures = s.facet_arrays
-        return 0.5 * np.abs(D @ normals.T) @ measures
-    if isinstance(s, PointCloud):
-        return np.zeros(len(D))
     if isinstance(s, UnionShape):
         leaves = _leaves(s)
+        if len(leaves) > 1:
+            return None
         if not leaves:
             return np.zeros(len(D))
-        if len(leaves) == 1:
-            return shadow_values_batch(leaves[0], D)
-        return None
-    if isinstance(s, ProductSet):
-        raise UnboundedShapeError("product set has no bounded shadow")
-    raise ParameterError(f"not a shape: {type(s).__name__}")
+        s = leaves[0]
+    normals, weights, constant = _cauchy_terms(s)
+    return constant + 0.5 * np.abs(D @ normals.T) @ weights

@@ -57,6 +57,7 @@ from .geometry import (
     MAX_DIM,
     SquareTube,
     Tube,
+    _square_cost,
     orthonormal_frame,
     unit_ball_volume,
     unit_vector,
@@ -734,10 +735,8 @@ def _select_square_tube(
     listing the packing.  Returns (SquareTube, detail dict).
     """
     m = tube.dim - 1
-    radius = Fraction(tube.radius)
-    groups = [
-        (counts[d], float((2 * radius / 2 ** d) ** m)) for d in sorted(counts)
-    ]
+    num, den = tube.radius.as_integer_ratio()
+    groups = [(counts[d], _square_cost(num, den * 2 ** d, m)) for d in sorted(counts)]
     index, share, retries = _stream_pigeonhole(groups, eps, seed, key)
     cell_depth, cell = _packing_cell_by_rank(m, depth, index)
     square = _cell_tube(tube, orthonormal_frame(tube.axis), cell, cell_depth)

@@ -5,9 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
+    random_ball,
+    random_cloud,
     random_convex_polygon,
     random_cuboid,
     random_direction,
+    random_polytope,
     random_shape,
     random_tube,
 )
@@ -16,6 +19,7 @@ from tubemeasure import (
     Ball,
     BoundReport,
     ConvexPolytope,
+    Cuboid,
     DegenerateShapeError,
     DimensionError,
     InvariantError,
@@ -37,10 +41,12 @@ from tubemeasure import (
     square_tube_exact_measure,
     truncated_product_lower,
     tube_exact_measure,
+    unit_ball_volume,
     upper_bound_min_projection,
 )
 from tubemeasure import bounds
-from tubemeasure.projection import shadow_values_batch
+from tubemeasure.geometry import _leaves
+from tubemeasure.projection import Shadow, shadow_values_batch
 
 
 def unit_cube():
@@ -81,6 +87,48 @@ class TestExactTubeCosts:
                 frame=identity_frame(n), anchor=np.zeros(n), half_width=delta
             )
             assert square_tube_exact_measure(tube) == expected
+
+    def test_costs_match_exact_rationals_bit_for_bit(self):
+        # each tube keeps the cost it checks at construction; the formulas
+        # that evaluated it on demand stay here as oracles
+        rng = np.random.default_rng(37)
+        for trial in range(4000):
+            m = trial % 7 + 1
+            if trial % 2:
+                delta = Fraction(float(10.0 ** rng.uniform(-30.0, 30.0)))
+            else:
+                delta = Fraction(int(rng.integers(1, 10 ** 12)), int(rng.integers(1, 10 ** 12)))
+                delta *= Fraction(10) ** int(rng.integers(-30, 31))
+            tube = SquareTube(frame=identity_frame(m + 1), anchor=np.zeros(m + 1), half_width=delta)
+            assert square_tube_exact_measure(tube).hex() == float((2 * delta) ** m).hex()
+            assert tube._width.hex() == float(delta).hex()
+            radius = float(10.0 ** rng.uniform(-30.0, 30.0))
+            round_tube = axis_tube(m + 1, radius)
+            assert tube_exact_measure(round_tube).hex() == (unit_ball_volume(m) * radius ** m).hex()
+
+    def test_overflow_rule_is_the_float_of_the_cost(self):
+        # a square tube is refused exactly when float((2 delta)^m) overflows;
+        # half-widths step across the edge where (2 delta)^m reaches the
+        # midpoint between the largest float and 2^1024
+        edge = 2 ** 1024 - 2 ** 970
+        for m in range(1, 8):
+            lo, hi = 0, 1 << (edge.bit_length() // m + 61)  # bisect the root of edge * 2^(60 m)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if mid ** m <= edge << (60 * m) else (lo, mid)
+            for k in range(-5, 6):
+                delta = Fraction(lo + k, 2 ** 61)
+                try:
+                    cost = float((2 * delta) ** m)
+                except OverflowError:
+                    cost = None
+                frame, anchor = identity_frame(m + 1), np.zeros(m + 1)
+                if cost is None:
+                    with pytest.raises(ParameterError, match="overflows a float"):
+                        SquareTube(frame=frame, anchor=anchor, half_width=delta)
+                else:
+                    tube = SquareTube(frame=frame, anchor=anchor, half_width=delta)
+                    assert square_tube_exact_measure(tube) == cost
 
 
 class TestUpperBound:
@@ -160,7 +208,47 @@ def member_sum(members, directions):
     return sum(shadow_values_batch(m, directions) for m in members)
 
 
+def union_loop_min_shadow(s):
+    """(value, direction, method) of a union's least shadow, its members'
+    Cauchy terms gathered by a loop over their kinds, as ``_min_shadow``
+    gathered them before one table served every kind."""
+    n = s.dim
+    normals, measures, constant = [np.zeros((0, n))], [np.zeros(0)], 0.0
+    for leaf in _leaves(s):
+        if isinstance(leaf, Cuboid):
+            full = 2.0 * leaf.half_lengths
+            normals.append(leaf.axes)
+            measures.append(2.0 * np.prod(full) / full)
+        elif isinstance(leaf, ConvexPolytope):
+            normals.append(leaf.facet_arrays[0])
+            measures.append(leaf.facet_arrays[1])
+        elif isinstance(leaf, Ball):
+            constant += unit_ball_volume(n - 1) * leaf.radius ** (n - 1)
+    gens, weights = bounds._generators(np.concatenate(normals), np.concatenate(measures))
+    value, direction, path = bounds._cauchy_minimum(gens, weights, constant)
+    if n > 3:
+        return value, direction, f"sum of member shadows, {path}"
+    grid = sphere_directions(n, 256)
+    directions = np.vstack([grid, direction])
+    values = np.array([Shadow(s, d).exact_area for d in directions])
+    best = bounds._least(values, directions, (math.inf, None))
+    return (*best, f"grid {len(grid)} of exact shadows, plus the member-sum minimizer")
+
+
 class TestUnionMemberSum:
+    def test_matches_the_member_loop_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        makers = (random_ball, random_cuboid, random_polytope, random_cloud)
+        for trial in range(16):
+            n = 2 + trial % 4  # one member of each kind first, in R^2..R^5
+            kinds = [0, 1, 2, 3] if trial < 4 else list(rng.integers(0, 4, int(rng.integers(2, 5))))
+            union = UnionShape(members=tuple(makers[k](rng, n) for k in kinds))
+            value, direction, method = union_loop_min_shadow(union)
+            got, witness = upper_bound_min_projection(union)
+            assert got.hex() == value.hex(), (trial, kinds)
+            assert witness.tobytes() == direction.tobytes(), (trial, kinds)
+            assert bounds._min_shadow(union)[2] == method, (trial, kinds)
+
     def test_ball_and_box_in_r4(self):
         ball = Ball(center=np.zeros(4), radius=1.0)
         box = axis_aligned_cuboid(np.array([3.0, 0.0, 0.0, 0.0]), np.array([0.5, 0.4, 0.3, 0.2]))

@@ -254,6 +254,24 @@ class TestAnchorCells:
             assert_same_check(found, all_tubes_check(cloud, cover))
             assert found[0] == inside
 
+    def test_cells_widened_past_rounding_hold_their_points(self):
+        # delta = 1e-7 at coordinates near 1e9, where one float step (about
+        # 1.2e-7) exceeds delta: a point inside a tube can round two cells
+        # of side 2 delta away from its anchor's, so cells must widen
+        rng = np.random.default_rng(6)
+        delta = Fraction(1, 10**7)
+        width = float(delta)
+        for trial in range(18):
+            n = 2 + trial % 3
+            frame = orthonormal_frame(random_direction(rng, n))
+            anchors = rng.uniform(-1e9, 1e9, (3, n))
+            tubes = tuple(SquareTube(frame=frame, anchor=a, half_width=delta) for a in anchors)
+            y = rng.uniform(-width, width, (3, 500, n - 1)) @ frame.cross
+            along = rng.uniform(-5.0, 5.0, (3, 500, 1)) * frame.axis
+            pts = (anchors[:, None] + y + along).reshape(-1, n)
+            cloud = PointCloud(points=pts[np.any([t.contains(pts) for t in tubes], axis=0)])
+            assert cover_check(cloud, TubeCover(tubes=tubes)) == (True, None)
+
 
 class TestParallelCover:
     def test_cube_grid_is_exact(self):
@@ -410,16 +428,25 @@ class TestCloudLeaves:
         assert not ok
         assert witness.tolist() == UNION_CLOUD[0]
 
-    def test_large_cloud_member_memory(self, tmp_path):
-        # comparing each sampled batch with all 2,000 cloud points peaked at 542 MB
+    def large_cloud_union(self, tmp_path):
         pts = np.random.default_rng(0).uniform(-1.0, 1.0, (2000, 3)).tolist()
         shape = tmp_path / "F.json"
         shape.write_text(json.dumps({"dim": 3, "kind": "union", "members": [
             {"dim": 3, "kind": "ball", "center": [0, 0, 0], "radius": 0.5},
             {"dim": 3, "kind": "cloud", "points": pts},
         ]}))
-        argv = ("cover", "--shape", str(shape), "--parallel", "0,0,1", "1/8", "--samples", "20000")
+        return str(shape)
+
+    def test_large_cloud_member_memory(self, tmp_path):
+        # comparing each sampled batch with all 2,000 cloud points peaked at 542 MB
+        shape = self.large_cloud_union(tmp_path)
+        argv = ("cover", "--shape", shape, "--parallel", "0,0,1", "1/8", "--samples", "20000")
         assert _child_peak_rss_kb(*argv) < 150 * 1024
+
+    def test_large_cloud_member_bounds_memory(self, tmp_path):
+        # the volume sample compared each batch with every cloud point: 574 MB
+        shape = self.large_cloud_union(tmp_path)
+        assert _child_peak_rss_kb("bounds", "--shape", shape) < 150 * 1024
 
     def test_union_of_clouds_is_never_sampled(self, monkeypatch):
         # rejection sampling could not draw from a union of clouds and ran on

@@ -2,11 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_direction, random_shape
+from conftest import (
+    random_ball,
+    random_cloud,
+    random_cuboid,
+    random_direction,
+    random_polytope,
+    random_shape,
+)
 
 from tubemeasure import (
     Ball,
     ConvexPolytope,
+    Cuboid,
     PointCloud,
     ProductSet,
     Shadow,
@@ -15,6 +23,7 @@ from tubemeasure import (
     axis_aligned_cuboid,
     mc_volume,
     shadow_area,
+    unit_ball_volume,
 )
 from tubemeasure.montecarlo import BATCH, TAG_SHADOW, _mc_box_fraction, batch_rng
 from tubemeasure.projection import shadow_values_batch
@@ -22,6 +31,23 @@ from tubemeasure.projection import shadow_values_batch
 
 def unit_cube():
     return axis_aligned_cuboid(np.full(3, 0.5), np.full(3, 0.5))
+
+
+def per_kind_shadows(leaf, D):
+    """Exact shadows of one leaf by a formula per kind, as the batch
+    evaluator wrote them before every kind read one table of Cauchy terms."""
+    if isinstance(leaf, Ball):
+        m = leaf.dim - 1
+        return np.full(len(D), unit_ball_volume(m) * leaf.radius ** m)
+    if isinstance(leaf, Cuboid):
+        full = 2.0 * leaf.half_lengths
+        per_axis = float(np.prod(full)) / full
+        return np.abs(D @ leaf.axes.T) @ per_axis
+    if isinstance(leaf, ConvexPolytope):
+        normals, measures = leaf.facet_arrays
+        return 0.5 * np.abs(D @ normals.T) @ measures
+    assert isinstance(leaf, PointCloud)
+    return np.zeros(len(D))
 
 
 class TestExactShadows:
@@ -284,3 +310,21 @@ class TestBatchValues:
         )
         dirs = np.eye(3)
         assert shadow_values_batch(union, dirs) is None
+
+    def test_matches_per_kind_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(16)
+        makers = (random_ball, random_cuboid, random_polytope, random_cloud)
+        # a volume near the largest float: doubled before the division, the
+        # weights overflowed and an axis direction read 0 * inf
+        leaves = [axis_aligned_cuboid(np.zeros(2), np.full(2, 5e153))]
+        leaves += [makers[trial % 4](rng, n) for n in range(2, 9) for trial in range(12)]
+        for leaf in leaves:
+            n = leaf.dim
+            batches = [np.eye(n)] + [
+                np.array([random_direction(rng, n) for _ in range(count)]) for count in (1, 2, 7, 64)
+            ]
+            for D in batches:
+                want = per_kind_shadows(leaf, D)
+                for shape in (leaf, UnionShape(members=(leaf,))):
+                    got = shadow_values_batch(shape, D)
+                    assert got.tobytes() == want.tobytes(), (n, type(leaf).__name__, len(D))

@@ -822,6 +822,35 @@ class TestWalkthrough:
         build = next(s for s in report.steps if s.name == "build_cuboids")
         assert build.outputs["vertices_contained"] is True
 
+    @pytest.mark.parametrize(
+        "n, depth", [(2, 20), (3, 20), (4, 11), (5, 8), (6, 6), (7, 5), (8, 4)]
+    )
+    def test_deepest_admitted_walkthroughs_pass(self, n, depth):
+        assert run_proof_walkthrough(n, depth, seed=3).all_passed
+        with pytest.raises(ParameterError):
+            run_proof_walkthrough(n, depth + 1, seed=3)
+
+    def test_cell_masses_are_floats_of_exact_rationals(self, monkeypatch):
+        # a selection weighs the cells of depth d by (2 r / 2^d)^m, rounded
+        # once from the exact rational, for every walkthrough radius r
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def record(groups, *args):
+            seen.append([mass.hex() for _, mass in groups])
+            raise Stop
+
+        monkeypatch.setattr(proof_module, "_stream_pigeonhole", record)
+        counts = {d: 1 for d in range(1, 21)}
+        for r in proof_module._RADII_FIRST + proof_module._RADII_SECOND:
+            for m in range(1, 8):
+                tube = Tube(point=np.zeros(m + 1), axis=np.eye(m + 1)[-1], radius=float(r))
+                with pytest.raises(Stop):
+                    proof_module._select_square_tube(tube, 20, counts, 0.1, 0, 0)
+                assert seen.pop() == [float((2 * r / 2 ** d) ** m).hex() for d in range(1, 21)]
+
     def test_argument_validation(self):
         with pytest.raises(DimensionError):
             run_proof_walkthrough(1, 3)
