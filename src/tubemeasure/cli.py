@@ -128,9 +128,64 @@ def _flatten(obj, prefix: str = ""):
     return rows
 
 
+# Compact reports shorter than this are faster through the stdlib's
+# indent=2 encoder than through the C encoder plus a re-indent; the two
+# cost the same near 1,000 characters.
+_REINDENT_MIN_CHARS = 1024
+
+# class of each byte of compact JSON: 1 comma, 2 opener, 3 closer, 4 quote
+_CHAR_CLASS = np.zeros(256, np.int8)
+_CHAR_CLASS[[ord(c) for c in ',[{]}"']] = [1, 2, 2, 3, 3, 4]
+_IS_MARK = (_CHAR_CLASS != 0).tobytes()  # bytes.translate table: 1 where classed
+
+
+def _json_indent2(report) -> str:
+    """``json.dumps(report, indent=2) + "\\n"``, byte for byte.
+
+    A long report is encoded by the C encoder with the item and key
+    separators of ``indent=2`` and no whitespace, and each newline plus
+    indent is then inserted in one pass over the structural characters:
+    after every comma and every bracket that does not open an empty
+    container, before every bracket that does not close one.  The
+    indent is the nesting depth after that character.  Escaped
+    backslashes, then escaped quotes, are blanked out first, so the
+    quotes left are string delimiters, and a structural character lies
+    inside a string when an odd number of them precedes it.
+    """
+    text = json.dumps(report, separators=(",", ": "))
+    if len(text) < _REINDENT_MIN_CHARS:
+        return json.dumps(report, indent=2) + "\n"
+    raw = text.encode("ascii")  # ensure_ascii leaves no other character
+    masked = raw.replace(b"\\\\", b"__").replace(b'\\"', b"__")
+    pos = np.flatnonzero(np.frombuffer(masked.translate(_IS_MARK), np.bool_)).astype(np.int32)
+    kind = _CHAR_CLASS[np.frombuffer(masked, np.uint8)[pos]]
+    del masked
+    quote = kind == 4
+    keep = ~(np.logical_xor.accumulate(quote) | quote)
+    pos, kind = pos[keep], kind[keep]
+    depth = np.cumsum(np.array([0, 0, 1, -1], np.int32)[kind], dtype=np.int32)
+    empty = (kind[:-1] == 2) & (kind[1:] == 3) & (np.diff(pos) == 1)
+    run = np.ones(len(pos), np.bool_)
+    run[:-1] &= ~empty
+    run[1:] &= ~empty
+    at = pos[run] + (kind[run] != 3)  # after a comma or an opener, before a closer
+    width = 1 + 2 * depth[run]
+    # the output alternates copied stretches of the text with inserted runs
+    stretch = np.empty(2 * len(at) + 1, np.int64)
+    stretch[0::2] = np.diff(at, prepend=0, append=len(raw))
+    stretch[1::2] = width
+    copied = np.repeat(np.resize(np.array([True, False]), len(stretch)), stretch)
+    out = np.full(len(copied) + 1, ord(" "), np.uint8)
+    out[:-1][copied] = np.frombuffer(raw, np.uint8)
+    del copied, raw
+    out[at + np.cumsum(width, dtype=np.int64) - width] = ord("\n")
+    out[-1] = ord("\n")
+    return str(out, "ascii")
+
+
 def _emit(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2) + "\n"
+        return _json_indent2(report)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])

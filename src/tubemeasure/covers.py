@@ -80,8 +80,12 @@ class TubeCover:
 def cover_cost(cover: TubeCover) -> float:
     """Total cost of the cover: the sum of the costs each tube kept at
     construction (see ``Tube`` and ``SquareTube``); math.fsum makes the
-    float sum exact, so cost is additive under list concatenation."""
-    return math.fsum(t._cost for t in cover.tubes)
+    float sum exact, so cost is additive under list concatenation.  A
+    total that overflows a float is rejected, as a single tube's is."""
+    try:
+        return math.fsum(t._cost for t in cover.tubes)
+    except OverflowError:
+        raise ParameterError("cover too costly: its total cost overflows a float") from None
 
 
 class _AnchorGrid:

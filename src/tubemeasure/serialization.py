@@ -273,7 +273,10 @@ def shape_from_json(obj) -> Shape:
 
 
 def cover_to_json(cover: TubeCover) -> list:
+    """The cover as a list of tube dicts; tubes sharing one Frame object
+    share one frame dict, encoded once."""
     out = []
+    frames = {}
     for tube in cover.tubes:
         if isinstance(tube, Tube):
             out.append(
@@ -285,11 +288,13 @@ def cover_to_json(cover: TubeCover) -> list:
                 }
             )
         else:  # a square tube; TubeCover admits no other kind
+            if id(tube.frame) not in frames:
+                frames[id(tube.frame)] = _frame_to_json(tube.frame)
             out.append(
                 {
                     "kind": "square",
                     "anchor": _jsonable(tube.anchor),
-                    "frame": _frame_to_json(tube.frame),
+                    "frame": frames[id(tube.frame)],
                     "delta": rational_to_json(tube.half_width),
                 }
             )

@@ -246,6 +246,22 @@ class TestCover:
         assert code == 2 and out == ""
         assert err.startswith("input error:") and "too large" in err
 
+    def test_total_cost_overflow_is_an_input_error(self, tmp_path, capsys):
+        # each tube's cost (2 delta)^2 = 1.44e308 is a float, their sum is not
+        square = {
+            "kind": "square",
+            "anchor": [0.0, 0.0, 0.0],
+            "frame": {"axis": [0.0, 0.0, 1.0], "cross": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+            "delta": {"num": 6 * 10 ** 153, "den": 1},
+        }
+        cover_path = tmp_path / "costly.json"
+        cover_path.write_text(json.dumps([square, dict(square, anchor=[1.0, 0.0, 0.0])]))
+        code, out, err = run(
+            capsys, ["cover", "--shape", "tetrahedron", "--cover", str(cover_path)]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "overflows a float" in err
+
     def test_huge_round_tube_is_an_input_error(self, tmp_path, capsys):
         # the radius has a float, but its cost gamma_2 r^2 has none
         thick = {"kind": "round", "point": [0.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0], "r": 1e200}
@@ -411,6 +427,60 @@ class TestConfigEcho:
             "frame_orthonormality": FRAME_ORTHO_TOL,
             "algebraic_agreement": AGREEMENT_TOL,
         }
+
+
+class TestReportLayout:
+    """A report is json.dumps(report, indent=2) plus a newline, whether it is
+    short or long, and --format csv flattens the same report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--shape", "tetrahedron", "--samples", "2000"],
+            ["plank", "--shape", "SQUARE2"],
+            ["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1/8", "--samples", "2000"],
+            ["cover", "--shape", "CLOUD3", "--search"],
+            ["cover", "--shape", "tetrahedron", "--cover", "COVER", "--samples", "2000"],
+            ["pack", "--dim", "2", "--depth", "6", "--radius", "0.7"],
+            ["refine", "--widths", "3/4", "5/6"],
+            ["proof", "--dim", "3", "--depth", "4"],
+        ],
+        ids=lambda argv: " ".join(argv[:4]),
+    )
+    def test_indent2_layout_and_csv(self, tmp_path, capsys, argv):
+        files = {
+            "SQUARE2": shape_file(tmp_path, SQUARE2, "square.json"),
+            "CLOUD3": shape_file(tmp_path, CLOUD3, "cloud.json"),
+            "COVER": shape_file(
+                tmp_path,
+                [{"kind": "round", "point": [0.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0], "r": 2.0}],
+                "cover.json",
+            ),
+        }
+        argv = [files.get(a, a) for a in argv]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        report = json.loads(out)
+        assert out == json.dumps(report, indent=2) + "\n"
+        code, csv_out, err = run(capsys, [*argv, "--format", "csv"])
+        assert code == 0, err
+        report["config"]["output_format"] = "csv"
+        assert csv_out == cli._emit(report, "csv")
+
+    def test_csv_bytes(self, capsys):
+        _, out, _ = run(capsys, ["refine", "--widths", "3/4", "5/6", "--format", "csv"])
+        assert out == (
+            "key,value\n"
+            "command,refine\n"
+            "config.tolerances.contains,1e-09\n"
+            "config.tolerances.frame_orthonormality,1e-10\n"
+            "config.tolerances.algebraic_agreement,1e-12\n"
+            "config.output_format,csv\n"
+            "result.width_a.num,3\nresult.width_a.den,4\n"
+            "result.width_b.num,5\nresult.width_b.den,6\n"
+            "result.delta.num,1\nresult.delta.den,12\n"
+            "result.count_a,9\nresult.count_b,10\n"
+        )
 
 
 def test_import_leaves_out_heavy_scipy_modules():

@@ -1,13 +1,16 @@
-"""Property and fuzz tests of the JSON readers, with hypothesis.
+"""Property and fuzz tests of the JSON readers and the report emitter,
+with hypothesis.
 
 Every test runs derandomized, so each run checks the same instances.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from tubemeasure import cli
 from tubemeasure import (
     Ball,
     ConvexPolytope,
@@ -148,6 +151,7 @@ def shapes(draw, n=None, depth=2):
 @st.composite
 def covers(draw):
     n = draw(st.integers(2, 4))
+    shared = orthonormal_frame(draw(direction(n)))  # one frame for several tubes, as a grid has
     tubes = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
@@ -155,7 +159,7 @@ def covers(draw):
         else:
             tubes.append(
                 SquareTube(
-                    frame=orthonormal_frame(draw(direction(n))),
+                    frame=draw(st.just(shared) | direction(n).map(orthonormal_frame)),
                     anchor=draw(vector(n)),
                     half_width=draw(st.fractions(min_value=0.001, max_value=3)),
                 )
@@ -197,3 +201,40 @@ def test_shape_documents_are_fixed_points(shape):
 def test_cover_documents_are_fixed_points(cover):
     doc = cover_to_json(cover)
     assert_same_document(cover_to_json(cover_from_json(wire(doc))), doc)
+
+
+# --- the report emitter ----------------------------------------------------
+
+# strings full of what the re-indent must skip: quotes, backslashes,
+# brackets, separators, control and non-ASCII characters
+report_strings = st.text(st.sampled_from('"\\[]{},: a\x00\x1f\n\té\u2028\U0001f600'), max_size=8)
+report_strings = report_strings | st.text(max_size=4)
+report_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10 ** 60), 10 ** 60)
+    | st.floats()  # NaN, both infinities and -0.0 included
+    | report_strings
+)
+report_keys = report_strings | st.integers() | st.floats() | st.booleans() | st.none()
+report_trees = st.recursive(
+    report_scalars | st.just([]) | st.just({}),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(report_keys, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(PROPERTY, max_examples=500)
+@given(report_trees, st.integers(0, 2 * cli._REINDENT_MIN_CHARS))
+@example('\\"', 0)
+@example([[], {}, [[{}]], {"": [[]]}], 0)
+@example({"a\\": ["\\\\\"", '"[,]"'], "b": {"c": {}}}, 0)
+def test_report_emitter_matches_stdlib(tree, pad):
+    # a zero cutoff sends every tree, bare scalars too, through the
+    # re-indent; the padding puts a tree on either side of the real cutoff
+    for obj, cutoff in ((tree, 0), ([tree, "_" * pad], cli._REINDENT_MIN_CHARS)):
+        with mock.patch.object(cli, "_REINDENT_MIN_CHARS", cutoff):
+            assert cli._json_indent2(obj) == json.dumps(obj, indent=2) + "\n"
