@@ -22,10 +22,11 @@ for depth in range(1, 11):
     previous = total
 
 # the census is radius-free: it counts integer lattice cells, and the
-# cells are listed, on first use, as lattice indices scaled by the radius
-# only on output, so the same tree serves every disk.  ``squares`` gives
-# float centers with rational half-widths; ``square_exact`` and ``to_dict``
-# give exact rationals
+# cells are listed, on first use, as lattice indices k; a centre is k
+# times the half-width r / 2^depth, with every component of k odd, so the
+# same tree serves every disk.  ``squares`` gives float centers with
+# rational half-widths; ``square_exact`` and ``to_dict`` give exact
+# rationals
 deep = ball_square_packing(2, 1.0, 4)
 print(f"\ndepth 4 holds {len(deep.squares)} squares; the first three:")
 for center, half in deep.squares[:3]:

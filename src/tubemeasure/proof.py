@@ -20,15 +20,16 @@ tube decomposition runs through a chain of concrete, checkable builds:
 mass data standing in for the unknowable intersection measures, and
 reports every step.  Each numbered piece is also exposed on its own.
 
-Packing cells live on an integer lattice: a cell of depth d has center
-k * r / 2^d with every component of k odd, so disjointness and ball
-containment are integer comparisons, exact at any depth.  The canonical
-cell order is depth-major; within a depth it is parent-major, children
-in sign-vector order, which is Z-order (Morton order) on the lattice, so
-listing it needs no global sort.  Cells are counted per depth by lattice
-points in the ball and listed only when read; the walkthrough never
-lists them, finding the cell at a given rank by descending the Z-order
-tree, counting each subtree.
+Packing cells live on an integer lattice: a cell of depth d has
+half-width r / 2^d and center k times that half-width, every component
+of k odd, so disjointness and ball containment are integer comparisons,
+exact at any depth.  The canonical cell order is depth-major; within a
+depth it is parent-major, children in sign-vector order, which is
+Z-order (Morton order) on the lattice, so listing it needs no global
+sort.  Cells are counted per depth by lattice points in the ball and
+listed only when read; the walkthrough never lists them, finding the
+cell at a given rank by descending the Z-order tree, counting each
+subtree.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -168,7 +169,8 @@ class SquarePacking:
 
     @property
     def covered_fraction(self) -> float:
-        return _covered_fraction(self.m, self.depth_counts)
+        scaled = sum(c * Fraction(1, 2 ** (d - 1)) ** self.m for d, c in self.depth_counts.items())
+        return float(scaled) / unit_ball_volume(self.m)
 
     @functools.cached_property
     def cells(self) -> dict[int, np.ndarray]:
@@ -184,6 +186,7 @@ class SquarePacking:
         return {d: np.concatenate(rows, axis=0) for d, rows in blocks.items()}
 
     def half_width(self, depth: int) -> Fraction:
+        """Lattice scale r / 2^depth: the half-width, and the unit of the odd centres."""
         return Fraction(self.radius) / 2 ** depth
 
     @property
@@ -197,22 +200,17 @@ class SquarePacking:
 
     def square_exact(self, index: int) -> tuple[tuple[Fraction, ...], Fraction]:
         """Exact rational center and half-width of one square."""
-        remaining = int(index)
-        for depth in sorted(self.cells):
-            rows = self.cells[depth]
-            if remaining < len(rows):
-                hw = self.half_width(depth)
-                return tuple(hw * int(k) for k in rows[remaining]), hw
-            remaining -= len(rows)
-        raise ParameterError("square index out of range")
+        depth, rank = _rank_in_depth(self.depth_counts, index)
+        hw = self.half_width(depth)
+        return tuple(hw * k for k in self.cells[depth][rank].tolist()), hw
 
     def to_dict(self) -> dict:
         """JSON-ready summary; squares listed with exact rationals.
 
-        Each centre coordinate r k / 2^depth is written as its reduced
-        integer pair {"num", "den"} straight from the lattice row, the
-        same pair ``square_exact`` gives as a Fraction.  Squares are
-        listed only up to 100000 cells; the census fields remain exact
+        Each centre coordinate is k times the half-width num / den of its
+        depth.  With k odd and den a power of two, {k num, den} is already
+        the reduced pair that ``square_exact`` gives as a Fraction.  Squares
+        are listed only up to 100000 cells; the census fields remain exact
         either way.
         """
         out = {
@@ -224,31 +222,14 @@ class SquarePacking:
             "covered_fraction": self.covered_fraction,
         }
         if self.n_squares <= 100_000:
-            a, b = Fraction(self.radius).as_integer_ratio()
-            gcd = math.gcd
             squares = []
-            for depth in sorted(self.cells):
-                hw = self.half_width(depth)
-                hw_num, hw_den = hw.numerator, hw.denominator
-                den = b << depth
-                for row in self.cells[depth].tolist():
-                    center = []
-                    for k in row:
-                        num = a * k
-                        g = gcd(num, den)
-                        center.append({"num": num // g, "den": den // g})
-                    squares.append(
-                        {"center": center, "half_width": {"num": hw_num, "den": hw_den}}
-                    )
+            for depth, rows in sorted(self.cells.items()):
+                num, den = self.half_width(depth).as_integer_ratio()
+                for row in rows.tolist():
+                    center = [{"num": k * num, "den": den} for k in row]
+                    squares.append({"center": center, "half_width": {"num": num, "den": den}})
             out["squares"] = squares
         return out
-
-
-def _covered_fraction(m: int, counts: dict[int, int]) -> float:
-    scaled = sum(
-        count * Fraction(1, 2 ** (depth - 1)) ** m for depth, count in counts.items()
-    )
-    return float(scaled) / unit_ball_volume(m)
 
 
 def ball_square_packing(m: int, radius: float, max_depth: int) -> SquarePacking:
@@ -328,42 +309,46 @@ def _kept_below(cells: np.ndarray, level: int, depth: int) -> np.ndarray:
     return kept
 
 
-def _kept_counts(m: int, max_depth: int):
-    """Yield (depth, cells kept at that depth) for depth = 1..max_depth.
+def _packing_census(m: int, max_depth: int) -> dict[int, int]:
+    """Cell counts per depth without listing the cells; depths that keep
+    none are left out.
 
     The I_d = 2^m #{j >= 1 : sum j_i^2 <= 4^(d-1)} inside cells of depth d,
     one lattice count over the positive orthant, hold the 2^m I_(d-1)
     children of the inside cells of depth d - 1; the rest are kept at d.
     """
+    counts = {}
     inside_above = 0
     for depth in range(1, max_depth + 1):
         side = np.full((1, m), 2 ** (depth - 1), dtype=np.int64)
         inside = 2**m * int(_box_lattice_counts(np.ones_like(side), side, 4 ** (depth - 1))[0])
-        yield depth, inside - 2**m * inside_above
+        kept = inside - 2**m * inside_above
+        if kept:
+            counts[depth] = kept
         inside_above = inside
+    return counts
 
 
-def _packing_census(m: int, max_depth: int) -> dict[int, int]:
-    """Cell counts per depth without listing the cells; depths that keep
-    none are left out."""
-    return {depth: kept for depth, kept in _kept_counts(m, max_depth) if kept}
+def _rank_in_depth(counts: dict[int, int], rank: int) -> tuple[int, int]:
+    """(depth, rank within that depth) of the rank-th cell in canonical
+    order, from the census alone."""
+    remaining = int(rank)
+    for depth, count in sorted(counts.items()):
+        if 0 <= remaining < count:
+            return depth, remaining
+        remaining -= count
+    raise ParameterError(f"square index {rank} out of range")
 
 
-def _packing_cell_by_rank(m: int, max_depth: int, rank: int) -> tuple[int, np.ndarray]:
+def _packing_cell_by_rank(m: int, counts: dict[int, int], rank: int) -> tuple[int, np.ndarray]:
     """(depth, integer cell) of the rank-th cell in canonical order.
 
-    The census of the shallower depths gives the rank within the cell's
-    depth; the cell is then found from the depth-1 cells down, skipping
-    each child whose subtree holds too few kept cells of that depth.  The
-    cost does not depend on the rank.
+    The census gives the cell's depth and its rank within that depth; the
+    cell is then found from the depth-1 cells down, skipping each child
+    whose subtree holds too few kept cells of that depth.  The cost does
+    not depend on the rank.
     """
-    remaining = int(rank)
-    for depth, kept in _kept_counts(m, max_depth):
-        if 0 <= remaining < kept:
-            break
-        remaining -= kept
-    else:
-        raise ParameterError("cell rank out of range")
+    depth, remaining = _rank_in_depth(counts, rank)
     offsets = _sign_vectors(m)
     children = offsets
     for level in range(1, depth + 1):
@@ -375,10 +360,10 @@ def _packing_cell_by_rank(m: int, max_depth: int, rank: int) -> tuple[int, np.nd
     return depth, cell
 
 
-def _cell_tube(tube: Tube, frame: Frame, cell: np.ndarray, depth: int) -> SquareTube:
-    """Square tube over one packing cell of ``tube`` at ``depth``."""
-    anchor = tube.point + (cell * (tube.radius / 2 ** depth)) @ frame.cross
-    return SquareTube(frame=frame, anchor=anchor, half_width=Fraction(tube.radius) / 2 ** depth)
+def _cell_tube(tube: Tube, frame: Frame, cell: np.ndarray, half_width: Fraction) -> SquareTube:
+    """Square tube over one packing cell of ``tube``, centred at cell * half_width."""
+    anchor = tube.point + (cell * float(half_width)) @ frame.cross
+    return SquareTube(frame=frame, anchor=anchor, half_width=half_width)
 
 
 def subdivide_tube(tube: Tube, max_depth: int) -> list[SquareTube]:
@@ -387,14 +372,13 @@ def subdivide_tube(tube: Tube, max_depth: int) -> list[SquareTube]:
     The union of the returned tubes sits inside the round tube and their
     total cost equals the packed share of its exact measure.
     """
-    m = tube.dim - 1
-    _validate_packing_args(m, tube.radius, max_depth)
-    if sum(_packing_census(m, max_depth).values()) > _MAX_SUBDIVISION_TUBES:
+    packing = ball_square_packing(tube.dim - 1, tube.radius, max_depth)
+    if packing.n_squares > _MAX_SUBDIVISION_TUBES:
         raise ParameterError("subdivision too large to materialize; lower max_depth")
     frame = orthonormal_frame(tube.axis)
     return [
-        _cell_tube(tube, frame, cell, depth)
-        for depth, block in _scan_packing(m, max_depth)
+        _cell_tube(tube, frame, cell, packing.half_width(depth))
+        for depth, block in sorted(packing.cells.items())
         for cell in block
     ]
 
@@ -726,20 +710,22 @@ def _stream_pigeonhole(
     raise NoWitnessError("synthetic shares kept missing the mass precondition")
 
 
-def _select_square_tube(
-    tube: Tube, depth: int, counts: dict[int, int], eps: float, seed: int, key: int
-):
+def _select_square_tube(tube: Tube, packing: SquarePacking, eps: float, seed: int, key: int):
     """Pigeonhole a square tube out of a packed subdivision.
 
+    ``packing`` gives the census and is scaled to the tube's radius.
     Shares stream from (seed, key); the cell is found by its rank, without
     listing the packing.  Returns (SquareTube, detail dict).
     """
-    m = tube.dim - 1
-    num, den = tube.radius.as_integer_ratio()
-    groups = [(counts[d], _square_cost(num, den * 2 ** d, m)) for d in sorted(counts)]
+    packing = replace(packing, radius=tube.radius)
+    m, counts = packing.m, packing.depth_counts
+    groups = [
+        (counts[d], _square_cost(*packing.half_width(d).as_integer_ratio(), m))
+        for d in sorted(counts)
+    ]
     index, share, retries = _stream_pigeonhole(groups, eps, seed, key)
-    cell_depth, cell = _packing_cell_by_rank(m, depth, index)
-    square = _cell_tube(tube, orthonormal_frame(tube.axis), cell, cell_depth)
+    cell_depth, cell = _packing_cell_by_rank(m, counts, index)
+    square = _cell_tube(tube, orthonormal_frame(tube.axis), cell, packing.half_width(cell_depth))
     outputs = {
         "selected_index": index,
         "cell_depth": cell_depth,
@@ -767,10 +753,9 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
     m = n - 1
-    _validate_packing_args(m, 1.0, depth)
     # the integer-lattice census is radius-free, so both tubes share it
-    counts = _packing_census(m, depth)
-    if not counts:
+    packing = ball_square_packing(m, 1.0, depth)
+    if not packing.depth_counts:
         raise ParameterError(
             f"depth {depth} too shallow for n = {n}: no dyadic cell fits inside the "
             "ball unless 4^(depth-1) >= n-1"
@@ -799,7 +784,7 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     )
 
     # 1: dyadic subdivision of both tubes (census only; cells streamed)
-    squares = sum(counts.values())
+    squares = packing.n_squares
     step(
         "subdivide_tubes",
         True,  # an empty census was refused above
@@ -814,7 +799,7 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     )
 
     # 2: partial sums against the exact tube measures
-    frac = _covered_fraction(m, counts)
+    frac = packing.covered_fraction
     mu1 = tube_exact_measure(tube1)
     mu2 = tube_exact_measure(tube2)
     sum1 = frac * mu1
@@ -843,7 +828,7 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
         ("select_square_tube_complement", tube2, 2),
     ):
         try:
-            square, outputs = _select_square_tube(tube, depth, counts, eps, seed, key)
+            square, outputs = _select_square_tube(tube, packing, eps, seed, key)
         except NoWitnessError as exc:
             step(name, False, select_inputs, {"error": str(exc)}, str(exc), cause=exc)
         step(name, True, select_inputs, outputs)

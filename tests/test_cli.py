@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from tubemeasure import cli
+from tubemeasure import proof as proof_module
 from tubemeasure.cli import main
+from tubemeasure.errors import InvariantError, NoWitnessError
 from tubemeasure.geometry import CONTAINS_TOL, FRAME_ORTHO_TOL
 from tubemeasure.proof import AGREEMENT_TOL
 
@@ -114,6 +116,12 @@ class TestBounds:
         assert code == expected, err
         if expected:
             assert err.startswith("input error:")
+
+    def test_one_point_cloud_has_zero_lower_bound(self, tmp_path, capsys):
+        doc = {"dim": 3, "kind": "cloud", "points": [[0.5, -1.0, 2.0]]}
+        result = run_json(capsys, ["bounds", "--shape", shape_file(tmp_path, doc)])["result"]
+        assert result["lower"] == 0.0 and result["lower_std_error"] == 0.0
+        assert "lower: degenerate shape, 0" in result["method"]
 
     def test_recursion_past_loading_is_an_input_error(self, tmp_path, capsys, monkeypatch):
         def too_deep(doc):
@@ -273,6 +281,16 @@ class TestCover:
         assert code == 2 and out == ""
         assert err.startswith("input error:") and "too large" in err
 
+    @pytest.mark.parametrize(
+        "direction, message",
+        [("x,1,0", "comma-separated numbers"), ("1", "at least two components")],
+    )
+    def test_bad_direction_is_an_input_error(self, capsys, direction, message):
+        argv = ["cover", "--shape", "tetrahedron", "--parallel", direction, "1/4"]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and message in err
+
     def test_mode_is_required(self, tmp_path, capsys):
         path = shape_file(tmp_path, CUBE3)
         code, _, err = run(capsys, ["cover", "--shape", path])
@@ -360,6 +378,31 @@ class TestProof:
         for m, depth in (("2", "1"), ("5", "2"), ("7", "2")):
             result = run_json(capsys, ["pack", "--dim", m, "--depth", depth])["result"]
             assert result["n_squares"] == 0
+
+    def test_failed_step_prints_the_partial_report(self, capsys, monkeypatch):
+        def missing(*args):
+            raise NoWitnessError("synthetic shares kept missing the mass precondition")
+
+        monkeypatch.setattr(proof_module, "_stream_pigeonhole", missing)
+        code, out, err = run(capsys, ["proof", "--dim", "3", "--depth", "4"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["command"] == "proof" and report["result"]["all_passed"] is False
+        last = report["result"]["steps"][-1]
+        assert last["name"] == "select_square_tube" and last["passed"] is False
+        assert err == (
+            "step 'select_square_tube' failed: "
+            "synthetic shares kept missing the mass precondition\n"
+        )
+
+    def test_invariant_failure_exits_1(self, capsys, monkeypatch):
+        def disagree(params):
+            raise InvariantError("final inequality forms disagree")
+
+        monkeypatch.setattr(proof_module, "contradiction_check", disagree)
+        code, out, err = run(capsys, ["proof", "--dim", "3", "--depth", "4"])
+        assert code == 1 and out == ""
+        assert err == "failure: final inequality forms disagree\n"
 
     def test_csv_format_parses(self, capsys):
         code, out, _ = run(
@@ -481,6 +524,18 @@ class TestReportLayout:
             "result.delta.num,1\nresult.delta.den,12\n"
             "result.count_a,9\nresult.count_b,10\n"
         )
+
+
+def test_module_entry_point_runs():
+    # the console script's check, through ``python -m tubemeasure``
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-m", "tubemeasure", "refine", "--widths", "3/4", "5/6"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["result"]["delta"] == {"num": 1, "den": 12}
 
 
 def test_import_leaves_out_heavy_scipy_modules():

@@ -141,6 +141,36 @@ class TestSquarePacking:
             packing = ball_square_packing(m, 1.0, max_depth)
             assert packing.depth_counts == census(m, max_depth), f"m={m}"
 
+    def test_square_index_out_of_range(self):
+        # an index is a rank in canonical order, so a negative one has no square
+        packing = ball_square_packing(2, 1.0, 4)
+        last = packing.n_squares - 1
+        assert packing.square_exact(last) == ((Fraction(11, 16), Fraction(9, 16)), Fraction(1, 16))
+        for index in (-1, -packing.n_squares, packing.n_squares):
+            with pytest.raises(ParameterError, match="out of range"):
+                packing.square_exact(index)
+
+    def test_listing_takes_no_gcd_per_coordinate(self, monkeypatch):
+        # a centre coordinate is k num / den with k odd and den a power of
+        # two, so {k num, den} is reduced as it stands; an integer radius
+        # gives half-widths with den = 1 at the shallow depths
+        packing = ball_square_packing(2, 1024.0, 12)
+        packing.cells
+        gcd = math.gcd
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return gcd(*args)
+
+        monkeypatch.setattr(math, "gcd", counted)
+        squares = packing.to_dict()["squares"]
+        assert len(calls) <= 8 * packing.max_depth < len(squares)
+        for entry in squares:
+            den = entry["half_width"]["den"]
+            assert all(c["den"] == den and gcd(c["num"], den) == 1 for c in entry["center"])
+            assert all(c["num"] % entry["half_width"]["num"] == 0 for c in entry["center"])
+
     def test_to_dict_shape(self):
         d = ball_square_packing(2, 1.0, 3).to_dict()
         assert d["depth_counts"] == {"2": 4, "3": 16}
@@ -179,9 +209,9 @@ def _scan_census(m, max_depth):
     return counts
 
 
-def _scan_cell_by_rank(m, max_depth, rank):
+def _scan_cell_by_rank(m, counts, rank):
     seen = 0
-    for depth, block in proof_module._scan_packing(m, max_depth):
+    for depth, block in proof_module._scan_packing(m, max(counts)):
         if rank < seen + len(block):
             return depth, block[rank - seen].copy()
         seen += len(block)
@@ -213,21 +243,23 @@ class TestLatticeCensus:
         total = len(cells)
         rng = np.random.default_rng([m, depth])
         ranks = {0, 1, total - 1, *rng.integers(0, total, 25).tolist()}
+        counts = proof_module._packing_census(m, depth)
         for rank in sorted(r for r in ranks if r < total):
-            got_depth, got = proof_module._packing_cell_by_rank(m, depth, rank)
+            got_depth, got = proof_module._packing_cell_by_rank(m, counts, rank)
             want_depth, want = cells[rank]
             assert got_depth == want_depth, rank
             assert got.dtype == want.dtype and np.array_equal(got, want), rank
         for rank in (-1, total):
             with pytest.raises(ParameterError):
-                proof_module._packing_cell_by_rank(m, depth, rank)
+                proof_module._packing_cell_by_rank(m, counts, rank)
 
     def test_order_within_a_depth_is_z_order(self):
         # the last depth-6 cell of the disk; a lexicographic order would
         # end on (61, 13) instead
         assert sum(_scan_census(2, 6).values()) == 284
-        assert _scan_cell_by_rank(2, 6, 283)[1].tolist() == [53, 33]
-        depth, cell = proof_module._packing_cell_by_rank(2, 6, 283)
+        counts = proof_module._packing_census(2, 6)
+        assert _scan_cell_by_rank(2, counts, 283)[1].tolist() == [53, 33]
+        depth, cell = proof_module._packing_cell_by_rank(2, counts, 283)
         assert depth == 6 and cell.tolist() == [53, 33]
         last = max(tuple(row) for row in ball_square_packing(2, 1.0, 6).cells[6])
         assert last == (61, 13)
@@ -254,7 +286,7 @@ class TestLatticeCensus:
         total = sum(counts.values())
         assert total == 4_728_240
         for rank in (0, total // 2, total - 1):
-            depth, cell = proof_module._packing_cell_by_rank(4, 7, rank)
+            depth, cell = proof_module._packing_cell_by_rank(4, counts, rank)
             assert cell.shape == (4,) and np.all(cell % 2 == 1)
 
     def test_packing_reports_its_census_without_listing(self, monkeypatch):
@@ -847,9 +879,31 @@ class TestWalkthrough:
         for r in proof_module._RADII_FIRST + proof_module._RADII_SECOND:
             for m in range(1, 8):
                 tube = Tube(point=np.zeros(m + 1), axis=np.eye(m + 1)[-1], radius=float(r))
+                packing = proof_module.SquarePacking(m, 1.0, 20, counts)
                 with pytest.raises(Stop):
-                    proof_module._select_square_tube(tube, 20, counts, 0.1, 0, 0)
+                    proof_module._select_square_tube(tube, packing, 0.1, 0, 0)
                 assert seen.pop() == [float((2 * r / 2 ** d) ** m).hex() for d in range(1, 21)]
+
+    def test_one_census_serves_both_selections(self, monkeypatch):
+        # the walkthrough counts its packing once; both rank lookups read
+        # that census instead of counting it again
+        census = proof_module._packing_census
+        cell_by_rank = proof_module._packing_cell_by_rank
+        counted, ranked = [], []
+
+        def count(*args):
+            counted.append(census(*args))
+            return counted[-1]
+
+        def rank(m, counts, index):
+            ranked.append(counts)
+            return cell_by_rank(m, counts, index)
+
+        monkeypatch.setattr(proof_module, "_packing_census", count)
+        monkeypatch.setattr(proof_module, "_packing_cell_by_rank", rank)
+        assert run_proof_walkthrough(4, 6, seed=1).all_passed
+        assert len(counted) == 1
+        assert len(ranked) == 2 and all(r is counted[0] for r in ranked)
 
     def test_argument_validation(self):
         with pytest.raises(DimensionError):
