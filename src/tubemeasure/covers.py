@@ -16,9 +16,11 @@ generators aim to cover a shape cheaply:
 ``cover_check`` verifies a cover on points sampled from the shape's
 solid members and on every point of its cloud members.  It hashes the
 anchors of each group of square tubes sharing a frame and half-width
-into a grid of side 2 delta, each cell found by one sorted-row lookup,
-so it makes about points x 3^(n-1) candidate tests per group instead of
-points x tubes.
+into a grid of side 2 delta centred on an anchor, each cell found by one
+sorted-row lookup.  A point looks up its own cell first, and the cells
+around it only while it stays uncovered.  On a projection cover, whose
+anchors are the grid's own cell centres, a point of the shape then costs
+one lookup and one tube test instead of a test per tube.
 """
 
 from __future__ import annotations
@@ -92,11 +94,15 @@ class _AnchorGrid:
     """Square tubes of one cross frame and half-width, hashed by anchor cell.
 
     Cells are cubes of side 2 delta in cross coordinates, widened only when
-    rounding at the scale of the coordinates could approach delta.  A point
-    inside a tube then has the tube's anchor in its own cell or in one of
-    the 3^(n-1) - 1 around it.  A cell's code is its place among the sorted
-    distinct rows of the anchors' integer cell coordinates, so no code
-    exceeds the number of anchors, whatever the extent of the cover.
+    rounding at the scale of the coordinates could approach delta, and
+    centred on the first anchor: the grid's origin is that anchor's cross
+    coordinates less half a side.  A point inside a tube then has the
+    tube's anchor in its own cell or in one of the 3^(n-1) - 1 around it,
+    and on a lattice cover, whose anchors sit a whole side apart, the
+    anchor of its own cell is the centre of the tube that holds it.  A
+    cell's code is its place among the sorted distinct rows of the anchors'
+    integer cell coordinates, so no code exceeds the number of anchors,
+    whatever the extent of the cover.
     """
 
     def __init__(self, cross: np.ndarray, width: float, anchors: np.ndarray, reach: float):
@@ -105,10 +111,14 @@ class _AnchorGrid:
         self.offsets = np.array(list(itertools.product((0, -1, 1), repeat=m)))
         reach += float(np.abs(anchors).max())
         # bounds the rounding of p @ cross.T, a @ cross.T and (p - a) @ cross.T
-        # together; a side of at least 4 err keeps |cell(p) - cell(a)| <= 1
-        # whenever the exact test puts p in the tube at a
-        err = 4.0 * n * n * np.finfo(float).eps * reach
+        # together (4 n^2 eps reach), and of shifting the first two by the
+        # origin (2 n eps reach: both lie within sqrt(n) reach + side / 2 of
+        # it, and the side / 2 part rounds by at most eps side / 2, far
+        # inside the slack); a side of at least 4 err keeps
+        # |cell(p) - cell(a)| <= 1 whenever the exact test puts p in the tube at a
+        err = (4.0 * n * n + 2.0 * n) * np.finfo(float).eps * reach
         self.side = max(2.0 * width, 4.0 * err)
+        self.origin = anchors[0] @ cross.T - self.side / 2.0
         self.cells, code = np.unique(_row_values(self._keys(anchors)), return_inverse=True)
         self.order = np.argsort(code, kind="stable")
         count = np.bincount(code)
@@ -117,10 +127,15 @@ class _AnchorGrid:
         self.count = np.append(count, 0)
 
     def _keys(self, pts: np.ndarray) -> np.ndarray:
-        return np.floor(pts @ self.cross.T / self.side).astype(np.int64)
+        y = pts @ self.cross.T
+        y -= self.origin
+        y /= self.side
+        return np.floor(y, out=y).astype(np.int64)
 
     def mark(self, block: np.ndarray, covered: np.ndarray) -> None:
-        """Set covered for every row of block inside one of the tubes."""
+        """Set covered for every row of block inside one of the tubes: each
+        point looks up its own cell first, and only the points still
+        uncovered then look up the cells around it."""
         keys = self._keys(block)
         for offset in self.offsets:
             todo = np.flatnonzero(~covered)
@@ -152,13 +167,17 @@ def cover_check(
     Square tubes are grouped by cross frame and half-width, and each
     group's anchors are hashed into cells of side 2 delta in cross
     coordinates (the fixed-radius near-neighbour grid of Bentley, Stanat
-    and Williams).  A point inside a tube lies within delta of its anchor
-    in every cross coordinate, so it is tested only against the anchors in
-    the 3^(n-1) cells around it: about points x 3^(n-1) candidate tests
-    per group, instead of points x tubes.  Round tubes are tested one tube
-    at a time against the points still uncovered.  Whether a point is
-    covered does not depend on the order in which tubes are tried, so the
-    verdict and the witness are those of testing every tube.
+    and Williams), centred on the group's first anchor.  A point inside a
+    tube lies within delta of its anchor in every cross coordinate, so it
+    is tested only against the anchors in the 3^(n-1) cells around it,
+    its own cell first and the others only while it stays uncovered.  On
+    a lattice cover, such as ``parallel_cover_from_projection`` builds,
+    the anchor in a point's own cell is that of the tube holding it, so a
+    covered point costs one cell lookup and one tube test.  Round tubes
+    are tested one tube at a time against the points still uncovered.
+    Whether a point is covered does not depend on the order in which
+    tubes are tried, so the verdict and the witness are those of testing
+    every tube.
     """
     if s.dim != cover.dim:
         raise DimensionError("shape and cover dimensions differ")

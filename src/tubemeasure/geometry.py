@@ -33,6 +33,7 @@ UNIT_NORM_TOL = 1e-12   # ``unit_vector`` rejects vectors no longer than this
 FRAME_ORTHO_TOL = 1e-10  # frames must be orthonormal within this
 CONTAINS_TOL = 1e-9     # hull membership allows this slack past each facet
 _DIAMETER_ROWS = 1024   # pairwise-distance rows held at once by ``diameter``
+_COLUMNWISE_MAX = 32    # ``_rows_all`` reduces masks this narrow column by column
 
 
 def unit_ball_volume(m: int) -> float:
@@ -77,6 +78,23 @@ def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     i = np.searchsorted(table, x)
     hit = table[np.minimum(i, len(table) - 1)] == x
     return np.where(hit, i, -1)
+
+
+def _rows_all(mask: np.ndarray) -> np.ndarray:
+    """np.all(mask, axis=1) for a 2-D boolean mask of one row per point.
+
+    np.all runs one inner loop per row, which costs more than the row's few
+    entries, so a mask of at most _COLUMNWISE_MAX columns is and-ed one whole
+    column at a time instead.  For 65,536 rows: 0.18 ms against 1.1 ms at 4
+    columns, 1.2 against 1.9 ms at 20, about even at 32, and 6.2 against
+    3.1 ms at 48, where np.all takes over.
+    """
+    if not 0 < mask.shape[1] <= _COLUMNWISE_MAX:
+        return np.all(mask, axis=1)
+    out = mask[:, 0].copy()
+    for column in mask.T[1:]:
+        out &= column
+    return out
 
 
 def unit_vector(v) -> np.ndarray:
@@ -240,7 +258,7 @@ class Cuboid:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         y = (pts - self.center) @ self.axes.T
-        return np.all(np.abs(y) <= self.half_lengths, axis=1)
+        return _rows_all(np.abs(y, out=y) <= self.half_lengths)
 
     def support(self, d: np.ndarray) -> float:
         return float(self.center @ d) + float(self.half_lengths @ np.abs(self.axes @ d))
@@ -332,11 +350,18 @@ class ConvexPolytope:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        eq = self._hull.equations
-        return np.all(pts @ eq[:, :-1].T + eq[:, -1] <= CONTAINS_TOL, axis=1)
+        return _below_facets(pts, self._hull.equations)
 
     def support(self, d: np.ndarray) -> float:
         return float(np.max(self.vertices @ d))
+
+
+def _below_facets(pts: np.ndarray, equations: np.ndarray) -> np.ndarray:
+    """Rows of pts within CONTAINS_TOL of the inner side of every facet of a
+    qhull ``equations`` table (outward normal, then offset, per row)."""
+    values = pts @ equations[:, :-1].T
+    values += equations[:, -1]
+    return _rows_all(values <= CONTAINS_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -637,7 +662,8 @@ def _in_square_tubes(pts: np.ndarray, anchors: np.ndarray, cross: np.ndarray, wi
     """
     rel = pts - anchors
     batch = np.vstack([rel, rel]) if len(rel) == 1 else rel
-    return np.all(np.abs(batch @ cross.T) <= width, axis=1)[: len(rel)]
+    y = batch @ cross.T
+    return _rows_all(np.abs(y, out=y) <= width)[: len(rel)]
 
 
 def point_in_tube(p, tube: Tube | SquareTube) -> bool:

@@ -64,14 +64,21 @@ def _box_volume(lo: np.ndarray, hi: np.ndarray) -> float:
     return float(np.prod(hi - lo))
 
 
+def _box_points(rng: np.random.Generator, count: int, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """count uniform points of the box lo + [0, span), drawn in place: the
+    same floats as lo + rng.random((count, n)) * span, without its temporaries."""
+    pts = rng.random((count, lo.size))
+    pts *= span
+    pts += lo
+    return pts
+
+
 def _mc_box_fraction(predicate, lo, hi, samples, seed, tag) -> tuple[float, float]:
     """Hit fraction of ``predicate`` over the box, with its standard error."""
-    n = lo.size
     span = hi - lo
     hits = 0
     for index, count in _batches(samples):
-        rng = batch_rng(seed, tag, index)
-        pts = lo + rng.random((count, n)) * span
+        pts = _box_points(batch_rng(seed, tag, index), count, lo, span)
         hits += int(np.count_nonzero(predicate(pts)))
     p = hits / samples
     se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
@@ -129,12 +136,10 @@ def sample_points(s: Shape, count: int, seed: int = 0) -> np.ndarray:
     if _box_volume(lo, hi) <= 0.0:
         raise DegenerateShapeError("shape has a degenerate bounding box; nothing to sample")
     span = hi - lo
-    n = lo.size
     out = []
     got = 0
     for index in range(_MAX_POINT_BATCHES):
-        rng = batch_rng(seed, TAG_POINTS, index)
-        pts = lo + rng.random((BATCH, n)) * span
+        pts = _box_points(batch_rng(seed, TAG_POINTS, index), BATCH, lo, span)
         keep = pts[s.contains(pts)]
         if len(keep):
             out.append(keep)

@@ -31,7 +31,9 @@ from .geometry import (
     ProductSet,
     Shape,
     UnionShape,
+    _below_facets,
     _leaves,
+    _rows_all,
     orthonormal_frame,
     unit_ball_volume,
     unit_vector,
@@ -55,7 +57,7 @@ class _BoxOracle:
         self.measure_zero = measure_zero
 
     def contains(self, y):
-        return np.all(y >= self.lo, axis=1) & np.all(y <= self.hi, axis=1)
+        return _rows_all(y >= self.lo) & _rows_all(y <= self.hi)
 
     def cell_touch(self, cl, ch):
         return np.all(ch >= self.lo, axis=1) & np.all(cl <= self.hi, axis=1)
@@ -115,8 +117,7 @@ class _HullOracle(_BoxOracle):
         self.vertices = points_y[hull.vertices]  # counter-clockwise in the plane
 
     def contains(self, y):
-        eq = self.equations
-        return np.all(y @ eq[:, :-1].T + eq[:, -1] <= CONTAINS_TOL, axis=1)
+        return _below_facets(y, self.equations)
 
     def depth(self, y):
         """As ``_DiskOracle.depth``: the largest facet value, negative

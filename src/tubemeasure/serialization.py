@@ -85,7 +85,12 @@ def _integer(x, what: str) -> int:
 def _vector(x, what: str, dim: int | None = None) -> np.ndarray:
     if not isinstance(x, list) or len(x) == 0:
         raise SchemaError(f"{what} must be a nonempty list of numbers")
-    vals = [_number(v, f"{what}[{i}]") for i, v in enumerate(x)]
+    # JSON decodes every number written with a point or exponent to a float,
+    # so a vector of them needs no per-entry check
+    if all(type(v) is float for v in x):
+        vals = x
+    else:
+        vals = [_number(v, f"{what}[{i}]") for i, v in enumerate(x)]
     if dim is not None and len(vals) != dim:
         raise SchemaError(f"{what} must have length {dim}, got {len(vals)}")
     return np.array(vals)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubemeasure import cli
+from tubemeasure import cli, cover_from_json
 from tubemeasure import proof as proof_module
 from tubemeasure.cli import main
 from tubemeasure.errors import InvariantError, NoWitnessError
@@ -219,6 +219,36 @@ class TestCover:
         assert result["covered"] is False
         witness = np.array(result["worst_point"])
         assert np.linalg.norm(witness) <= 1.0 + 1e-9
+
+    def test_projection_covers_recheck_and_miss_a_dropped_tube(self, tmp_path, capsys):
+        # a rotated 4-D cuboid and a 5-D polytope: each cover built by
+        # --parallel reads back covered; without its tube nearest the
+        # shape's centre it does not, and the witness lies in that tube
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        box = {"dim": 4, "kind": "cuboid", "center": [0.1, -0.2, 0.3, 0.0],
+               "frame": {"axis": q[3].tolist(), "cross": q[:3].tolist()},
+               "half_lengths": [0.5, 0.6, 0.7, 0.8]}
+        v = rng.standard_normal((12, 5))
+        poly = {"dim": 5, "kind": "polytope", "vertices": (v / np.linalg.norm(v, axis=1)[:, None]).tolist()}
+        for doc, direction, step, centre in (
+            (box, "0.3,-0.5,0.6,0.55", "1/5", box["center"]),
+            (poly, "0.5,0.1,-0.4,0.7,0.3", "1/3", np.mean(poly["vertices"], axis=0)),
+        ):
+            path = shape_file(tmp_path, doc, f"shape{doc['dim']}.json")
+            check = ["cover", "--shape", path, "--samples", "20000"]
+            built = run_json(capsys, check + ["--parallel", direction, step])["result"]
+            assert built["covered"] is True and built["tubes"] > 100
+            cover = built["cover"]
+            cover_path = tmp_path / "cover.json"
+            cover_path.write_text(json.dumps(cover))
+            assert run_json(capsys, check + ["--cover", str(cover_path)])["result"]["covered"] is True
+            tubes = cover_from_json(cover).tubes
+            drop = int(np.argmin([np.abs(t.cross_coordinates(centre)).max() for t in tubes]))
+            cover_path.write_text(json.dumps(cover[:drop] + cover[drop + 1:]))
+            missed = run_json(capsys, check + ["--cover", str(cover_path)])["result"]
+            assert missed["covered"] is False
+            assert tubes[drop].contains(np.array([missed["worst_point"]]))[0]
 
     def test_search_on_cloud(self, tmp_path, capsys):
         path = shape_file(tmp_path, CLOUD3)

@@ -10,6 +10,7 @@ from test_proof import _child_peak_rss_kb
 
 from tubemeasure import (
     Ball,
+    Cuboid,
     DimensionError,
     ParameterError,
     PointCloud,
@@ -271,6 +272,33 @@ class TestAnchorCells:
             pts = (anchors[:, None] + y + along).reshape(-1, n)
             cloud = PointCloud(points=pts[np.any([t.contains(pts) for t in tubes], axis=0)])
             assert cover_check(cloud, TubeCover(tubes=tubes)) == (True, None)
+
+
+    @pytest.mark.parametrize("shape", ["tetrahedron", "cuboid4"])
+    def test_projection_cover_takes_one_lookup_per_point(self, shape, monkeypatch):
+        # cells are centred on an anchor, so a sampled point finds the tube
+        # that holds it in its own cell and never visits the cells around it
+        rng = np.random.default_rng(12)
+        if shape == "tetrahedron":
+            s, direction, step = regular_tetrahedron(), random_direction(rng, 3), 1 / 32
+        else:
+            s = Cuboid(center=rng.uniform(-1, 1, 4), frame=orthonormal_frame(random_direction(rng, 4)),
+                       half_lengths=[0.5, 0.6, 0.7, 0.8])
+            direction, step = random_direction(rng, 4), 1 / 5
+        cover = parallel_cover_from_projection(s, direction, step)
+        rows = []
+        find_rows = covers_module._find_rows
+
+        def counted(table, query):
+            rows.append(len(query))
+            return find_rows(table, query)
+
+        monkeypatch.setattr(covers_module, "_find_rows", counted)
+        found = cover_check(s, cover, samples=20_000, seed=4)
+        assert found == (True, None)
+        assert len(cover) > 300 and sum(rows) <= 1.05 * 20_000
+        monkeypatch.undo()
+        assert_same_check(found, all_tubes_check(s, cover, samples=20_000, seed=4))
 
 
 class TestParallelCover:

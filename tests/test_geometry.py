@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import random_direction, random_rotation, random_shape
+from conftest import random_cuboid, random_direction, random_polytope, random_rotation, random_shape
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
@@ -31,6 +31,9 @@ from tubemeasure import (
     unit_ball_volume,
     volume_exact,
 )
+from tubemeasure.geometry import CONTAINS_TOL
+from tubemeasure.montecarlo import BATCH, TAG_POINTS, batch_rng, sample_points
+from tubemeasure.projection import _BoxOracle, _HullOracle
 from fractions import Fraction
 
 
@@ -353,3 +356,96 @@ class TestBuiltins:
             lo, hi = bounding_box(shape)
             probe = (lo + hi) / 2 + d * (support - ((lo + hi) / 2) @ d + 0.05)
             assert not shape.contains(probe)
+
+
+class TestColumnwiseMembership:
+    """Membership tests reduce their comparisons column by column; the
+    slow np.all expressions they replaced stay here as their oracle."""
+
+    @staticmethod
+    def old_below_facets(pts, equations):
+        return np.all(pts @ equations[:, :-1].T + equations[:, -1] <= CONTAINS_TOL, axis=1)
+
+    @staticmethod
+    def facet_points(rng, hull, count):
+        """Points on the hull's facets, and pushed to within a rounding of
+        +/- CONTAINS_TOL outside them along each facet's normal."""
+        facet = rng.integers(len(hull.simplices), size=count)
+        weights = rng.dirichlet(np.ones(hull.simplices.shape[1]), size=count)
+        on = np.einsum("ij,ijk->ik", weights, hull.points[hull.simplices[facet]])
+        push = rng.choice([-1.0, 1.0], count)[:, None] * CONTAINS_TOL * (
+            1.0 + rng.choice([-1e-6, 0.0, 1e-6], count)[:, None]
+        )
+        return np.vstack([on, on + push * hull.equations[facet, :-1]])
+
+    def test_polytope_and_hull_oracle_match_all_facets(self):
+        rng = np.random.default_rng(19)
+        widths = set()
+        for n in range(2, 9):
+            for _ in range(3):
+                poly = random_polytope(rng, n)
+                oracle = _HullOracle(poly.vertices)
+                lo, hi = bounding_box(poly)
+                pts = np.vstack([
+                    rng.uniform(lo - 0.5, hi + 0.5, (500, n)),
+                    self.facet_points(rng, poly._hull, 500),
+                ])
+                for eq, contains in ((poly._hull.equations, poly.contains),
+                                     (oracle.equations, oracle.contains)):
+                    expected = self.old_below_facets(pts, eq)
+                    assert contains(pts).tolist() == expected.tolist()
+                    assert expected.any() and not expected.all()
+                    widths.add(len(eq) > 32)
+        assert widths == {False, True}  # both reductions of ``_rows_all`` ran
+
+    def test_cuboid_and_square_tube_match_all_faces(self):
+        rng = np.random.default_rng(20)
+        for n in range(2, 9):
+            for _ in range(3):
+                box = random_cuboid(rng, n)
+                h = box.half_lengths
+                y = rng.uniform(-1.2, 1.2, (1000, n)) * h
+                face = rng.integers(n, size=1000)
+                y[np.arange(1000), face] = rng.choice([-1.0, 1.0], 1000) * h[face] * (
+                    1.0 + rng.choice([-1e-15, 0.0, 0.0, 1e-15], 1000)
+                )
+                pts = box.center + y @ box.axes
+                expected = np.all(np.abs((pts - box.center) @ box.axes.T) <= h, axis=1)
+                assert box.contains(pts).tolist() == expected.tolist()
+                assert expected.any() and not expected.all()
+                tube = SquareTube(frame=box.frame, anchor=box.center, half_width=Fraction(h[0]))
+                rel = np.abs((pts - tube.anchor) @ tube.frame.cross.T)
+                assert tube.contains(pts).tolist() == np.all(rel <= h[0], axis=1).tolist()
+
+    def test_box_oracle_matches_both_bounds(self):
+        rng = np.random.default_rng(21)
+        for m in range(1, 8):
+            lo = rng.uniform(-2.0, 0.0, m)
+            hi = lo + rng.uniform(0.1, 2.0, m)
+            box = _BoxOracle(lo, hi, measure_zero=False)
+            y = rng.uniform(lo - 0.3, hi + 0.3, (1000, m))
+            face = rng.integers(m, size=1000)
+            y[np.arange(1000), face] = np.where(rng.random(1000) < 0.5, lo[face], hi[face])
+            expected = np.all(y >= lo, axis=1) & np.all(y <= hi, axis=1)
+            assert box.contains(y).tolist() == expected.tolist()
+
+    def test_sample_points_match_the_old_draw(self):
+        # the old draw was lo + r * span, then the np.all membership tests;
+        # random polytopes fill too little of their box to sample past R^5
+        rng = np.random.default_rng(22)
+        shapes = [random_cuboid(rng, n) for n in range(2, 9)]
+        shapes += [random_polytope(rng, n) for n in range(2, 6)]
+        for s in shapes:
+            lo, hi = bounding_box(s)
+            if isinstance(s, Cuboid):
+                old = lambda p: np.all(np.abs((p - s.center) @ s.axes.T) <= s.half_lengths, axis=1)
+            else:
+                old = lambda p: self.old_below_facets(p, s._hull.equations)
+            out, got, index = [], 0, 0
+            while got < 3000:
+                pts = lo + batch_rng(5, TAG_POINTS, index).random((BATCH, s.dim)) * (hi - lo)
+                out.append(pts[old(pts)])
+                got += len(out[-1])
+                index += 1
+            expected = np.vstack(out)[:3000]
+            assert sample_points(s, 3000, seed=5).tobytes() == expected.tobytes()

@@ -277,6 +277,24 @@ class TestLatticeCensus:
         with pytest.raises(ParameterError, match="stored cells"):
             packing.cells
 
+    def test_square_exact_above_the_storage_limit(self, monkeypatch):
+        # the last of 38.7 M squares, read by rank without listing any
+        def refuse(*args):
+            raise AssertionError("a rank lookup must not list cells")
+
+        monkeypatch.setattr(proof_module, "_scan_packing", refuse)
+        packing = ball_square_packing(4, 1.0, 8)
+        center, hw = packing.square_exact(packing.n_squares - 1)
+        assert hw == Fraction(1, 256)
+        assert center == tuple(Fraction(k, 256) for k in (161, 129, 129, 73))
+        # inside the closed unit ball, while its parent square is not
+        assert sum((abs(c) + hw) ** 2 for c in center) <= 1
+        rows = [int(c / hw) for c in center]
+        parent = [k // 2 if k // 2 % 2 else k // 2 + 1 for k in rows]
+        assert sum((abs(p * 2 * hw) + 2 * hw) ** 2 for p in parent) > 1
+        with pytest.raises(ParameterError, match="out of range"):
+            packing.square_exact(packing.n_squares)
+
     def test_census_and_rank_never_scan(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("the walkthrough helpers must not list cells")

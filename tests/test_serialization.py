@@ -283,6 +283,26 @@ class TestCoverDocuments:
         with pytest.raises(SchemaError):
             cover_from_json(extra)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(True, "must be a number"), ("0.5", "must be a number"),
+         (10**400, "is out of range"), ([0.5], "must be a number")],
+    )
+    @pytest.mark.parametrize("where", ["anchor", "frame"])
+    def test_non_float_entry_among_floats_keeps_its_message(self, bad, message, where):
+        # a vector of floats alone is read whole; any other entry sends it
+        # through the per-entry checks, which name the entry
+        doc = json.loads(json.dumps(cover_to_json(self.mixed_cover())))
+        if where == "anchor":
+            doc[0]["anchor"][1] = bad
+            name = "cover[0].anchor[1]"
+        else:
+            doc[0]["frame"]["cross"][1][2] = bad
+            name = "cover[0].frame.cross[1][2]"
+        with pytest.raises(SchemaError) as info:
+            cover_from_json(doc)
+        assert str(info.value) == f"{name} {message}"
+
     def test_square_delta_must_be_rational_object(self):
         doc = cover_to_json(self.mixed_cover())
         doc[0]["delta"] = 0.25
