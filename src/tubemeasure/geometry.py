@@ -33,7 +33,6 @@ UNIT_NORM_TOL = 1e-12   # ``unit_vector`` rejects vectors no longer than this
 FRAME_ORTHO_TOL = 1e-10  # frames must be orthonormal within this
 CONTAINS_TOL = 1e-9     # hull membership allows this slack past each facet
 _DIAMETER_ROWS = 1024   # pairwise-distance rows held at once by ``diameter``
-_COLUMNWISE_MAX = 32    # ``_rows_all`` reduces masks this narrow column by column
 
 
 def unit_ball_volume(m: int) -> float:
@@ -81,18 +80,20 @@ def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _rows_all(mask: np.ndarray) -> np.ndarray:
-    """np.all(mask, axis=1) for a 2-D boolean mask of one row per point.
+    """np.all(mask, axis=1) for a 2-D boolean mask of one row per point,
+    and-ed one whole column at a time.
 
     np.all runs one inner loop per row, which costs more than the row's few
-    entries, so a mask of at most _COLUMNWISE_MAX columns is and-ed one whole
-    column at a time instead.  For 65,536 rows: 0.18 ms against 1.1 ms at 4
-    columns, 1.2 against 1.9 ms at 20, about even at 32, and 6.2 against
-    3.1 ms at 48, where np.all takes over.
+    entries.  A whole polytope test of 65,536 points takes 0.55 ms against
+    2.3 ms at 4 facets, 2.4 against 4.3 at 20, and about the same at 48;
+    past that the strided column reads cost more (24 against 14 ms at 100
+    facets).  Reducing a facet-major product along axis 0 would read
+    contiguous rows at any width, but BLAS rounds the transposed product
+    differently on some batch sizes (4,097 rows, say), so verdicts on a
+    facet could change.
     """
-    if not 0 < mask.shape[1] <= _COLUMNWISE_MAX:
-        return np.all(mask, axis=1)
-    out = mask[:, 0].copy()
-    for column in mask.T[1:]:
+    out = np.ones(len(mask), dtype=bool)
+    for column in mask.T:
         out &= column
     return out
 

@@ -31,7 +31,7 @@ from tubemeasure import (
     unit_ball_volume,
     volume_exact,
 )
-from tubemeasure.geometry import CONTAINS_TOL
+from tubemeasure.geometry import CONTAINS_TOL, _rows_all
 from tubemeasure.montecarlo import BATCH, TAG_POINTS, batch_rng, sample_points
 from tubemeasure.projection import _BoxOracle, _HullOracle
 from fractions import Fraction
@@ -380,7 +380,7 @@ class TestColumnwiseMembership:
 
     def test_polytope_and_hull_oracle_match_all_facets(self):
         rng = np.random.default_rng(19)
-        widths = set()
+        facets = []
         for n in range(2, 9):
             for _ in range(3):
                 poly = random_polytope(rng, n)
@@ -395,8 +395,15 @@ class TestColumnwiseMembership:
                     expected = self.old_below_facets(pts, eq)
                     assert contains(pts).tolist() == expected.tolist()
                     assert expected.any() and not expected.all()
-                    widths.add(len(eq) > 32)
-        assert widths == {False, True}  # both reductions of ``_rows_all`` ran
+                    facets.append(len(eq))
+        assert min(facets) <= 8 and max(facets) > 32  # narrow and wide masks ran
+
+    def test_rows_all_matches_np_all_at_every_width(self):
+        rng = np.random.default_rng(23)
+        for width in (0, 1, 2, 3, 8, 33, 100):
+            mask = rng.random((777, width)) < 0.97
+            assert _rows_all(mask).tolist() == np.all(mask, axis=1).tolist()
+            assert _rows_all(mask[::2]).tolist() == np.all(mask[::2], axis=1).tolist()
 
     def test_cuboid_and_square_tube_match_all_faces(self):
         rng = np.random.default_rng(20)
