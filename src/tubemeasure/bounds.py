@@ -42,7 +42,7 @@ from .geometry import (
     Cuboid,
     PointCloud,
     Shape,
-    SquareTube,
+    SquareTubes,
     Tube,
     _leaves,
     canonical_direction,
@@ -63,9 +63,9 @@ def tube_exact_measure(tube: Tube) -> float:
     return tube._cost
 
 
-def square_tube_exact_measure(tube: SquareTube) -> float:
-    """Cost (2 delta)^{n-1} of one square tube, as it keeps it."""
-    return tube._cost
+def square_tube_exact_measure(tubes: SquareTubes) -> float:
+    """Cost (2 delta)^{n-1} of each one of the square tubes, as they keep it."""
+    return tubes._cost
 
 
 def sphere_directions(n: int, count: int) -> np.ndarray:

@@ -225,7 +225,10 @@ def _cmd_cover(args) -> dict:
         result["source"] = "search"
     elif args.parallel is not None:
         direction = _parse_direction(args.parallel[0])
-        grid_step = float(_parse_rational(args.parallel[1]))
+        try:
+            grid_step = float(_parse_rational(args.parallel[1]))
+        except OverflowError:
+            raise ParameterError(f"grid step {args.parallel[1]} overflows a float") from None
         cover = parallel_cover_from_projection(shape, direction, grid_step)
         result["source"] = "parallel"
         area, std_error = Shadow(shape, direction).area(samples=args.mc_samples, seed=args.seed)

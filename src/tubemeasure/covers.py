@@ -1,26 +1,27 @@
 """Tube covers: cost accounting, verification, and two generators.
 
-A cover is a finite list of round and square tubes in one ambient
-dimension.  Its cost sum(gamma_{n-1} r^{n-1}) + sum((2 delta)^{n-1}) is
+A cover is a finite list of round tubes and groups of parallel,
+congruent square tubes in one ambient dimension.  Its cost
+sum(gamma_{n-1} r^{n-1}) + sum((2 delta)^{n-1}), one term per tube, is
 an upper bound for the tube measure of anything the cover contains, so
 generators aim to cover a shape cheaply:
 
-* ``parallel_cover_from_projection`` lays a square-tube grid over the
-  shadow along a chosen direction; containment is guaranteed by
-  conservative cell selection, and the cost exceeds the shadow measure
-  only by a boundary term of order grid_step * perimeter.
+* ``parallel_cover_from_projection`` lays a grid of square tubes, one
+  group, over the shadow along a chosen direction; containment is
+  guaranteed by conservative cell selection, and the cost exceeds the
+  shadow measure only by a boundary term of order grid_step * perimeter.
 * ``cover_search`` returns the projection cover at the least-shadow
   direction, or, for a point cloud, thin tubes through pairs of its
   points when those cost less.
 
 ``cover_check`` verifies a cover on points sampled from the shape's
 solid members and on every point of its cloud members.  It hashes the
-anchors of each group of square tubes sharing a frame and half-width
-into a grid of side 2 delta centred on an anchor, each cell found by one
-sorted-row lookup.  A point looks up its own cell first, and the cells
-around it only while it stays uncovered.  On a projection cover, whose
-anchors are the grid's own cell centres, a point of the shape then costs
-one lookup and one tube test instead of a test per tube.
+anchors of each group of square tubes into a grid of side 2 delta
+centred on an anchor, each cell found by one sorted-row lookup.  A point
+looks up its own cell first, and the cells around it only while it stays
+uncovered.  On a projection cover, whose anchors are the grid's own cell
+centres, a point of the shape then costs one lookup and one tube test
+instead of a test per tube.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .bounds import upper_bound_min_projection
 from .geometry import (
     PointCloud,
     Shape,
-    SquareTube,
+    SquareTubes,
     Tube,
     _find_rows,
     _in_square_tubes,
@@ -56,7 +57,8 @@ CHECK_SAMPLES = 100_000  # default points sampled by cover_check
 
 @dataclass(frozen=True)
 class TubeCover:
-    """Nonempty list of tubes (round or square) in one ambient dimension."""
+    """Nonempty list of parts, each a round tube or a group of square
+    tubes, in one ambient dimension; its length counts tubes."""
 
     tubes: tuple
 
@@ -64,8 +66,8 @@ class TubeCover:
         tubes = tuple(self.tubes)
         if not tubes:
             raise ParameterError("a tube cover must contain at least one tube")
-        if any(not isinstance(t, (Tube, SquareTube)) for t in tubes):
-            raise ParameterError("cover entries must be Tube or SquareTube")
+        if any(not isinstance(t, (Tube, SquareTubes)) for t in tubes):
+            raise ParameterError("cover entries must be Tube or SquareTubes")
         n = tubes[0].dim
         if any(t.dim != n for t in tubes):
             raise DimensionError("cover tubes must share one ambient dimension")
@@ -76,22 +78,28 @@ class TubeCover:
         return self.tubes[0].dim
 
     def __len__(self) -> int:
-        return len(self.tubes)
+        return sum(map(_tube_count, self.tubes))
+
+
+def _tube_count(part: Tube | SquareTubes) -> int:
+    return len(part) if isinstance(part, SquareTubes) else 1
 
 
 def cover_cost(cover: TubeCover) -> float:
     """Total cost of the cover: the sum of the costs each tube kept at
-    construction (see ``Tube`` and ``SquareTube``); math.fsum makes the
-    float sum exact, so cost is additive under list concatenation.  A
-    total that overflows a float is rejected, as a single tube's is."""
+    construction (see ``Tube`` and ``SquareTubes``), a group's once per
+    tube; math.fsum makes the float sum exact, so cost is additive under
+    list concatenation.  A total that overflows a float is rejected, as a
+    single tube's is."""
+    costs = (itertools.repeat(t._cost, _tube_count(t)) for t in cover.tubes)
     try:
-        return math.fsum(t._cost for t in cover.tubes)
+        return math.fsum(itertools.chain.from_iterable(costs))
     except OverflowError:
         raise ParameterError("cover too costly: its total cost overflows a float") from None
 
 
 class _AnchorGrid:
-    """Square tubes of one cross frame and half-width, hashed by anchor cell.
+    """A group of square tubes, hashed by anchor cell.
 
     Cells are cubes of side 2 delta in cross coordinates, widened only when
     rounding at the scale of the coordinates could approach delta, and
@@ -105,9 +113,10 @@ class _AnchorGrid:
     whatever the extent of the cover.
     """
 
-    def __init__(self, cross: np.ndarray, width: float, anchors: np.ndarray, reach: float):
+    def __init__(self, group: SquareTubes, reach: float):
+        cross, anchors = group.frame.cross, group.anchors
         m, n = cross.shape
-        self.cross, self.width, self.anchors = cross, width, anchors
+        self.cross, self.width, self.anchors = cross, group._width, anchors
         self.offsets = np.array(list(itertools.product((0, -1, 1), repeat=m)))
         reach += float(np.abs(anchors).max())
         # bounds the rounding of p @ cross.T, a @ cross.T and (p - a) @ cross.T
@@ -117,7 +126,7 @@ class _AnchorGrid:
         # inside the slack); a side of at least 4 err keeps
         # |cell(p) - cell(a)| <= 1 whenever the exact test puts p in the tube at a
         err = (4.0 * n * n + 2.0 * n) * np.finfo(float).eps * reach
-        self.side = max(2.0 * width, 4.0 * err)
+        self.side = max(2.0 * self.width, 4.0 * err)
         self.origin = anchors[0] @ cross.T - self.side / 2.0
         self.cells, code = np.unique(_row_values(self._keys(anchors)), return_inverse=True)
         self.order = np.argsort(code, kind="stable")
@@ -164,20 +173,19 @@ def cover_check(
     member in member order.  Returns (True, None) or (False, first
     uncovered point) in that order.
 
-    Square tubes are grouped by cross frame and half-width, and each
-    group's anchors are hashed into cells of side 2 delta in cross
-    coordinates (the fixed-radius near-neighbour grid of Bentley, Stanat
-    and Williams), centred on the group's first anchor.  A point inside a
-    tube lies within delta of its anchor in every cross coordinate, so it
-    is tested only against the anchors in the 3^(n-1) cells around it,
-    its own cell first and the others only while it stays uncovered.  On
-    a lattice cover, such as ``parallel_cover_from_projection`` builds,
-    the anchor in a point's own cell is that of the tube holding it, so a
-    covered point costs one cell lookup and one tube test.  Round tubes
-    are tested one tube at a time against the points still uncovered.
-    Whether a point is covered does not depend on the order in which
-    tubes are tried, so the verdict and the witness are those of testing
-    every tube.
+    Each group of square tubes has its anchors hashed into cells of side
+    2 delta in cross coordinates (the fixed-radius near-neighbour grid of
+    Bentley, Stanat and Williams), centred on the group's first anchor.
+    A point inside a tube lies within delta of its anchor in every cross
+    coordinate, so it is tested only against the anchors in the 3^(n-1)
+    cells around it, its own cell first and the others only while it
+    stays uncovered.  On a lattice cover, such as
+    ``parallel_cover_from_projection`` builds, the anchor in a point's own
+    cell is that of the tube holding it, so a covered point costs one cell
+    lookup and one tube test.  Round tubes are tested one tube at a time
+    against the points still uncovered.  Whether a point is covered does
+    not depend on the order in which tubes are tried, so the verdict and
+    the witness are those of testing every tube.
     """
     if s.dim != cover.dim:
         raise DimensionError("shape and cover dimensions differ")
@@ -187,16 +195,8 @@ def cover_check(
     sampled = [] if clouds and len(clouds) == len(leaves) else [sample_points(s, samples, seed)]
     pts = np.concatenate(sampled + clouds)
     reach = float(np.abs(pts).max(initial=0.0))
-    groups = {}
-    for tube in cover.tubes:
-        if isinstance(tube, SquareTube):
-            key = (tube.frame.cross.tobytes(), tube._width)
-            groups.setdefault(key, []).append(tube)
+    grids = [_AnchorGrid(t, reach) for t in cover.tubes if isinstance(t, SquareTubes)]
     looped = [t for t in cover.tubes if isinstance(t, Tube)]
-    grids = [
-        _AnchorGrid(g[0].frame.cross, g[0]._width, np.array([t.anchor for t in g]), reach)
-        for g in groups.values()
-    ]
     chunk = 1 << 14
     for start in range(0, len(pts), chunk):
         block = pts[start : start + chunk]
@@ -215,7 +215,8 @@ def cover_check(
 
 
 def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> TubeCover:
-    """Square tubes along ``direction`` over a grid covering the shadow.
+    """One group of square tubes along ``direction`` over a grid covering
+    the shadow.
 
     Every cell that could meet the shadow becomes a tube of half-width
     grid_step / 2 (kept as an exact rational), so the union of tubes
@@ -255,11 +256,9 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
         raise DegenerateShapeError("shadow grid selected no cells")
     half = Fraction(h) / 2
     centers = cell_lo[keep] + 0.5 * h
-    tubes = [
-        SquareTube(frame=shadow.frame, anchor=shadow.anchor_for(c), half_width=half)
-        for c in centers
-    ]
-    return TubeCover(tubes=tuple(tubes))
+    # one centre at a time: a product of all centres at once rounds some anchors otherwise
+    anchors = np.array([shadow.anchor_for(c) for c in centers])
+    return TubeCover(tubes=(SquareTubes(frame=shadow.frame, anchors=anchors, half_width=half),))
 
 
 def _point_lines(cloud: PointCloud) -> TubeCover:

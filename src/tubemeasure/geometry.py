@@ -52,6 +52,18 @@ def unit_ball_volume(m: int) -> float:
     return 2.0 ** m * math.pi ** k * math.factorial(k) / math.factorial(m)
 
 
+def _ball_measure(m: int, r: float, what: str) -> float:
+    """gamma_m r^m, the volume of an m-ball of radius r, as a finite float;
+    a value that overflows one is a ParameterError that starts with ``what``."""
+    try:
+        value = unit_ball_volume(m) * r ** m
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"{what} overflows a float")
+    return value
+
+
 def _as_floats(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -189,6 +201,8 @@ def identity_frame(n: int) -> Frame:
 
 @dataclass(frozen=True, eq=False)
 class Ball:
+    """Closed ball; a radius whose volume overflows a float is rejected."""
+
     center: np.ndarray
     radius: float
 
@@ -198,8 +212,10 @@ class Ball:
         r = float(self.radius)
         if not (math.isfinite(r) and r > 0):
             raise DegenerateShapeError(f"ball radius must be positive, got {r}")
+        volume = _ball_measure(c.size, r, "ball radius too large: its volume")
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "radius", r)
+        object.__setattr__(self, "_volume", volume)
 
     @property
     def dim(self) -> int:
@@ -219,7 +235,7 @@ class Cuboid:
 
     half_lengths[i] pairs with row i of frame.matrix, so the last entry
     measures the box along the frame axis and the others along the cross
-    directions.
+    directions.  Half-lengths whose volume overflows a float are rejected.
     """
 
     center: np.ndarray
@@ -237,8 +253,12 @@ class Cuboid:
                 raise DimensionError("cuboid frame dimension mismatch")
         if h.size != c.size or np.any(h <= 0):
             raise DegenerateShapeError("half_lengths must be positive, one per axis")
+        volume = math.prod((2.0 * h).tolist())  # as np.prod, without its warning
+        if not math.isfinite(volume):
+            raise ParameterError("cuboid too large: its volume overflows a float")
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "half_lengths", _freeze(h))
+        object.__setattr__(self, "_volume", volume)
 
     @property
     def dim(self) -> int:
@@ -491,10 +511,8 @@ def volume_exact(s: Shape) -> float | None:
     Clouds have volume 0 by definition; the hull volume of a polytope is
     exact in every supported dimension.
     """
-    if isinstance(s, Ball):
-        return unit_ball_volume(s.dim) * s.radius ** s.dim
-    if isinstance(s, Cuboid):
-        return float(np.prod(2.0 * s.half_lengths))
+    if isinstance(s, (Ball, Cuboid)):
+        return s._volume
     if isinstance(s, ConvexPolytope):
         return s.volume
     leaves = _leaves(s)
@@ -577,12 +595,7 @@ class Tube:
         r = float(self.radius)
         if not (math.isfinite(r) and r > 0):
             raise ParameterError(f"tube radius must be positive and finite, got {r}")
-        try:
-            cost = unit_ball_volume(p.size - 1) * r ** (p.size - 1)
-        except OverflowError:
-            cost = math.inf
-        if not math.isfinite(cost):
-            raise ParameterError("tube radius too large: its cost overflows a float")
+        cost = _ball_measure(p.size - 1, r, "tube radius too large: its cost")
         object.__setattr__(self, "point", _freeze(p))
         object.__setattr__(self, "axis", _freeze(a))
         object.__setattr__(self, "radius", r)
@@ -603,26 +616,27 @@ class Tube:
 
 
 @dataclass(frozen=True, eq=False)
-class SquareTube:
-    """Square cross-section tube: cross-frame coordinates in [-delta, delta].
+class SquareTubes:
+    """Parallel, congruent square tubes: one frame and half-width, and one
+    anchor row per tube, whose cross-frame coordinates lie in [-delta, delta].
 
     The half-width is kept as an exact rational so that refinement and
     packing arguments can compare widths without rounding; membership
-    tests use its float, taken once.  The cost (2 delta)^(n-1) is rounded
-    once from the exact rational and kept; a half-width whose cost does
-    not round to a finite float is rejected.
+    tests use its float, taken once.  The cost (2 delta)^(n-1) of each
+    tube is rounded once from the exact rational and kept; a half-width
+    whose cost does not round to a finite float is rejected.
     """
 
     frame: Frame
-    anchor: np.ndarray
+    anchors: np.ndarray
     half_width: Fraction
 
     def __post_init__(self):
         if not isinstance(self.frame, Frame):
-            raise GeometryError("square tube needs a Frame")
-        a = _as_floats(self.anchor, "anchor").ravel()
-        if a.size != self.frame.dim:
-            raise DimensionError("square tube anchor and frame dimensions differ")
+            raise GeometryError("square tubes need a Frame")
+        a = np.atleast_2d(_as_floats(self.anchors, "anchor"))
+        if a.ndim != 2 or not len(a) or a.shape[1] != self.frame.dim:
+            raise DimensionError("square tubes need one anchor row or more, of the frame's dimension")
         hw = self.half_width
         if not isinstance(hw, Fraction):
             hw = Fraction(hw)
@@ -630,12 +644,12 @@ class SquareTube:
             raise ParameterError(f"square tube half-width must be positive, got {hw}")
         num, den = hw.as_integer_ratio()
         try:
-            cost = _square_cost(num, den, a.size - 1)
+            cost = _square_cost(num, den, a.shape[1] - 1)
         except OverflowError:
             raise ParameterError(
                 "square tube half-width too large: its cost overflows a float"
             ) from None
-        object.__setattr__(self, "anchor", _freeze(a))
+        object.__setattr__(self, "anchors", _freeze(a))
         object.__setattr__(self, "half_width", hw)
         object.__setattr__(self, "_width", num / den)
         object.__setattr__(self, "_cost", cost)
@@ -644,12 +658,16 @@ class SquareTube:
     def dim(self) -> int:
         return self.frame.dim
 
-    def cross_coordinates(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        return (pts - self.anchor) @ self.frame.cross.T
+    def __len__(self) -> int:
+        return len(self.anchors)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        return _in_square_tubes(np.atleast_2d(pts), self.anchor, self.frame.cross, self._width)
+        """Closed membership in any of the tubes, one tube at a time."""
+        pts = np.atleast_2d(pts)
+        out = np.zeros(len(pts), dtype=bool)
+        for anchor in self.anchors:
+            out |= _in_square_tubes(pts, anchor, self.frame.cross, self._width)
+        return out
 
 
 def _in_square_tubes(pts: np.ndarray, anchors: np.ndarray, cross: np.ndarray, width: float) -> np.ndarray:
@@ -665,16 +683,6 @@ def _in_square_tubes(pts: np.ndarray, anchors: np.ndarray, cross: np.ndarray, wi
     batch = np.vstack([rel, rel]) if len(rel) == 1 else rel
     y = batch @ cross.T
     return _rows_all(np.abs(y, out=y) <= width)[: len(rel)]
-
-
-def point_in_tube(p, tube: Tube | SquareTube) -> bool:
-    """Closed membership of one point: within the radius of a round tube's
-    axis line, or every cross-frame coordinate in [-delta, delta] for a
-    square tube."""
-    p = _as_floats(p, "point").ravel()
-    if p.size != tube.dim:
-        raise DimensionError("point and tube dimensions differ")
-    return bool(tube.contains(p[None, :])[0])
 
 
 def regular_tetrahedron(edge: float = 1.0) -> ConvexPolytope:

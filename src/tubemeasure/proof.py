@@ -43,6 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import square_tube_exact_measure, tube_exact_measure
+from .covers import TubeCover
 from .errors import (
     DimensionError,
     GeometryError,
@@ -56,7 +57,7 @@ from .geometry import (
     Cuboid,
     Frame,
     MAX_DIM,
-    SquareTube,
+    SquareTubes,
     Tube,
     _square_cost,
     orthonormal_frame,
@@ -369,27 +370,27 @@ def _packing_cell_by_rank(m: int, counts: dict[int, int], rank: int) -> tuple[in
     return depth, cell
 
 
-def _cell_tube(tube: Tube, frame: Frame, cell: np.ndarray, half_width: Fraction) -> SquareTube:
-    """Square tube over one packing cell of ``tube``, centred at cell * half_width."""
-    anchor = tube.point + (cell * float(half_width)) @ frame.cross
-    return SquareTube(frame=frame, anchor=anchor, half_width=half_width)
+def _cell_tube(tube: Tube, frame: Frame, cells: np.ndarray, half_width: Fraction) -> SquareTubes:
+    """Square tubes over packing cells of ``tube``, one per row of cells,
+    each centred at cell * half_width."""
+    anchors = tube.point + (cells * float(half_width)) @ frame.cross
+    return SquareTubes(frame=frame, anchors=anchors, half_width=half_width)
 
 
-def subdivide_tube(tube: Tube, max_depth: int) -> list[SquareTube]:
-    """Square tubes packing a round tube, one per cross-section square.
+def subdivide_tube(tube: Tube, max_depth: int) -> TubeCover:
+    """Square tubes packing a round tube, one per cross-section square, in
+    one group per depth.
 
     The union of the returned tubes sits inside the round tube and their
-    total cost equals the packed share of its exact measure.
+    total cost equals the packed share of its exact measure.  A depth at
+    which no square fits leaves an empty cover, which is a ParameterError.
     """
     packing = ball_square_packing(tube.dim - 1, tube.radius, max_depth)
     if packing.n_squares > _MAX_SUBDIVISION_TUBES:
         raise ParameterError("subdivision too large to materialize; lower max_depth")
     frame = orthonormal_frame(tube.axis)
-    return [
-        _cell_tube(tube, frame, cell, packing.half_width(depth))
-        for depth, block in sorted(packing.cells.items())
-        for cell in block
-    ]
+    cells = sorted(packing.cells.items())
+    return TubeCover(tubes=tuple(_cell_tube(tube, frame, c, packing.half_width(d)) for d, c in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +480,7 @@ class AlignedCuboidPair:
 
     first: Cuboid
     second: Cuboid
-    enclosing: SquareTube
+    enclosing: SquareTubes
 
 
 def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
@@ -508,7 +509,7 @@ def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
     # validates the eta bound and fixes the long edge
     ideal = cuboid_in_ball(b1, axis, eta, frame=frame)
     long_half = float(ideal.half_lengths[-1])
-    tube = SquareTube(frame=frame, anchor=b1.center, half_width=Fraction(eta) / 2)
+    tube = SquareTubes(frame=frame, anchors=b1.center[None], half_width=Fraction(eta) / 2)
     target = float(tube.half_width)
 
     cross_half = eta / 2.0
@@ -517,7 +518,7 @@ def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
         c1 = Cuboid(center=b1.center, frame=frame, half_lengths=half)
         c2 = Cuboid(center=b2.center, frame=frame, half_lengths=half)
         verts = np.vstack([c1.vertices, c2.vertices])
-        coords = np.abs(tube.cross_coordinates(verts))
+        coords = np.abs((verts - b1.center) @ frame.cross.T)
         overshoot = float(coords.max()) - target
         if overshoot <= 0.0:
             return AlignedCuboidPair(first=c1, second=c2, enclosing=tube)
@@ -724,7 +725,7 @@ def _select_square_tube(tube: Tube, packing: SquarePacking, eps: float, seed: in
 
     ``packing`` gives the census and is scaled to the tube's radius.
     Shares stream from (seed, key); the cell is found by its rank, without
-    listing the packing.  Returns (SquareTube, detail dict).
+    listing the packing.  Returns (one-tube SquareTubes, detail dict).
     """
     packing = replace(packing, radius=tube.radius)
     m, counts = packing.m, packing.depth_counts
@@ -734,14 +735,14 @@ def _select_square_tube(tube: Tube, packing: SquarePacking, eps: float, seed: in
     ]
     index, share, retries = _stream_pigeonhole(groups, eps, seed, key)
     cell_depth, cell = _packing_cell_by_rank(m, counts, index)
-    square = _cell_tube(tube, orthonormal_frame(tube.axis), cell, packing.half_width(cell_depth))
+    square = _cell_tube(tube, orthonormal_frame(tube.axis), cell[None], packing.half_width(cell_depth))
     outputs = {
         "selected_index": index,
         "cell_depth": cell_depth,
         "half_width": square.half_width,
         "share": share,
         "retries": retries,
-        "anchor": square.anchor,
+        "anchor": square.anchors[0],
     }
     return square, outputs
 
@@ -864,13 +865,13 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
 
     # 6: disjoint delta-balls on the axes of the two selected square tubes
     delta_f = float(delta)
-    ball1 = Ball(center=square1.anchor, radius=delta_f)
+    ball1 = Ball(center=square1.anchors[0], radius=delta_f)
     ball2 = None
     separation = 0.0
     for k in range(0, 65):
         for sign in (1, -1) if k else (1,):
             cand = Ball(
-                center=square2.anchor + sign * k * 4.0 * delta_f * tube2.axis,
+                center=square2.anchors[0] + sign * k * 4.0 * delta_f * tube2.axis,
                 radius=delta_f,
             )
             separation = float(np.linalg.norm(cand.center - ball1.center))

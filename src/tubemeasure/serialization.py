@@ -30,7 +30,7 @@ from .geometry import (
     PointCloud,
     ProductSet,
     Shape,
-    SquareTube,
+    SquareTubes,
     Tube,
     UnionShape,
 )
@@ -141,15 +141,13 @@ def _frame_to_json(frame: Frame) -> dict:
     return {"axis": _jsonable(frame.axis), "cross": [_jsonable(row) for row in frame.cross]}
 
 
-def _frame_from_json(obj, what: str, dim: int, frames: dict | None = None) -> Frame:
-    """Decode a frame; with ``frames``, equal rows decode to one shared
-    Frame, built and validated once and memoized by their float bytes."""
+def _frame_from_json(obj, what: str, dim: int, frames: dict) -> Frame:
+    """Decode a frame; equal rows decode to one shared Frame, built and
+    validated once and memoized in ``frames`` by their float bytes."""
     obj = _require_dict(obj, what)
     _check_fields(obj, what, ("axis", "cross"))
     axis = _vector(obj["axis"], f"{what}.axis", dim)
     cross = _matrix(obj["cross"], f"{what}.cross", dim - 1, dim)
-    if frames is None:
-        return Frame(axis=axis, cross=cross)
     key = (axis.tobytes(), cross.tobytes())
     if key not in frames:
         frames[key] = Frame(axis=axis, cross=cross)
@@ -231,7 +229,7 @@ def shape_from_json(obj) -> Shape:
         else:
             if "frame" not in obj:
                 raise SchemaError("cuboid needs a frame in dimension >= 2")
-            frame = _frame_from_json(obj["frame"], "cuboid.frame", dim)
+            frame = _frame_from_json(obj["frame"], "cuboid.frame", dim, {})
         return Cuboid(
             center=_vector(obj["center"], "cuboid.center", dim),
             frame=frame,
@@ -278,38 +276,29 @@ def shape_from_json(obj) -> Shape:
 
 
 def cover_to_json(cover: TubeCover) -> list:
-    """The cover as a list of tube dicts; tubes sharing one Frame object
-    share one frame dict, encoded once."""
+    """The cover as a list of tube dicts, one per tube; the tubes of one
+    group share one frame dict and one delta dict, each encoded once."""
     out = []
-    frames = {}
-    for tube in cover.tubes:
-        if isinstance(tube, Tube):
-            out.append(
-                {
-                    "kind": "round",
-                    "point": _jsonable(tube.point),
-                    "axis": _jsonable(tube.axis),
-                    "r": tube.radius,
-                }
-            )
-        else:  # a square tube; TubeCover admits no other kind
-            if id(tube.frame) not in frames:
-                frames[id(tube.frame)] = _frame_to_json(tube.frame)
-            out.append(
-                {
-                    "kind": "square",
-                    "anchor": _jsonable(tube.anchor),
-                    "frame": frames[id(tube.frame)],
-                    "delta": rational_to_json(tube.half_width),
-                }
+    for part in cover.tubes:
+        if isinstance(part, Tube):
+            point, axis = _jsonable(part.point), _jsonable(part.axis)
+            out.append({"kind": "round", "point": point, "axis": axis, "r": part.radius})
+        else:  # a group of square tubes; TubeCover admits no other kind
+            frame = _frame_to_json(part.frame)
+            delta = rational_to_json(part.half_width)
+            out.extend(
+                {"kind": "square", "anchor": anchor, "frame": frame, "delta": delta}
+                for anchor in part.anchors.tolist()
             )
     return out
 
 
 def cover_from_json(obj) -> TubeCover:
+    """Read a cover document entry by entry; consecutive square entries
+    with one frame and one delta read back as one group of square tubes."""
     if not isinstance(obj, list):
         raise SchemaError("a cover document must be a top-level list of tubes")
-    tubes = []
+    parts = []  # round Tubes and [frame, delta, anchors] runs of square entries
     frames = {}
     for i, entry in enumerate(obj):
         what = f"cover[{i}]"
@@ -321,23 +310,23 @@ def cover_from_json(obj) -> TubeCover:
             _check_fields(entry, what, ("kind", "point", "axis", "r"))
             point = _vector(entry["point"], f"{what}.point")
             axis = _vector(entry["axis"], f"{what}.axis", len(point))
-            tubes.append(
-                Tube(point=point, axis=axis, radius=_number(entry["r"], f"{what}.r"))
-            )
+            parts.append(Tube(point=point, axis=axis, radius=_number(entry["r"], f"{what}.r")))
         elif kind == "square":
             _check_fields(entry, what, ("kind", "anchor", "frame", "delta"))
             anchor = _vector(entry["anchor"], f"{what}.anchor")
             frame = _frame_from_json(entry["frame"], f"{what}.frame", len(anchor), frames)
-            tubes.append(
-                SquareTube(
-                    frame=frame,
-                    anchor=anchor,
-                    half_width=rational_from_json(entry["delta"], f"{what}.delta"),
-                )
-            )
+            delta = rational_from_json(entry["delta"], f"{what}.delta")
+            run = parts[-1] if parts else None
+            if isinstance(run, list) and run[0] is frame and run[1] == delta:
+                run[2].append(anchor)
+            else:
+                parts.append([frame, delta, [anchor]])
         else:
             raise SchemaError(f"{what} has unknown tube kind {kind!r}")
-    return TubeCover(tubes=tuple(tubes))
+    return TubeCover(tubes=tuple(
+        p if isinstance(p, Tube) else SquareTubes(frame=p[0], anchors=np.array(p[2]), half_width=p[1])
+        for p in parts
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from tubemeasure import (
     InvariantError,
     ParameterError,
     PointCloud,
-    SquareTube,
+    SquareTubes,
     Tube,
     UnionShape,
     axis_aligned_cuboid,
@@ -83,8 +83,8 @@ class TestExactTubeCosts:
             (4, Fraction(1, 3), float(Fraction(8, 27))),
         ]
         for n, delta, expected in cases:
-            tube = SquareTube(
-                frame=identity_frame(n), anchor=np.zeros(n), half_width=delta
+            tube = SquareTubes(
+                frame=identity_frame(n), anchors=np.zeros((1, n)), half_width=delta
             )
             assert square_tube_exact_measure(tube) == expected
 
@@ -99,7 +99,7 @@ class TestExactTubeCosts:
             else:
                 delta = Fraction(int(rng.integers(1, 10 ** 12)), int(rng.integers(1, 10 ** 12)))
                 delta *= Fraction(10) ** int(rng.integers(-30, 31))
-            tube = SquareTube(frame=identity_frame(m + 1), anchor=np.zeros(m + 1), half_width=delta)
+            tube = SquareTubes(frame=identity_frame(m + 1), anchors=np.zeros((1, m + 1)), half_width=delta)
             assert square_tube_exact_measure(tube).hex() == float((2 * delta) ** m).hex()
             assert tube._width.hex() == float(delta).hex()
             radius = float(10.0 ** rng.uniform(-30.0, 30.0))
@@ -122,12 +122,12 @@ class TestExactTubeCosts:
                     cost = float((2 * delta) ** m)
                 except OverflowError:
                     cost = None
-                frame, anchor = identity_frame(m + 1), np.zeros(m + 1)
+                frame, anchors = identity_frame(m + 1), np.zeros((1, m + 1))
                 if cost is None:
                     with pytest.raises(ParameterError, match="overflows a float"):
-                        SquareTube(frame=frame, anchor=anchor, half_width=delta)
+                        SquareTubes(frame=frame, anchors=anchors, half_width=delta)
                 else:
-                    tube = SquareTube(frame=frame, anchor=anchor, half_width=delta)
+                    tube = SquareTubes(frame=frame, anchors=anchors, half_width=delta)
                     assert square_tube_exact_measure(tube) == cost
 
 

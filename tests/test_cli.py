@@ -132,6 +132,25 @@ class TestBounds:
         assert code == 2 and out == ""
         assert err == "input error: maximum recursion depth exceeded\n"
 
+    @pytest.mark.parametrize(
+        "doc, command",
+        [
+            # the volume is inf, the diameter too: the report read NaN and Infinity
+            (dict(CUBE3, half_lengths=[1e200] * 3), ["bounds"]),
+            # gamma_2 r^2 raised OverflowError in the ball's Cauchy terms
+            (dict(BALL3, radius=1e200), ["bounds"]),
+            (dict(BALL3, radius=1e200), ["cover", "--search"]),
+            # the shadow pi r^2 is a float, the volume 4/3 pi r^3 is not
+            (dict(BALL3, radius=1e120), ["bounds"]),
+        ],
+        ids=["cuboid-bounds", "ball-bounds", "ball-search", "ball-volume-only"],
+    )
+    def test_shape_whose_measures_overflow_is_an_input_error(self, tmp_path, capsys, doc, command):
+        argv = [command[0], "--shape", shape_file(tmp_path, doc), *command[1:]]
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("input error:") and "too large" in err and "overflows a float" in err
+
 
 class TestPlank:
     def test_square_width(self, tmp_path, capsys):
@@ -243,12 +262,14 @@ class TestCover:
             cover_path = tmp_path / "cover.json"
             cover_path.write_text(json.dumps(cover))
             assert run_json(capsys, check + ["--cover", str(cover_path)])["result"]["covered"] is True
-            tubes = cover_from_json(cover).tubes
-            drop = int(np.argmin([np.abs(t.cross_coordinates(centre)).max() for t in tubes]))
+            (grid,) = cover_from_json(cover).tubes
+            assert len(grid) == len(cover)
+            drop = int(np.argmin(np.abs((centre - grid.anchors) @ grid.frame.cross.T).max(axis=1)))
             cover_path.write_text(json.dumps(cover[:drop] + cover[drop + 1:]))
             missed = run_json(capsys, check + ["--cover", str(cover_path)])["result"]
             assert missed["covered"] is False
-            assert tubes[drop].contains(np.array([missed["worst_point"]]))[0]
+            tube = cover_from_json([cover[drop]]).tubes[0]
+            assert tube.contains(np.array([missed["worst_point"]]))[0]
 
     def test_search_on_cloud(self, tmp_path, capsys):
         path = shape_file(tmp_path, CLOUD3)
@@ -266,6 +287,14 @@ class TestCover:
         )
         assert code == 2 and out == ""
         assert "choose a coarser grid" in err
+
+    def test_grid_step_without_a_float_is_refused(self, capsys):
+        # float(Fraction("1e400")) raised OverflowError, with a traceback and exit 1
+        code, out, err = run(
+            capsys, ["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1e400"]
+        )
+        assert code == 2 and out == ""
+        assert err == "input error: grid step 1e400 overflows a float\n"
 
     @pytest.mark.parametrize("exponent", [400, 200])
     def test_huge_square_tube_is_an_input_error(self, tmp_path, capsys, exponent):

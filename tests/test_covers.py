@@ -14,7 +14,7 @@ from tubemeasure import (
     DimensionError,
     ParameterError,
     PointCloud,
-    SquareTube,
+    SquareTubes,
     Tube,
     TubeCover,
     UnionShape,
@@ -44,8 +44,8 @@ def round_tube(n, radius, point=None):
 
 
 def square_tube(n, delta):
-    return SquareTube(
-        frame=identity_frame(n), anchor=np.zeros(n), half_width=Fraction(delta)
+    return SquareTubes(
+        frame=identity_frame(n), anchors=np.zeros((1, n)), half_width=Fraction(delta)
     )
 
 
@@ -148,7 +148,7 @@ def clouds_and_covers(draw):
     n = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames = [orthonormal_frame(random_direction(rng, n)) for _ in range(draw(st.integers(1, 3)))]
-    tubes = []
+    parts = []
     for frame in frames:
         for den in draw(st.lists(st.sampled_from([10, 16, 27, 64]), min_size=1, max_size=2)):
             delta = Fraction(int(rng.integers(1, 4)), den)
@@ -159,15 +159,25 @@ def clouds_and_covers(draw):
             cross[close] = cross[0] + rng.uniform(-0.4, 0.4, (int(close.sum()), n - 1)) * float(delta)
             along = rng.uniform(-1.0, 1.0, count)
             anchors = cross @ frame.cross + np.outer(along, frame.axis)
-            tubes += [SquareTube(frame=frame, anchor=a, half_width=delta) for a in anchors]
+            parts.append(SquareTubes(frame=frame, anchors=anchors, half_width=delta))
     for _ in range(draw(st.integers(0, 3))):
         point = rng.uniform(-1.0, 1.0, n)
-        tubes.append(Tube(point=point, axis=random_direction(rng, n), radius=float(rng.uniform(0.05, 0.5))))
+        parts.append(Tube(point=point, axis=random_direction(rng, n), radius=float(rng.uniform(0.05, 0.5))))
     drop = draw(st.sampled_from([0.0, 0.02, 0.2]))
-    kept = [t for t in tubes if rng.random() >= drop]
-    kept = kept or tubes[:1]
+    kept = []  # each group keeps its tubes that survive the drop
+    for part in parts:
+        if isinstance(part, Tube):
+            kept += [part] if rng.random() >= drop else []
+            continue
+        anchors = part.anchors[rng.random(len(part)) >= drop]
+        if len(anchors):
+            kept.append(SquareTubes(frame=part.frame, anchors=anchors, half_width=part.half_width))
+    kept = kept or parts[:1]
+    # (part, anchor row) of every kept tube
+    tubes = [(p, a) for p in kept for a in (p.anchors if isinstance(p, SquareTubes) else [None])]
     rows = []
-    for tube in rng.choice(np.array(kept, dtype=object), int(rng.integers(1, 40))):
+    for i in rng.integers(len(tubes), size=int(rng.integers(1, 40))):
+        tube, anchor = tubes[i]
         if isinstance(tube, Tube):
             offset = rng.standard_normal(n)
             offset -= (offset @ tube.axis) * tube.axis
@@ -178,7 +188,7 @@ def clouds_and_covers(draw):
         y = rng.uniform(-width, width, n - 1)
         if rng.random() < 0.5:
             y[int(rng.integers(n - 1))] = width * rng.choice([-1.0, 1.0])
-        rows.append(tube.anchor + y @ tube.frame.cross + rng.uniform(-2.0, 2.0) * tube.frame.axis)
+        rows.append(anchor + y @ tube.frame.cross + rng.uniform(-2.0, 2.0) * tube.frame.axis)
     if draw(st.booleans()):
         rows += list(rng.uniform(-1.5, 1.5, (int(rng.integers(1, 20)), n)))
     order = rng.permutation(len(rows))
@@ -207,11 +217,11 @@ class TestIndexedCoverCheck:
         for n in (2, 3, 4, 5):
             for _ in range(10):
                 frame = orthonormal_frame(random_direction(rng, n))
-                tube = SquareTube(frame=frame, anchor=rng.uniform(-1, 1, n), half_width=Fraction(1, 7))
+                tube = SquareTubes(frame=frame, anchors=rng.uniform(-1, 1, (1, n)), half_width=Fraction(1, 7))
                 width = float(tube.half_width)
                 y = rng.uniform(-width, width, (40, n - 1))
                 y[np.arange(40), rng.integers(n - 1, size=40)] = width * rng.choice([-1.0, 1.0], 40)
-                pts = tube.anchor + y @ frame.cross + np.outer(rng.uniform(-2, 2, 40), frame.axis)
+                pts = tube.anchors[0] + y @ frame.cross + np.outer(rng.uniform(-2, 2, 40), frame.axis)
                 alone = [bool(tube.contains(p[None, :])[0]) for p in pts]
                 assert tube.contains(pts).tolist() == alone
                 verdicts += alone
@@ -222,8 +232,9 @@ class TestIndexedCoverCheck:
         # 529 square tubes; sampling spans two blocks of points
         tet = regular_tetrahedron()
         cover = parallel_cover_from_projection(tet, np.array([0.0, 0.0, 1.0]), 1 / 32)
+        (grid,) = cover.tubes
         keep = np.random.default_rng(7).random(len(cover)) >= drop
-        cover = TubeCover(tubes=tuple(t for t, k in zip(cover.tubes, keep) if k))
+        cover = TubeCover(tubes=(SquareTubes(frame=grid.frame, anchors=grid.anchors[keep], half_width=grid.half_width),))
         found = cover_check(tet, cover, samples=20_000, seed=3)
         assert_same_check(found, all_tubes_check(tet, cover, samples=20_000, seed=3))
         assert found[0] == (drop == 0.0)
@@ -241,7 +252,7 @@ class TestAnchorCells:
             frame = orthonormal_frame(random_direction(rng, n))
             first = rng.uniform(-1.0, 1.0, n)
             second = first + 1e9 * frame.cross[0]
-            tubes = tuple(SquareTube(frame=frame, anchor=a, half_width=delta) for a in (first, second))
+            tubes = (SquareTubes(frame=frame, anchors=np.array([first, second]), half_width=delta),)
             inside = trial % 2 == 1  # well inside both tubes, or some points outside
             rows = []
             for anchor in (first, second, first, second):
@@ -266,11 +277,11 @@ class TestAnchorCells:
             n = 2 + trial % 3
             frame = orthonormal_frame(random_direction(rng, n))
             anchors = rng.uniform(-1e9, 1e9, (3, n))
-            tubes = tuple(SquareTube(frame=frame, anchor=a, half_width=delta) for a in anchors)
+            tubes = (SquareTubes(frame=frame, anchors=anchors, half_width=delta),)
             y = rng.uniform(-width, width, (3, 500, n - 1)) @ frame.cross
             along = rng.uniform(-5.0, 5.0, (3, 500, 1)) * frame.axis
             pts = (anchors[:, None] + y + along).reshape(-1, n)
-            cloud = PointCloud(points=pts[np.any([t.contains(pts) for t in tubes], axis=0)])
+            cloud = PointCloud(points=pts[tubes[0].contains(pts)])
             assert cover_check(cloud, TubeCover(tubes=tubes)) == (True, None)
 
 

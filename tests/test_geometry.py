@@ -17,7 +17,7 @@ from tubemeasure import (
     ParameterError,
     PointCloud,
     ProductSet,
-    SquareTube,
+    SquareTubes,
     Tube,
     UnboundedShapeError,
     UnionShape,
@@ -26,7 +26,6 @@ from tubemeasure import (
     diameter,
     identity_frame,
     orthonormal_frame,
-    point_in_tube,
     regular_tetrahedron,
     unit_ball_volume,
     volume_exact,
@@ -267,15 +266,15 @@ class TestDiameter:
 class TestTubes:
     def test_point_on_axis(self):
         tube = Tube(point=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=1.0)
-        assert point_in_tube(np.array([0.0, 0.0, 17.0]), tube)
+        assert tube.contains(np.array([0.0, 0.0, 17.0])[None])[0]
 
     def test_boundary_is_closed(self):
         tube = Tube(point=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=1.0)
-        assert point_in_tube(np.array([1.0, 0.0, -4.0]), tube)
+        assert tube.contains(np.array([1.0, 0.0, -4.0])[None])[0]
 
     def test_outside(self):
         tube = Tube(point=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=1.0)
-        assert not point_in_tube(np.array([0.0, 2.0, 0.0]), tube)
+        assert not tube.contains(np.array([0.0, 2.0, 0.0])[None])[0]
 
     def test_radius_positive(self):
         with pytest.raises(ParameterError):
@@ -301,21 +300,43 @@ class TestTubes:
             dist = tube.distance_to_axis(p)
             if abs(dist - tube.radius) < 1e-9:
                 continue
-            assert point_in_tube(p, tube) == point_in_tube(rot @ p + shift, moved_tube)
+            assert tube.contains(p[None])[0] == moved_tube.contains((rot @ p + shift)[None])[0]
             trials += 1
         assert trials > 900
 
     def test_square_tube_membership(self):
-        st = SquareTube(
-            frame=identity_frame(3), anchor=np.zeros(3), half_width=Fraction(1, 2)
+        st = SquareTubes(
+            frame=identity_frame(3), anchors=np.zeros((1, 3)), half_width=Fraction(1, 2)
         )
-        assert point_in_tube(np.zeros(3), st)
-        assert point_in_tube(np.array([0.5, 0.5, 9.0]), st)  # closed boundary
-        assert not point_in_tube(np.array([0.6, 0.0, 0.0]), st)
+        assert len(st) == 1
+        assert st.contains(np.zeros(3)[None])[0]
+        assert st.contains(np.array([0.5, 0.5, 9.0])[None])[0]  # closed boundary
+        assert not st.contains(np.array([0.6, 0.0, 0.0])[None])[0]
 
     def test_square_tube_width_positive(self):
         with pytest.raises(ParameterError):
-            SquareTube(frame=identity_frame(2), anchor=np.zeros(2), half_width=0)
+            SquareTubes(frame=identity_frame(2), anchors=np.zeros((1, 2)), half_width=0)
+
+    def test_square_tubes_hold_the_union_of_their_tubes(self):
+        # one cost per tube, and a point is inside the group when it is
+        # inside any one of its tubes
+        anchors = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 5.0], [0.0, 3.0, -1.0]])
+        group = SquareTubes(frame=identity_frame(3), anchors=anchors, half_width=Fraction(1, 2))
+        assert len(group) == 3 and group._cost == 1.0
+        pts = np.array([[0.1, 0.2, 7.0], [2.5, -0.5, 0.0], [0.0, 3.5, 2.0], [1.0, 0.0, 0.0], [0.0, 1.6, 0.0]])
+        alone = [
+            SquareTubes(frame=group.frame, anchors=a[None], half_width=group.half_width).contains(pts)
+            for a in anchors
+        ]
+        assert group.contains(pts).tolist() == np.any(alone, axis=0).tolist() == [True] * 3 + [False] * 2
+
+    def test_square_tubes_need_anchor_rows_of_the_frame_dimension(self):
+        frame = identity_frame(3)
+        for anchors in (np.zeros((0, 3)), np.zeros((2, 2)), np.zeros((1, 2, 3))):
+            with pytest.raises(DimensionError):
+                SquareTubes(frame=frame, anchors=anchors, half_width=Fraction(1, 2))
+        with pytest.raises(GeometryError):
+            SquareTubes(frame=frame, anchors=np.array([[0.0, math.nan, 0.0]]), half_width=1)
 
 
 class TestBuiltins:
@@ -420,8 +441,8 @@ class TestColumnwiseMembership:
                 expected = np.all(np.abs((pts - box.center) @ box.axes.T) <= h, axis=1)
                 assert box.contains(pts).tolist() == expected.tolist()
                 assert expected.any() and not expected.all()
-                tube = SquareTube(frame=box.frame, anchor=box.center, half_width=Fraction(h[0]))
-                rel = np.abs((pts - tube.anchor) @ tube.frame.cross.T)
+                tube = SquareTubes(frame=box.frame, anchors=box.center[None], half_width=Fraction(h[0]))
+                rel = np.abs((pts - box.center) @ tube.frame.cross.T)
                 assert tube.contains(pts).tolist() == np.all(rel <= h[0], axis=1).tolist()
 
     def test_box_oracle_matches_both_bounds(self):

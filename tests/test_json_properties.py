@@ -17,7 +17,7 @@ from tubemeasure import (
     Cuboid,
     PointCloud,
     ProductSet,
-    SquareTube,
+    SquareTubes,
     Tube,
     TubeCover,
     TubeMeasureError,
@@ -158,9 +158,9 @@ def covers(draw):
             tubes.append(Tube(point=draw(vector(n)), axis=draw(direction(n)), radius=draw(lengths)))
         else:
             tubes.append(
-                SquareTube(
+                SquareTubes(
                     frame=draw(st.just(shared) | direction(n).map(orthonormal_frame)),
-                    anchor=draw(vector(n)),
+                    anchors=np.array(draw(st.lists(vector(n), min_size=1, max_size=3))),
                     half_width=draw(st.fractions(min_value=0.001, max_value=3)),
                 )
             )

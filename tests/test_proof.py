@@ -27,6 +27,7 @@ from tubemeasure import (
     choose_parameters,
     common_refinement,
     contradiction_check,
+    cover_cost,
     cuboid_in_ball,
     pigeonhole_select,
     run_proof_walkthrough,
@@ -386,30 +387,36 @@ class TestSubdivideTube:
         tube = Tube(point=np.zeros(2), axis=np.array([0.0, 1.0]), radius=1.0)
         squares = subdivide_tube(tube, 1)
         assert len(squares) == 2
-        total = math.fsum(square_tube_exact_measure(sq) for sq in squares)
-        assert total == 2.0  # the strip costs 2r and splits exactly
+        assert cover_cost(squares) == 2.0  # the strip costs 2r and splits exactly
 
     def test_round_tube_subdivision_stays_below_cost(self):
         tube = Tube(point=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=1.0)
         squares = subdivide_tube(tube, 2)
         assert len(squares) == 4
-        total = math.fsum(square_tube_exact_measure(sq) for sq in squares)
-        assert total == 1.0
+        assert cover_cost(squares) == 1.0
         deep = subdivide_tube(tube, 10)
-        deep_total = math.fsum(square_tube_exact_measure(sq) for sq in deep)
-        assert 0.99 * math.pi <= deep_total <= math.pi
+        # one group of square tubes per depth, each tube costing (2 delta)^2
+        assert [sq.half_width for sq in deep.tubes] == [Fraction(1, 2 ** d) for d in range(2, 11)]
+        assert cover_cost(deep) == math.fsum(len(sq) * square_tube_exact_measure(sq) for sq in deep.tubes)
+        assert 0.99 * math.pi <= cover_cost(deep) <= math.pi
 
     def test_anchors_on_cross_section(self):
         rng = np.random.default_rng(11)
         axis = rng.standard_normal(3)
         tube = Tube(point=rng.uniform(-1, 1, 3), axis=axis, radius=0.75)
-        for sq in subdivide_tube(tube, 3):
-            # anchor sits in the tube: distance to the axis below r
-            rel = sq.anchor - tube.point
+        for sq in subdivide_tube(tube, 3).tubes:
+            # anchors sit in the tube: distance to the axis below r
+            rel = sq.anchors - tube.point
             along = rel @ tube.axis
-            dist = np.linalg.norm(rel - along * tube.axis)
-            assert dist <= tube.radius + 1e-9
+            dist = np.linalg.norm(rel - np.outer(along, tube.axis), axis=1)
+            assert np.all(dist <= tube.radius + 1e-9)
             assert np.allclose(sq.frame.axis, tube.axis, atol=1e-12)
+
+    def test_depth_without_squares_is_refused(self):
+        # no cube of side 1 fits in the unit ball of R^7; the list form was empty
+        tube = Tube(point=np.zeros(8), axis=np.eye(8)[-1], radius=1.0)
+        with pytest.raises(ParameterError, match="at least one tube"):
+            subdivide_tube(tube, 1)
 
     def test_materialization_guard(self):
         tube = Tube(point=np.zeros(8), axis=np.eye(8)[-1], radius=1.0)

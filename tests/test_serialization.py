@@ -16,7 +16,7 @@ from tubemeasure import (
     PointCloud,
     ProductSet,
     SchemaError,
-    SquareTube,
+    SquareTubes,
     Tube,
     TubeCover,
     UnionShape,
@@ -26,6 +26,7 @@ from tubemeasure import (
     cover_from_json,
     cover_to_json,
     parallel_cover_from_projection,
+    regular_tetrahedron,
     rational_from_json,
     rational_to_json,
     shape_from_json,
@@ -259,10 +260,33 @@ class TestCoverDocuments:
                 assert np.array_equal(a.axis, b.axis)
                 assert a.radius == b.radius
             else:
-                assert np.array_equal(a.anchor, b.anchor)
+                assert np.array_equal(a.anchors, b.anchors)
                 assert a.half_width == b.half_width
                 assert np.array_equal(a.frame.axis, b.frame.axis)
                 assert np.array_equal(a.frame.cross, b.frame.cross)
+
+    def test_grid_cover_reads_back_as_one_group(self):
+        cover = parallel_cover_from_projection(regular_tetrahedron(), (0, 0, 1), 1 / 32)
+        (grid,) = cover.tubes
+        assert isinstance(grid, SquareTubes) and len(grid) == len(cover) == 529
+        doc = json.loads(json.dumps(cover_to_json(cover)))
+        assert len(doc) == len(cover)
+        (back,) = cover_from_json(doc).tubes
+        assert isinstance(back, SquareTubes) and len(back) == len(grid)
+        assert back.anchors.tobytes() == grid.anchors.tobytes()
+        assert back.half_width == grid.half_width
+
+    def test_interleaved_entries_read_back_part_for_part(self):
+        # square A, round, square A: only consecutive square entries merge
+        frame = Frame(axis=np.array([0.0, 0.0, 1.0]), cross=np.eye(3)[:2])
+        square_a = SquareTubes(frame=frame, anchors=np.zeros((2, 3)) + [[0.0], [1.0]], half_width=Fraction(1, 4))
+        round_tube = Tube(point=np.array([0.1, -0.2, 0.3]), axis=np.array([0.0, 1.0, 0.0]), radius=0.4)
+        doc = json.loads(json.dumps(cover_to_json(TubeCover(tubes=(square_a, round_tube, square_a)))))
+        assert [entry["kind"] for entry in doc] == ["square", "square", "round", "square", "square"]
+        back = cover_from_json(doc)
+        assert [type(part) for part in back.tubes] == [SquareTubes, Tube, SquareTubes]
+        assert len(back) == 5
+        assert json.loads(json.dumps(cover_to_json(back))) == doc
 
     def test_top_level_dict_rejected(self):
         with pytest.raises(SchemaError):
