@@ -238,13 +238,15 @@ def _cmd_cover(args) -> dict:
         raise SchemaError("cover needs one of --cover FILE, --search, --parallel D H")
 
     cost = cover_cost(cover)
-    covered, worst = cover_check(shape, cover, samples=args.mc_samples, seed=args.seed)
+    verdict = cover_check(shape, cover, samples=args.mc_samples, seed=args.seed)
+    covered, worst = verdict
     result.update(
         {
             "tubes": len(cover),
             "cost": cost,
             "covered": covered,
             "worst_point": None if worst is None else [float(v) for v in worst],
+            "check": verdict.check,
         }
     )
     if "shadow_area" in result:

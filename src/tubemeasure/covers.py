@@ -14,14 +14,22 @@ generators aim to cover a shape cheaply:
   direction, or, for a point cloud, thin tubes through pairs of its
   points when those cost less.
 
-``cover_check`` verifies a cover on points sampled from the shape's
-solid members and on every point of its cloud members.  It hashes the
-anchors of each group of square tubes into a grid of side 2 delta
-centred on an anchor, each cell found by one sorted-row lookup.  A point
-looks up its own cell first, and the cells around it only while it stays
-uncovered.  On a projection cover, whose anchors are the grid's own cell
-centres, a point of the shape then costs one lookup and one tube test
-instead of a test per tube.
+``cover_check`` first tries a lattice certificate.  A cover of parallel
+square tubes covers a shape exactly when its squares cover the shape's
+shadow in the cross plane; when the cover is one group of tubes (one
+frame, one half-width) whose anchors lie on their own lattice, that is a
+finite question: every lattice cell the shadow can touch, listed over
+the shadow's bounding box in the fixed-radius cell grid of Bentley,
+Stanat and Williams, must hold an anchor.  A certified cover draws no
+sample.  Otherwise the check runs on points sampled from the shape's
+solid members, and in either case on every point of its cloud members.
+It hashes the anchors of each group of square tubes into a grid of side
+2 delta centred on an anchor, each cell found by one sorted-row lookup.
+A point looks up its own cell first, and the cells around it only while
+it stays uncovered.  On a projection cover, whose anchors are the grid's
+own cell centres, a point of the shape then costs one lookup and one
+tube test instead of a test per tube.  The verdict's ``check`` names the
+path taken: "lattice certificate", "sampled N points" or "cloud points".
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ import numpy as np
 from .errors import DegenerateShapeError, DimensionError, ParameterError
 from .bounds import upper_bound_min_projection
 from .geometry import (
+    Ball,
+    ConvexPolytope,
+    Cuboid,
     PointCloud,
     Shape,
     SquareTubes,
@@ -47,12 +58,13 @@ from .geometry import (
     diameter,
 )
 from .montecarlo import sample_points
-from .projection import Shadow
+from .projection import Shadow, _leaf_oracle
 
 # tube radii must stay positive on exact line fits; scaled by the cloud's
 # largest coordinate, at whose scale the axis distances round
 _POINT_FIT_RADIUS = 1e-9
 CHECK_SAMPLES = 100_000  # default points sampled by cover_check
+MAX_GRID_CELLS = 2_000_000  # lattice cells a grid cover or a certificate may list
 
 
 @dataclass(frozen=True)
@@ -99,7 +111,7 @@ def cover_cost(cover: TubeCover) -> float:
 
 
 class _AnchorGrid:
-    """A group of square tubes, hashed by anchor cell.
+    """Square tubes of one cross frame and half-width, hashed by anchor cell.
 
     Cells are cubes of side 2 delta in cross coordinates, widened only when
     rounding at the scale of the coordinates could approach delta, and
@@ -113,10 +125,9 @@ class _AnchorGrid:
     whatever the extent of the cover.
     """
 
-    def __init__(self, group: SquareTubes, reach: float):
-        cross, anchors = group.frame.cross, group.anchors
+    def __init__(self, cross: np.ndarray, width: float, anchors: np.ndarray, reach: float):
         m, n = cross.shape
-        self.cross, self.width, self.anchors = cross, group._width, anchors
+        self.cross, self.width, self.anchors = cross, width, anchors
         self.offsets = np.array(list(itertools.product((0, -1, 1), repeat=m)))
         reach += float(np.abs(anchors).max())
         # bounds the rounding of p @ cross.T, a @ cross.T and (p - a) @ cross.T
@@ -126,7 +137,7 @@ class _AnchorGrid:
         # inside the slack); a side of at least 4 err keeps
         # |cell(p) - cell(a)| <= 1 whenever the exact test puts p in the tube at a
         err = (4.0 * n * n + 2.0 * n) * np.finfo(float).eps * reach
-        self.side = max(2.0 * self.width, 4.0 * err)
+        self.side = max(2.0 * width, 4.0 * err)
         self.origin = anchors[0] @ cross.T - self.side / 2.0
         self.cells, code = np.unique(_row_values(self._keys(anchors)), return_inverse=True)
         self.order = np.argsort(code, kind="stable")
@@ -163,15 +174,124 @@ class _AnchorGrid:
                 )
 
 
+class CoverVerdict(tuple):
+    """``(covered, first uncovered point or None)`` from ``cover_check``;
+    ``check`` names how the solid members were checked: "lattice
+    certificate", "sampled N points", or "cloud points" for a shape made
+    of clouds alone."""
+
+    def __new__(cls, covered: bool, worst: np.ndarray | None, check: str):
+        verdict = super().__new__(cls, (covered, worst))
+        verdict.check = check
+        return verdict
+
+
+def _square_groups(cover: TubeCover) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """(cross, width, anchors) of the cover's square tubes, one group per
+    cross frame (equal bytes) and float half-width, whatever the order of
+    the parts: a point's membership depends on nothing else."""
+    groups: dict = {}
+    for t in cover.tubes:
+        if isinstance(t, SquareTubes):
+            key = (t.frame.cross.tobytes(), t._width)
+            groups.setdefault(key, (t.frame.cross, t._width, []))[2].append(t.anchors)
+    return [(cross, width, np.concatenate(anchors)) for cross, width, anchors in groups.values()]
+
+
+def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors: np.ndarray) -> bool:
+    """True when the squares of one group of tubes cover the shadow of the
+    solid leaves, so that the tubes cover the leaves.
+
+    The anchors' cross coordinates must lie within eta = 64 eps scale of
+    the lattice y0 + 2 delta k, y0 the first anchor's; each lattice cell,
+    shrunk by eta, that the conservative ``cell_touch`` of a leaf's shadow
+    flags over the shadow's bounding box must then hold an anchor, found by
+    one sorted-row lookup.  ``cell_touch`` never drops a cell that meets
+    the shadow, so a pass proves the cover up to eta.  Anchors off the
+    lattice, a half-width of at most 2 eta, and more cells than
+    MAX_GRID_CELLS refuse the certificate.
+    """
+    m = cross.shape[0]
+    # the largest singular value of cross is at most sqrt(1 + dev) <= 1 + dev
+    dev = float(np.linalg.norm(cross @ cross.T - np.eye(m), 2))
+    oracles = [_leaf_oracle(leaf, cross, stretch=1.0 + dev) for leaf in solids]
+    lo = np.min([o.lo for o in oracles], axis=0)
+    hi = np.max([o.hi for o in oracles], axis=0)
+    y = anchors @ cross.T
+    scale = float(np.max([np.abs(y).max(), np.abs(lo).max(), np.abs(hi).max()]))
+    eta = 64.0 * np.finfo(float).eps * scale
+    side = 2.0 * width
+    y0 = y[0]
+    k = np.rint((y - y0) / side)
+    # a non-finite coordinate fails every comparison, and refuses; a cell of
+    # side above 4 eta keeps every |k| below 1 / (128 eps), a float's integer
+    if not (4.0 * eta < side and np.all(np.abs(y - (y0 + side * k)) <= eta)):
+        return False
+    k_lo, k_hi = np.floor((lo - y0) / side), np.ceil((hi - y0) / side)
+    if math.prod(float(c) for c in k_hi - k_lo + 1) > MAX_GRID_CELLS:
+        return False
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo.astype(np.int64), k_hi.astype(np.int64))]
+    cells = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    centres = y0 + side * cells
+    cell_lo, cell_hi = centres - (width - eta), centres + (width - eta)
+    flagged = np.zeros(len(cells), dtype=bool)
+    for o in oracles:
+        flagged |= o.cell_touch(cell_lo, cell_hi)
+    table = np.unique(_row_values(k.astype(np.int64)))
+    return bool(np.all(_find_rows(table, cells[flagged]) >= 0))
+
+
+def _point_check(pts: np.ndarray, groups: list, looped: list) -> tuple[bool, np.ndarray | None]:
+    """(True, None), or (False, first row of pts that no tube holds)."""
+    reach = float(np.abs(pts).max(initial=0.0))
+    grids = [_AnchorGrid(cross, width, anchors, reach) for cross, width, anchors in groups]
+    chunk = 1 << 14
+    for start in range(0, len(pts), chunk):
+        block = pts[start : start + chunk]
+        covered = np.zeros(len(block), dtype=bool)
+        for grid in grids:
+            grid.mark(block, covered)
+        for tube in looped:
+            todo = ~covered
+            if not np.any(todo):
+                break
+            covered[todo] = tube.contains(block[todo])
+        if not np.all(covered):
+            first = int(np.nonzero(~covered)[0][0])
+            return False, block[first].copy()
+    return True, None
+
+
+def _sampled_check(s: Shape, cover: TubeCover, samples: int, seed: int) -> CoverVerdict:
+    """Every point of ``sample_points(s, samples, seed)``, unless every leaf
+    is a cloud, then every point of every cloud leaf, against every tube."""
+    leaves = _leaves(s)
+    clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
+    # sample unless every leaf is a cloud; an empty union fails in the sampler
+    if clouds and len(clouds) == len(leaves):
+        sampled, check = [], "cloud points"
+    else:
+        sampled, check = [sample_points(s, samples, seed)], f"sampled {samples} points"
+    looped = [t for t in cover.tubes if isinstance(t, Tube)]
+    return CoverVerdict(*_point_check(np.concatenate(sampled + clouds), _square_groups(cover), looped), check)
+
+
 def cover_check(
     s: Shape, cover: TubeCover, samples: int = CHECK_SAMPLES, seed: int = 0
-) -> tuple[bool, np.ndarray | None]:
-    """Point-sampled containment check; exact for point clouds.
+) -> CoverVerdict:
+    """Containment check: a lattice certificate where one applies, else
+    point-sampled; exact for point clouds.
 
-    The points are ``samples`` points drawn from the shape, when some
-    member of it has volume, followed by every point of every cloud
-    member in member order.  Returns (True, None) or (False, first
-    uncovered point) in that order.
+    When the cover is one group of square tubes (equal frame bytes and
+    half-width, over any number of parts) whose anchors lie on their own
+    lattice, and the shape's solid leaves are balls, cuboids and polytopes,
+    ``_lattice_certificate`` tries to prove that the tubes' squares cover
+    the solids' shadow, drawing no sample.  Otherwise, or when it is
+    refused, the points are ``samples`` points drawn from the shape, when
+    some member of it has volume, in either case followed by every point
+    of every cloud member in member order.  Returns (True, None) or
+    (False, first uncovered point) in that order, as a ``CoverVerdict``
+    whose ``check`` names the path taken.
 
     Each group of square tubes has its anchors hashed into cells of side
     2 delta in cross coordinates (the fixed-radius near-neighbour grid of
@@ -190,28 +310,16 @@ def cover_check(
     if s.dim != cover.dim:
         raise DimensionError("shape and cover dimensions differ")
     leaves = _leaves(s)
-    clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
-    # sample unless every leaf is a cloud; an empty union fails in the sampler
-    sampled = [] if clouds and len(clouds) == len(leaves) else [sample_points(s, samples, seed)]
-    pts = np.concatenate(sampled + clouds)
-    reach = float(np.abs(pts).max(initial=0.0))
-    grids = [_AnchorGrid(t, reach) for t in cover.tubes if isinstance(t, SquareTubes)]
-    looped = [t for t in cover.tubes if isinstance(t, Tube)]
-    chunk = 1 << 14
-    for start in range(0, len(pts), chunk):
-        block = pts[start : start + chunk]
-        covered = np.zeros(len(block), dtype=bool)
-        for grid in grids:
-            grid.mark(block, covered)
-        for tube in looped:
-            todo = ~covered
-            if not np.any(todo):
-                break
-            covered[todo] = tube.contains(block[todo])
-        if not np.all(covered):
-            first = int(np.nonzero(~covered)[0][0])
-            return False, block[first].copy()
-    return True, None
+    solids = [leaf for leaf in leaves if not isinstance(leaf, PointCloud)]
+    groups = _square_groups(cover)
+    readable = all(isinstance(leaf, (Ball, Cuboid, ConvexPolytope)) for leaf in solids)
+    one_group = len(groups) == 1 and not any(isinstance(t, Tube) for t in cover.tubes)
+    if solids and readable and one_group:
+        if _lattice_certificate(solids, *groups[0]):
+            clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
+            verdict = _point_check(np.concatenate(clouds), groups, []) if clouds else (True, None)
+            return CoverVerdict(*verdict, "lattice certificate")
+    return _sampled_check(s, cover, samples, seed)
 
 
 def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> TubeCover:
@@ -238,11 +346,11 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
         # fails by rounding; a quarter cell of margin keeps every point strictly inside
         counts = np.floor((hi - lo) / h + 0.5) + 1
         lo = lo - (counts * h - (hi - lo)) / 2
-    # the 2,000,000-cell guard bounds the memory of the cell arrays and the
-    # size of the grid; cells are counted in floats, which neither wrap nor
-    # fail the cast for tiny steps
+    # the cell guard bounds the memory of the cell arrays and the size of the
+    # grid; cells are counted in floats, which neither wrap nor fail the
+    # cast for tiny steps
     total = math.prod(float(c) for c in counts)
-    if total > 2_000_000:
+    if total > MAX_GRID_CELLS:
         raise ParameterError(
             f"grid_step {h} would produce {total:.0f} cells; choose a coarser grid"
         )

@@ -553,6 +553,18 @@ def diameter(s: Shape) -> float:
     if not leaves:
         return 0.0
     pts, radii = (np.concatenate(parts) for parts in zip(*map(_witnesses, leaves)))
+    with np.errstate(over="ignore"):
+        best = _farthest_pair(pts, radii)
+    if not math.isfinite(best):
+        # squared differences overflow from coordinates near 1e154 on: the
+        # same sum on coordinates scaled by their largest magnitude
+        scale = max(float(np.abs(pts).max()), float(radii.max()))
+        best = scale * _farthest_pair(pts / scale, radii / scale)
+    return best
+
+
+def _farthest_pair(pts: np.ndarray, radii: np.ndarray) -> float:
+    """The largest |p_i - p_j| + r_i + r_j, a block of rows at a time."""
     best = 0.0
     for i in range(0, len(pts), _DIAMETER_ROWS):  # pairs (i, j) with j >= i suffice
         rows = pts[i:i + _DIAMETER_ROWS]

@@ -167,10 +167,14 @@ class _PointsOracle(_BoxOracle):
         return mask
 
 
-def _leaf_oracle(leaf: Shape, cross: np.ndarray):
+def _leaf_oracle(leaf: Shape, cross: np.ndarray, stretch: float = 1.0):
+    """The leaf's shadow in the cross coordinates y = cross @ x.  ``stretch``
+    bounds the largest singular value of cross, by which a ball's disk
+    widens when the cross rows are not exactly orthonormal; the hull of
+    projected vertices is exact under any linear map."""
     m = cross.shape[0]
     if isinstance(leaf, Ball):
-        return _DiskOracle(cross @ leaf.center, leaf.radius)
+        return _DiskOracle(cross @ leaf.center, leaf.radius * stretch)
     if isinstance(leaf, (Cuboid, ConvexPolytope)):
         verts = leaf.vertices @ cross.T
         lo, hi = verts.min(axis=0), verts.max(axis=0)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,18 @@ class TestBounds:
         assert err.startswith("input error:") and "too large" in err and "overflows a float" in err
 
 
+    def test_coordinates_whose_squares_overflow_give_a_finite_lower(self, tmp_path, capsys):
+        # the diameter squared differences near 1e160: an overflow warning, and "lower": 0.0
+        doc = {"dim": 2, "kind": "cuboid", "center": [0.0, 0.0],
+               "frame": {"axis": [0.0, 1.0], "cross": [[1.0, 0.0]]}, "half_lengths": [1e160, 1e-160]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["bounds", "--shape", shape_file(tmp_path, doc)])
+        assert code == 0 and err == ""
+        lower = json.loads(out)["result"]["lower"]
+        assert math.isfinite(lower) and lower > 0.0
+
+
 class TestPlank:
     def test_square_width(self, tmp_path, capsys):
         report = run_json(capsys, ["plank", "--shape", shape_file(tmp_path, SQUARE2)])
@@ -196,6 +209,7 @@ class TestCover:
         assert result["cost"] == 1.0
         assert result["covered"] is True
         assert result["worst_point"] is None
+        assert result["check"] == "lattice certificate"
         assert result["shadow_area"] == pytest.approx(1.0, abs=1e-12)
         assert result["slack"] == pytest.approx(0.0, abs=1e-12)
         assert len(result["cover"]) == 16
@@ -236,13 +250,15 @@ class TestCover:
         )
         result = report["result"]
         assert result["covered"] is False
+        assert result["check"] == "sampled 20000 points"
         witness = np.array(result["worst_point"])
         assert np.linalg.norm(witness) <= 1.0 + 1e-9
 
     def test_projection_covers_recheck_and_miss_a_dropped_tube(self, tmp_path, capsys):
         # a rotated 4-D cuboid and a 5-D polytope: each cover built by
-        # --parallel reads back covered; without its tube nearest the
-        # shape's centre it does not, and the witness lies in that tube
+        # --parallel reads back certified; without its tube nearest the
+        # shape's centre the certificate is refused, the sampler finds the
+        # gap, and the witness lies in that tube
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         box = {"dim": 4, "kind": "cuboid", "center": [0.1, -0.2, 0.3, 0.0],
@@ -258,16 +274,18 @@ class TestCover:
             check = ["cover", "--shape", path, "--samples", "20000"]
             built = run_json(capsys, check + ["--parallel", direction, step])["result"]
             assert built["covered"] is True and built["tubes"] > 100
+            assert built["check"] == "lattice certificate"
             cover = built["cover"]
             cover_path = tmp_path / "cover.json"
             cover_path.write_text(json.dumps(cover))
-            assert run_json(capsys, check + ["--cover", str(cover_path)])["result"]["covered"] is True
+            reread = run_json(capsys, check + ["--cover", str(cover_path)])["result"]
+            assert reread["covered"] is True and reread["check"] == "lattice certificate"
             (grid,) = cover_from_json(cover).tubes
             assert len(grid) == len(cover)
             drop = int(np.argmin(np.abs((centre - grid.anchors) @ grid.frame.cross.T).max(axis=1)))
             cover_path.write_text(json.dumps(cover[:drop] + cover[drop + 1:]))
             missed = run_json(capsys, check + ["--cover", str(cover_path)])["result"]
-            assert missed["covered"] is False
+            assert missed["covered"] is False and missed["check"] == "sampled 20000 points"
             tube = cover_from_json([cover[drop]]).tubes[0]
             assert tube.contains(np.array([missed["worst_point"]]))[0]
 
@@ -276,7 +294,7 @@ class TestCover:
         report = run_json(capsys, ["cover", "--shape", path, "--search"])
         result = report["result"]
         assert result["source"] == "search"
-        assert result["covered"] is True
+        assert result["covered"] is True and result["check"] == "cloud points"
         # three collinear points admit a near-free tube
         assert result["cost"] < 1e-12
 

@@ -1,10 +1,11 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_direction, random_shape
+from conftest import random_ball, random_cuboid, random_direction, random_polytope, random_shape
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_proof import _child_peak_rss_kb
 
@@ -20,8 +21,10 @@ from tubemeasure import (
     UnionShape,
     axis_aligned_cuboid,
     cover_check,
+    cover_from_json,
     cover_cost,
     cover_search,
+    diameter,
     identity_frame,
     lower_bound_volume_diam,
     orthonormal_frame,
@@ -30,6 +33,8 @@ from tubemeasure import (
     sample_points,
 )
 from tubemeasure import covers as covers_module
+from tubemeasure.projection import Shadow
+from tubemeasure.serialization import cover_to_json
 
 
 def unit_cube():
@@ -115,6 +120,10 @@ class TestCoverCheck:
 def all_tubes_check(s, cover, samples=100_000, seed=0):
     """Reference cover_check: every block of points against every tube."""
     pts = s.points if isinstance(s, PointCloud) else sample_points(s, samples, seed)
+    return all_tubes_verdict(pts, cover)
+
+
+def all_tubes_verdict(pts, cover):
     chunk = 1 << 14
     for start in range(0, len(pts), chunk):
         block = pts[start : start + chunk]
@@ -235,9 +244,10 @@ class TestIndexedCoverCheck:
         (grid,) = cover.tubes
         keep = np.random.default_rng(7).random(len(cover)) >= drop
         cover = TubeCover(tubes=(SquareTubes(frame=grid.frame, anchors=grid.anchors[keep], half_width=grid.half_width),))
-        found = cover_check(tet, cover, samples=20_000, seed=3)
+        found = covers_module._sampled_check(tet, cover, 20_000, 3)
         assert_same_check(found, all_tubes_check(tet, cover, samples=20_000, seed=3))
         assert found[0] == (drop == 0.0)
+        assert_same_check(cover_check(tet, cover, samples=20_000, seed=3), found)
 
 
 class TestAnchorCells:
@@ -305,11 +315,133 @@ class TestAnchorCells:
             return find_rows(table, query)
 
         monkeypatch.setattr(covers_module, "_find_rows", counted)
-        found = cover_check(s, cover, samples=20_000, seed=4)
+        found = covers_module._sampled_check(s, cover, 20_000, 4)
         assert found == (True, None)
         assert len(cover) > 300 and sum(rows) <= 1.05 * 20_000
         monkeypatch.undo()
         assert_same_check(found, all_tubes_check(s, cover, samples=20_000, seed=4))
+
+
+@st.composite
+def projection_covers(draw):
+    """A ball, cuboid, polytope or ball-polytope union in R^2..R^5 and its
+    projection cover along a random direction, of at most about 1,000 tubes."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ball", "cuboid", "polytope", "union"]))
+    if kind == "union":
+        s = UnionShape(members=(random_ball(rng, n), random_polytope(rng, n)))
+    else:
+        s = {"ball": random_ball, "cuboid": random_cuboid, "polytope": random_polytope}[kind](rng, n)
+    step = diameter(s) / {2: 24, 3: 12, 4: 6, 5: 4}[n]
+    return s, parallel_cover_from_projection(s, random_direction(rng, n), step)
+
+
+def drop_one_cases():
+    """(shape, cover less one tube, that tube's cross centre, half-width) for
+    each tube of projection covers in R^2 and R^3 of balls, cuboids,
+    polytopes and unions of a ball and a polytope."""
+    rng = np.random.default_rng(9)
+    for trial in range(24):
+        n = 2 + trial % 2
+        if trial % 4 >= 2:
+            s = UnionShape(members=(random_ball(rng, n), random_polytope(rng, n)))
+        else:
+            s = random_shape(rng, n)
+        cover = parallel_cover_from_projection(s, random_direction(rng, n), diameter(s) / (16 if n == 2 else 8))
+        (grid,) = cover.tubes
+        for i in range(len(grid)):
+            rest = SquareTubes(frame=grid.frame, anchors=np.delete(grid.anchors, i, axis=0), half_width=grid.half_width)
+            yield s, TubeCover(tubes=(rest,)), grid.anchors[i] @ grid.frame.cross.T, grid._width
+
+
+class TestLatticeCertificate:
+    @settings(
+        derandomize=True,
+        database=None,
+        deadline=None,
+        max_examples=40,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(projection_covers())
+    def test_projection_covers_are_certified_and_the_sampler_agrees(self, case):
+        s, cover = case
+        found = cover_check(s, cover, samples=2_000)
+        assert found == (True, None) and found.check == "lattice certificate"
+        assert covers_module._sampled_check(s, cover, 2_000, 0) == (True, None)
+
+    def test_drop_one_covers_are_refused_unless_the_cell_only_grazes(self, monkeypatch):
+        samples = {}  # every call asks 2,000 points at seed 1: one draw per shape
+
+        def sampled(s, count, seed=0):
+            if id(s) not in samples:
+                samples[id(s)] = s, sample_points(s, count, seed)
+            return samples[id(s)][1]
+
+        monkeypatch.setattr(covers_module, "sample_points", sampled)
+        refused = 0
+        for s, cover, centre, width in drop_one_cases():
+            found = cover_check(s, cover, samples=2_000, seed=1)
+            if found.check == "lattice certificate":
+                # the dropped cell, shrunk by a millionth, misses the shadow
+                shadow = Shadow(s, cover.tubes[0].frame.axis)
+                assert not shadow.cell_touch(centre - 0.999999 * width, centre + 0.999999 * width)[0]
+                continue
+            refused += 1
+            assert found.check == "sampled 2000 points"
+            assert_same_check(found, all_tubes_verdict(sampled(s, 2_000, 1), cover))
+        assert refused > 600
+
+    def test_certified_fine_cover_misses_no_sampled_point(self):
+        # 20,164 tubes; the oracle is the sampler at a million points
+        tet = regular_tetrahedron()
+        cover = parallel_cover_from_projection(tet, np.array([0.0, 0.0, 1.0]), 1 / 200)
+        assert cover_check(tet, cover).check == "lattice certificate"
+        assert covers_module._sampled_check(tet, cover, 1_000_000, 0) == (True, None)
+
+    def test_anchor_off_the_lattice_refuses(self):
+        tet = regular_tetrahedron()
+        (grid,) = parallel_cover_from_projection(tet, np.array([0.0, 0.0, 1.0]), 1 / 32).tubes
+        anchors = grid.anchors.copy()
+        anchors[5] += 1e-9 * grid.frame.cross[0]
+        cover = TubeCover(tubes=(SquareTubes(frame=grid.frame, anchors=anchors, half_width=grid.half_width),))
+        found = cover_check(tet, cover, samples=20_000)
+        assert found == (True, None) and found.check == "sampled 20000 points"
+
+    def test_half_width_near_the_rounding_refuses(self):
+        # delta = 1e-7 at coordinates near 1e9, below eta: cells shrunk by
+        # eta would turn inside out and flag nothing
+        ball = Ball(center=np.array([1e9, 1e9, 0.0]), radius=1e-6)
+        one = SquareTubes(frame=identity_frame(3), anchors=ball.center, half_width=Fraction(1, 10**7))
+        found = cover_check(ball, TubeCover(tubes=(one,)), samples=2_000)
+        assert not found[0] and found.check == "sampled 2000 points"
+
+    def test_disk_widens_under_a_frame_off_orthonormal(self):
+        # cross rows 4e-11 too long (within FRAME_ORTHO_TOL): the ball's
+        # shadow reaches past |y_1| = 1, where an orthonormal frame's disk
+        # of radius 1 - 1e-11 stops, so the cells beyond must be asked for
+        ball = Ball(center=np.zeros(3), radius=1.0 - 1e-11)
+        centres = np.array([(x, y) for x in np.arange(-1.25, 1.3, 0.5) for y in np.arange(-1.25, 1.3, 0.5)])
+        near = np.linalg.norm(np.clip(0.0, centres - 0.25, centres + 0.25), axis=1)
+        centres = centres[near <= 1.0 - 1e-11]
+        stretch = 1.0 + 4e-11
+        for cross, covered in ((np.eye(3)[:2], True), (stretch * np.eye(3)[:2], False)):
+            anchors = np.column_stack([centres / cross[0, 0], np.zeros(len(centres))])
+            assert covers_module._lattice_certificate([ball], cross, 0.25, anchors) is covered
+
+    def test_interleaved_frames_check_as_two_groups(self):
+        # the two 1/32 tetrahedron grids along (0, 0, 1) and (0, 1, 1),
+        # interleaved entry by entry, read back one part per entry
+        tet = regular_tetrahedron()
+        a, b = (cover_to_json(parallel_cover_from_projection(tet, np.array(d), 1 / 32))
+                for d in ([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]))
+        doc = [entry for pair in zip(a, b) for entry in pair] + a[len(b):] + b[len(a):]
+        cover = cover_from_json(json.loads(json.dumps(doc)))
+        assert len(cover.tubes) > 800
+        start = time.perf_counter()
+        found = cover_check(tet, cover, samples=100_000)
+        assert time.perf_counter() - start < 0.5
+        assert found == (True, None) and found.check == "sampled 100000 points"
 
 
 class TestParallelCover:

@@ -59,7 +59,9 @@ def test_saved_grid_cover_rechecks_from_its_file(tmp_path, capsys):
     _, built = run_json(capsys, ["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1/64"])
     grid = write(tmp_path, "grid.json", built["result"]["cover"])
     _, reread = run_json(capsys, ["cover", "--shape", "tetrahedron", "--cover", grid])
-    assert built["result"]["covered"] is True and reread["result"]["covered"] is True
+    for report in (built, reread):
+        assert report["result"]["covered"] is True
+        assert report["result"]["check"] == "lattice certificate"
     assert reread["result"]["tubes"] == built["result"]["tubes"]
 
 
