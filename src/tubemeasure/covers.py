@@ -18,9 +18,10 @@ generators aim to cover a shape cheaply:
 square tubes covers a shape exactly when its squares cover the shape's
 shadow in the cross plane; when the cover is one group of tubes (one
 frame, one half-width) whose anchors lie on their own lattice, that is a
-finite question: every lattice cell the shadow can touch, listed over
-the shadow's bounding box in the fixed-radius cell grid of Bentley,
-Stanat and Williams, must hold an anchor.  A certified cover draws no
+finite question over the lattice cells listed across the shadow's
+bounding box, the fixed-radius cell grid of Bentley, Stanat and
+Williams: the shadow may meet a cell that holds no anchor only within a
+rounding margin of a cell that does.  A certified cover draws no
 sample.  Otherwise the check runs on points sampled from the shape's
 solid members, and in either case on every point of its cloud members.
 It hashes the anchors of each group of square tubes into a grid of side
@@ -198,18 +199,35 @@ def _square_groups(cover: TubeCover) -> list[tuple[np.ndarray, float, np.ndarray
     return [(cross, width, np.concatenate(anchors)) for cross, width, anchors in groups.values()]
 
 
+def _touch(oracles: list, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per box: whether the conservative ``cell_touch`` of some oracle flags it."""
+    flagged = np.zeros(len(lo), dtype=bool)
+    for o in oracles:
+        flagged |= o.cell_touch(lo, hi)
+    return flagged
+
+
 def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors: np.ndarray) -> bool:
     """True when the squares of one group of tubes cover the shadow of the
-    solid leaves, so that the tubes cover the leaves.
+    solid leaves up to 2 eta in each cross coordinate, so that the tubes
+    cover the leaves.
 
     The anchors' cross coordinates must lie within eta = 64 eps scale of
-    the lattice y0 + 2 delta k, y0 the first anchor's; each lattice cell,
-    shrunk by eta, that the conservative ``cell_touch`` of a leaf's shadow
-    flags over the shadow's bounding box must then hold an anchor, found by
-    one sorted-row lookup.  ``cell_touch`` never drops a cell that meets
-    the shadow, so a pass proves the cover up to eta.  Anchors off the
-    lattice, a half-width of at most 2 eta, and more cells than
-    MAX_GRID_CELLS refuse the certificate.
+    the lattice y0 + 2 delta k, y0 the first anchor's, so an anchor's
+    square holds its lattice cell shrunk by eta.  The cells listed over the
+    shadow's bounding box cover the shadow, and a cell that holds no anchor
+    may meet it only within eta of a cell that does.  Grown by eta, such a
+    cell splits into 3^m boxes: its core, shrunk by eta, and the slabs,
+    edges and corners 2 eta thick across its faces.  A box is safe when
+    one of the cells whose grown copies hold it has an anchor, and the
+    conservative ``cell_touch`` of the leaves' shadows, which never drops
+    a box that meets them, must flag no box that is not.  To keep that
+    cheap, an empty cell first asks one box, the cell shrunk by eta
+    towards the face neighbours that hold anchors and grown by eta towards
+    the others, and only the cells it flags ask their unsafe boxes.  Cells
+    are asked in chunks, and the first flagged unsafe box refuses.
+    Anchors off the lattice, a half-width of at most 2 eta, and more cells
+    than MAX_GRID_CELLS refuse the certificate too.
     """
     m = cross.shape[0]
     # the largest singular value of cross is at most sqrt(1 + dev) <= 1 + dev
@@ -218,9 +236,9 @@ def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors:
     lo = np.min([o.lo for o in oracles], axis=0)
     hi = np.max([o.hi for o in oracles], axis=0)
     y = anchors @ cross.T
-    scale = float(np.max([np.abs(y).max(), np.abs(lo).max(), np.abs(hi).max()]))
-    eta = 64.0 * np.finfo(float).eps * scale
     side = 2.0 * width
+    scale = float(np.max([np.abs(y).max(), np.abs(lo).max(), np.abs(hi).max(), side]))
+    eta = 64.0 * np.finfo(float).eps * scale
     y0 = y[0]
     k = np.rint((y - y0) / side)
     # a non-finite coordinate fails every comparison, and refuses; a cell of
@@ -228,17 +246,43 @@ def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors:
     if not (4.0 * eta < side and np.all(np.abs(y - (y0 + side * k)) <= eta)):
         return False
     k_lo, k_hi = np.floor((lo - y0) / side), np.ceil((hi - y0) / side)
+    # cells this far from y0 hold no anchor, and their numbers round
+    if not np.all(np.abs(np.concatenate([k_lo, k_hi])) < 2.0**52):
+        return False
     if math.prod(float(c) for c in k_hi - k_lo + 1) > MAX_GRID_CELLS:
         return False
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(k_lo.astype(np.int64), k_hi.astype(np.int64))]
-    cells = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-    centres = y0 + side * cells
-    cell_lo, cell_hi = centres - (width - eta), centres + (width - eta)
-    flagged = np.zeros(len(cells), dtype=bool)
-    for o in oracles:
-        flagged |= o.cell_touch(cell_lo, cell_hi)
-    table = np.unique(_row_values(k.astype(np.int64)))
-    return bool(np.all(_find_rows(table, cells[flagged]) >= 0))
+    shape = (k_hi - k_lo + 1).astype(np.int64)
+    k_lo = k_lo.astype(np.int64)
+    # the listed cells that hold an anchor, padded by one empty cell all round
+    held = np.zeros(tuple(shape + 2), dtype=bool)
+    index = k.astype(np.int64) - k_lo + 1
+    held[tuple(index[np.all((index >= 1) & (index <= shape), axis=1)].T)] = True
+    flat = held.ravel()
+    strides = np.array(held.strides) // held.itemsize
+    # box s of a grown cell lies in the grown copy of each cell t with every
+    # t_i in {0, s_i}; holds[s, t] says which
+    boxes = np.array(list(itertools.product((-1, 0, 1), repeat=m)))
+    holds = np.all((boxes[None, :, :] == 0) | (boxes[None, :, :] == boxes[:, None, :]), axis=2)
+    box_lo = np.select([boxes < 0, boxes == 0], [-width - eta, -width + eta], width - eta)
+    box_hi = np.select([boxes < 0, boxes == 0], [-width + eta, width - eta], width + eta)
+    empty = np.flatnonzero(~held[(slice(1, -1),) * m])
+    chunk = 1 << 15
+    for start in range(0, len(empty), chunk):
+        cells = np.column_stack(np.unravel_index(empty[start : start + chunk], tuple(shape)))
+        at = (cells + 1) @ strides
+        centres = y0 + side * (cells + k_lo)
+        below = np.where(flat[at[:, None] - strides], eta, -eta)
+        above = np.where(flat[at[:, None] + strides], eta, -eta)
+        asked = _touch(oracles, centres - width + below, centres + width - above)
+        at, centres = at[asked], centres[asked]
+        step = max(1, chunk // len(boxes))
+        for part in range(0, len(at), step):
+            safe = flat[at[part : part + step, None] + boxes @ strides] @ holds.T
+            cell, box = np.nonzero(~safe)
+            around = centres[part : part + step][cell]
+            if np.any(_touch(oracles, around + box_lo[box], around + box_hi[box])):
+                return False
+    return True
 
 
 def _point_check(pts: np.ndarray, groups: list, looped: list) -> tuple[bool, np.ndarray | None]:
@@ -260,20 +304,6 @@ def _point_check(pts: np.ndarray, groups: list, looped: list) -> tuple[bool, np.
             first = int(np.nonzero(~covered)[0][0])
             return False, block[first].copy()
     return True, None
-
-
-def _sampled_check(s: Shape, cover: TubeCover, samples: int, seed: int) -> CoverVerdict:
-    """Every point of ``sample_points(s, samples, seed)``, unless every leaf
-    is a cloud, then every point of every cloud leaf, against every tube."""
-    leaves = _leaves(s)
-    clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
-    # sample unless every leaf is a cloud; an empty union fails in the sampler
-    if clouds and len(clouds) == len(leaves):
-        sampled, check = [], "cloud points"
-    else:
-        sampled, check = [sample_points(s, samples, seed)], f"sampled {samples} points"
-    looped = [t for t in cover.tubes if isinstance(t, Tube)]
-    return CoverVerdict(*_point_check(np.concatenate(sampled + clouds), _square_groups(cover), looped), check)
 
 
 def cover_check(
@@ -310,16 +340,21 @@ def cover_check(
     if s.dim != cover.dim:
         raise DimensionError("shape and cover dimensions differ")
     leaves = _leaves(s)
+    clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
     solids = [leaf for leaf in leaves if not isinstance(leaf, PointCloud)]
     groups = _square_groups(cover)
+    looped = [t for t in cover.tubes if isinstance(t, Tube)]
     readable = all(isinstance(leaf, (Ball, Cuboid, ConvexPolytope)) for leaf in solids)
-    one_group = len(groups) == 1 and not any(isinstance(t, Tube) for t in cover.tubes)
-    if solids and readable and one_group:
-        if _lattice_certificate(solids, *groups[0]):
-            clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
-            verdict = _point_check(np.concatenate(clouds), groups, []) if clouds else (True, None)
-            return CoverVerdict(*verdict, "lattice certificate")
-    return _sampled_check(s, cover, samples, seed)
+    if solids and readable and len(groups) == 1 and not looped and _lattice_certificate(solids, *groups[0]):
+        pts, check = clouds, "lattice certificate"
+    elif clouds and not solids:
+        pts, check = clouds, "cloud points"
+    else:
+        # an empty union fails in the sampler
+        pts, check = [sample_points(s, samples, seed)] + clouds, f"sampled {samples} points"
+    if not pts:
+        return CoverVerdict(True, None, check)
+    return CoverVerdict(*_point_check(np.concatenate(pts), groups, looped), check)
 
 
 def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> TubeCover:

@@ -1,6 +1,5 @@
 import json
 import math
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +120,13 @@ def all_tubes_check(s, cover, samples=100_000, seed=0):
     """Reference cover_check: every block of points against every tube."""
     pts = s.points if isinstance(s, PointCloud) else sample_points(s, samples, seed)
     return all_tubes_verdict(pts, cover)
+
+
+def sampled_check(s, cover, samples, seed):
+    """cover_check with the lattice certificate refused: the sampler's verdict."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(covers_module, "_lattice_certificate", lambda *args: False)
+        return cover_check(s, cover, samples, seed)
 
 
 def all_tubes_verdict(pts, cover):
@@ -244,7 +250,7 @@ class TestIndexedCoverCheck:
         (grid,) = cover.tubes
         keep = np.random.default_rng(7).random(len(cover)) >= drop
         cover = TubeCover(tubes=(SquareTubes(frame=grid.frame, anchors=grid.anchors[keep], half_width=grid.half_width),))
-        found = covers_module._sampled_check(tet, cover, 20_000, 3)
+        found = sampled_check(tet, cover, 20_000, 3)
         assert_same_check(found, all_tubes_check(tet, cover, samples=20_000, seed=3))
         assert found[0] == (drop == 0.0)
         assert_same_check(cover_check(tet, cover, samples=20_000, seed=3), found)
@@ -315,7 +321,7 @@ class TestAnchorCells:
             return find_rows(table, query)
 
         monkeypatch.setattr(covers_module, "_find_rows", counted)
-        found = covers_module._sampled_check(s, cover, 20_000, 4)
+        found = sampled_check(s, cover, 20_000, 4)
         assert found == (True, None)
         assert len(cover) > 300 and sum(rows) <= 1.05 * 20_000
         monkeypatch.undo()
@@ -368,7 +374,7 @@ class TestLatticeCertificate:
         s, cover = case
         found = cover_check(s, cover, samples=2_000)
         assert found == (True, None) and found.check == "lattice certificate"
-        assert covers_module._sampled_check(s, cover, 2_000, 0) == (True, None)
+        assert sampled_check(s, cover, 2_000, 0) == (True, None)
 
     def test_drop_one_covers_are_refused_unless_the_cell_only_grazes(self, monkeypatch):
         samples = {}  # every call asks 2,000 points at seed 1: one draw per shape
@@ -397,7 +403,7 @@ class TestLatticeCertificate:
         tet = regular_tetrahedron()
         cover = parallel_cover_from_projection(tet, np.array([0.0, 0.0, 1.0]), 1 / 200)
         assert cover_check(tet, cover).check == "lattice certificate"
-        assert covers_module._sampled_check(tet, cover, 1_000_000, 0) == (True, None)
+        assert sampled_check(tet, cover, 1_000_000, 0) == (True, None)
 
     def test_anchor_off_the_lattice_refuses(self):
         tet = regular_tetrahedron()
@@ -416,6 +422,33 @@ class TestLatticeCertificate:
         found = cover_check(ball, TubeCover(tubes=(one,)), samples=2_000)
         assert not found[0] and found.check == "sampled 2000 points"
 
+    def test_shadow_inside_a_cell_margin_far_from_the_tube_refuses(self):
+        # the disk, of radius 1e-15, lies within eta of the boundary between
+        # two empty cells, and no cell's core meets it; the tube spans
+        # x in [-5.5, -4.5]
+        ball = Ball(center=np.array([0.5, 0.0, 0.0]), radius=1e-15)
+        one = SquareTubes(frame=identity_frame(3), anchors=np.array([-5.0, 0.0, 0.0]), half_width=Fraction(1, 2))
+        found = cover_check(ball, TubeCover(tubes=(one,)), samples=2_000)
+        assert not found[0] and found.check == "sampled 2000 points"
+
+    @pytest.mark.parametrize("with_ball", [False, True])
+    def test_needle_along_a_cell_boundary_refuses(self, with_ball):
+        # a cuboid 2e-15 thick along x = 0.5, inside the tube's x range but
+        # running from its cell up through three empty cells; with a ball in
+        # the tube's cell, the fat part of the shape is covered
+        needle = Cuboid(
+            center=np.array([0.5 - 1e-15, 1.5, 0.0]),
+            half_lengths=np.array([1e-15, 1.9, 0.1]),
+            frame=identity_frame(3),
+        )
+        s = UnionShape(members=(Ball(center=np.zeros(3), radius=0.3), needle)) if with_ball else needle
+        one = SquareTubes(frame=identity_frame(3), anchors=np.zeros(3), half_width=Fraction(1, 2))
+        assert not covers_module._lattice_certificate(covers_module._leaves(s), identity_frame(3).cross, 0.5, np.zeros((1, 3)))
+        found = cover_check(s, TubeCover(tubes=(one,)), samples=2_000)
+        assert found.check == "sampled 2000 points"
+        if not with_ball:
+            assert not found[0]
+
     def test_disk_widens_under_a_frame_off_orthonormal(self):
         # cross rows 4e-11 too long (within FRAME_ORTHO_TOL): the ball's
         # shadow reaches past |y_1| = 1, where an orthonormal frame's disk
@@ -429,19 +462,27 @@ class TestLatticeCertificate:
             anchors = np.column_stack([centres / cross[0, 0], np.zeros(len(centres))])
             assert covers_module._lattice_certificate([ball], cross, 0.25, anchors) is covered
 
-    def test_interleaved_frames_check_as_two_groups(self):
+    def test_interleaved_frames_check_as_two_groups(self, monkeypatch):
         # the two 1/32 tetrahedron grids along (0, 0, 1) and (0, 1, 1),
         # interleaved entry by entry, read back one part per entry
         tet = regular_tetrahedron()
-        a, b = (cover_to_json(parallel_cover_from_projection(tet, np.array(d), 1 / 32))
-                for d in ([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]))
+        grids = [parallel_cover_from_projection(tet, np.array(d), 1 / 32) for d in ([0.0, 0.0, 1.0], [0.0, 1.0, 1.0])]
+        a, b = map(cover_to_json, grids)
         doc = [entry for pair in zip(a, b) for entry in pair] + a[len(b):] + b[len(a):]
         cover = cover_from_json(json.loads(json.dumps(doc)))
         assert len(cover.tubes) > 800
-        start = time.perf_counter()
+        sizes = sorted(len(grid) for grid in grids)
+        grids = []  # tubes per _AnchorGrid built
+
+        class CountedGrid(covers_module._AnchorGrid):
+            def __init__(self, cross, width, anchors, reach):
+                grids.append(len(anchors))
+                super().__init__(cross, width, anchors, reach)
+
+        monkeypatch.setattr(covers_module, "_AnchorGrid", CountedGrid)
         found = cover_check(tet, cover, samples=100_000)
-        assert time.perf_counter() - start < 0.5
         assert found == (True, None) and found.check == "sampled 100000 points"
+        assert sorted(grids) == sizes
 
 
 class TestParallelCover:
