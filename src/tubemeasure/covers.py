@@ -59,7 +59,7 @@ from .geometry import (
     diameter,
 )
 from .montecarlo import sample_points
-from .projection import Shadow, _leaf_oracle
+from .projection import _cross_view, _extent, _leaf_oracle, _touch
 
 # tube radii must stay positive on exact line fits; scaled by the cloud's
 # largest coordinate, at whose scale the axis distances round
@@ -199,14 +199,6 @@ def _square_groups(cover: TubeCover) -> list[tuple[np.ndarray, float, np.ndarray
     return [(cross, width, np.concatenate(anchors)) for cross, width, anchors in groups.values()]
 
 
-def _touch(oracles: list, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Per box: whether the conservative ``cell_touch`` of some oracle flags it."""
-    flagged = np.zeros(len(lo), dtype=bool)
-    for o in oracles:
-        flagged |= o.cell_touch(lo, hi)
-    return flagged
-
-
 def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors: np.ndarray) -> bool:
     """True when the squares of one group of tubes cover the shadow of the
     solid leaves up to 2 eta in each cross coordinate, so that the tubes
@@ -219,13 +211,14 @@ def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors:
     may meet it only within eta of a cell that does.  Grown by eta, such a
     cell splits into 3^m boxes: its core, shrunk by eta, and the slabs,
     edges and corners 2 eta thick across its faces.  A box is safe when
-    one of the cells whose grown copies hold it has an anchor, and the
-    conservative ``cell_touch`` of the leaves' shadows, which never drops
-    a box that meets them, must flag no box that is not.  To keep that
-    cheap, an empty cell first asks one box, the cell shrunk by eta
-    towards the face neighbours that hold anchors and grown by eta towards
-    the others, and only the cells it flags ask their unsafe boxes.  Cells
-    are asked in chunks, and the first flagged unsafe box refuses.
+    one of the cells whose grown copies hold it has an anchor, and
+    ``projection._touch``, the conservative box test of the leaves'
+    shadows, which never drops a box that meets them, must flag no box
+    that is not.  To keep that cheap, an empty cell first asks one box,
+    the cell shrunk by eta towards the face neighbours that hold anchors
+    and grown by eta towards the others, and only the cells it flags ask
+    their unsafe boxes.  Cells are asked in chunks, and the first flagged
+    unsafe box refuses.
     Anchors off the lattice, a half-width of at most 2 eta, and more cells
     than MAX_GRID_CELLS refuse the certificate too.
     """
@@ -233,8 +226,7 @@ def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors:
     # the largest singular value of cross is at most sqrt(1 + dev) <= 1 + dev
     dev = float(np.linalg.norm(cross @ cross.T - np.eye(m), 2))
     oracles = [_leaf_oracle(leaf, cross, stretch=1.0 + dev) for leaf in solids]
-    lo = np.min([o.lo for o in oracles], axis=0)
-    hi = np.max([o.hi for o in oracles], axis=0)
+    lo, hi = _extent(oracles)
     y = anchors @ cross.T
     side = 2.0 * width
     scale = float(np.max([np.abs(y).max(), np.abs(lo).max(), np.abs(hi).max(), side]))
@@ -373,8 +365,8 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     leaves = _leaves(s)
     if not leaves:
         raise DegenerateShapeError("empty shape: nothing to cover")
-    shadow = Shadow(s, direction)
-    lo, hi = shadow.bbox(include_measure_zero=True)
+    frame, oracles = _cross_view(s, direction)
+    lo, hi = _extent(oracles)
     counts = np.maximum(1.0, np.ceil((hi - lo) / h - 1e-12))
     if any(isinstance(leaf, PointCloud) for leaf in leaves):
         # extreme cloud points sit on the bounding box, where the closed tube test
@@ -394,14 +386,14 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     index = np.column_stack([g.ravel() for g in grids])
     cell_lo = lo + index * h
     cell_hi = cell_lo + h
-    keep = shadow.cell_touch(cell_lo, cell_hi)
+    keep = _touch(oracles, cell_lo, cell_hi)
     if not np.any(keep):
         raise DegenerateShapeError("shadow grid selected no cells")
     half = Fraction(h) / 2
     centers = cell_lo[keep] + 0.5 * h
     # one centre at a time: a product of all centres at once rounds some anchors otherwise
-    anchors = np.array([shadow.anchor_for(c) for c in centers])
-    return TubeCover(tubes=(SquareTubes(frame=shadow.frame, anchors=anchors, half_width=half),))
+    anchors = np.array([c @ frame.cross for c in centers])
+    return TubeCover(tubes=(SquareTubes(frame=frame, anchors=anchors, half_width=half),))
 
 
 def _point_lines(cloud: PointCloud) -> TubeCover:

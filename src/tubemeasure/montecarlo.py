@@ -60,10 +60,6 @@ def _check_samples(samples: int) -> int:
     return samples
 
 
-def _box_volume(lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.prod(hi - lo))
-
-
 def _box_points(rng: np.random.Generator, count: int, lo: np.ndarray, span: np.ndarray) -> np.ndarray:
     """count uniform points of the box lo + [0, span), drawn in place: the
     same floats as lo + rng.random((count, n)) * span, without its temporaries."""
@@ -85,11 +81,10 @@ def _mc_box_fraction(predicate, lo, hi, samples, seed, tag) -> tuple[float, floa
     return p, se
 
 
-def _box_estimate(s: Shape, predicate, samples, seed, tag) -> tuple[float, float]:
-    """Measure of the points of s's bounding box that pass ``predicate``,
+def _box_estimate(predicate, lo, hi, samples, seed, tag) -> tuple[float, float]:
+    """Measure of the points of the box [lo, hi] that pass ``predicate``,
     with its standard error; a degenerate box gives (0.0, 0.0)."""
-    lo, hi = bounding_box(s)
-    box = _box_volume(lo, hi)
+    box = float(np.prod(hi - lo))
     if box <= 0.0:
         return 0.0, 0.0
     p, se = _mc_box_fraction(predicate, lo, hi, samples, seed, tag)
@@ -106,7 +101,7 @@ def mc_volume(s: Shape, samples: int = VOLUME_SAMPLES, seed: int = 0) -> tuple[f
     exact = volume_exact(s)  # raises for unbounded products
     if exact is not None:
         return exact, 0.0
-    return _box_estimate(s, s.contains, samples, seed, TAG_VOLUME)
+    return _box_estimate(s.contains, *bounding_box(s), samples, seed, TAG_VOLUME)
 
 
 def mc_intersection_volume(
@@ -117,7 +112,7 @@ def mc_intersection_volume(
     if s.dim != tube.dim:
         raise GeometryError("shape and tube dimensions differ")
     return _box_estimate(
-        s, lambda pts: s.contains(pts) & tube.contains(pts), samples, seed, TAG_INTERSECT
+        lambda pts: s.contains(pts) & tube.contains(pts), *bounding_box(s), samples, seed, TAG_INTERSECT
     )
 
 
@@ -133,7 +128,7 @@ def sample_points(s: Shape, count: int, seed: int = 0) -> np.ndarray:
             return pts
         return pts[:count]
     lo, hi = bounding_box(s)
-    if _box_volume(lo, hi) <= 0.0:
+    if np.prod(hi - lo) <= 0.0:
         raise DegenerateShapeError("shape has a degenerate bounding box; nothing to sample")
     span = hi - lo
     out = []

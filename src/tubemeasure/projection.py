@@ -9,9 +9,10 @@ R^2, where their shadow is a union of intervals, and in R^3, where it is a
 union of disks and convex polygons whose area Green's theorem gives in
 closed form; from R^4 on they fall back to seeded Monte Carlo.
 
-The same object answers the two questions covers need: does a cross
-point lie in the shadow, and can a grid cell meet the shadow (answered
-conservatively, never falsely negative).
+``Shadow`` only measures.  Covers ask the leaves' oracles directly:
+``_cross_view`` gives a direction's frame and one oracle per leaf,
+``_extent`` their bounding box, and ``_touch`` whether a box can meet
+the shadow (conservatively, never falsely negative).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .geometry import (
     unit_ball_volume,
     unit_vector,
 )
-from .montecarlo import TAG_SHADOW, _check_samples, _mc_box_fraction
+from .montecarlo import TAG_SHADOW, _box_estimate, _check_samples
 
 _CONTACT_RTOL = 1e-9  # planar boundaries this close, relative to the shadow's size, touch
 _SHADOW_SAMPLES = 200_000  # default Monte Carlo samples of a shadow's measure
@@ -271,6 +272,32 @@ def _kept(points, normals, i, oracles, tol):
     return kept
 
 
+def _cross_view(shape: Shape, direction):
+    """(frame, one oracle per leaf): the cross frame of the direction and
+    each leaf's shadow in its cross coordinates."""
+    d = unit_vector(direction)
+    if shape.dim != d.size:
+        raise DimensionError("shape and direction dimensions differ")
+    if isinstance(shape, ProductSet):
+        raise UnboundedShapeError("product set has no bounded shadow")
+    frame = orthonormal_frame(d)
+    return frame, [_leaf_oracle(leaf, frame.cross) for leaf in _leaves(shape)]
+
+
+def _extent(oracles) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi): the bounding box of a nonempty list of oracles."""
+    return np.min([o.lo for o in oracles], axis=0), np.max([o.hi for o in oracles], axis=0)
+
+
+def _touch(oracles, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per box, a row of lo and hi: whether the conservative ``cell_touch``
+    of some oracle flags it."""
+    flagged = np.zeros(len(lo), dtype=bool)
+    for o in oracles:
+        flagged |= o.cell_touch(lo, hi)
+    return flagged
+
+
 def _planar_union_area(oracles) -> float:
     """Exact area of a union of disks and convex polygons: Green's theorem.
 
@@ -282,8 +309,7 @@ def _planar_union_area(oracles) -> float:
     union's bounding box, is its area.  An uncut kept circle adds exactly
     pi r^2.
     """
-    lo = np.min([o.lo for o in oracles], axis=0)
-    hi = np.max([o.hi for o in oracles], axis=0)
+    lo, hi = _extent(oracles)
     tol = _CONTACT_RTOL * float(np.max(hi - lo))
     return sum(o.boundary_integral(i, oracles, (lo + hi) / 2.0, tol) for i, o in enumerate(oracles))
 
@@ -292,26 +318,17 @@ class Shadow:
     """Projection of a bounded shape onto the hyperplane orthogonal to d."""
 
     def __init__(self, shape: Shape, direction):
-        d = unit_vector(direction)
-        if shape.dim != d.size:
-            raise DimensionError("shape and direction dimensions differ")
-        if isinstance(shape, ProductSet):
-            raise UnboundedShapeError("product set has no bounded shadow")
-        self.frame = orthonormal_frame(d)
+        self.frame, oracles = _cross_view(shape, direction)
         self.direction = self.frame.axis
-        self.m = d.size - 1
-        leaves = _leaves(shape)
-        self._oracles = [_leaf_oracle(leaf, self.frame.cross) for leaf in leaves]
-        self._solid = [o for o in self._oracles if not o.measure_zero]
-        self._exact = self._exact_area(leaves)
+        self.m = len(self.frame.cross)
+        solid = [(leaf, o) for leaf, o in zip(_leaves(shape), oracles) if not o.measure_zero]
+        self._solid = [o for _, o in solid]
+        self._exact = self._exact_area([leaf for leaf, _ in solid])
 
-    def _exact_area(self, leaves) -> float | None:
+    def _exact_area(self, solid_leaves) -> float | None:
         if not self._solid:
             return 0.0
         if len(self._solid) == 1:
-            solid_leaves = [
-                lf for lf, o in zip(leaves, self._oracles) if not o.measure_zero
-            ]
             return float(shadow_values_batch(solid_leaves[0], self.direction[None])[0])
         if self.m == 2:
             return _planar_union_area(self._solid)
@@ -333,13 +350,6 @@ class Shadow:
     def exact_area(self) -> float | None:
         return self._exact
 
-    def bbox(self, include_measure_zero: bool = True):
-        oracles = self._oracles if include_measure_zero else self._solid
-        if not oracles:
-            z = np.zeros(self.m)
-            return z, z.copy()
-        return np.min([o.lo for o in oracles], axis=0), np.max([o.hi for o in oracles], axis=0)
-
     def contains(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(y)
         out = np.zeros(len(y), dtype=bool)
@@ -347,30 +357,12 @@ class Shadow:
             out |= o.contains(y)
         return out
 
-    def cell_touch(self, cell_lo: np.ndarray, cell_hi: np.ndarray) -> np.ndarray:
-        """Conservative: True whenever a cell could meet the shadow."""
-        cell_lo = np.atleast_2d(cell_lo)
-        cell_hi = np.atleast_2d(cell_hi)
-        out = np.zeros(len(cell_lo), dtype=bool)
-        for o in self._oracles:
-            out |= o.cell_touch(cell_lo, cell_hi)
-        return out
-
-    def anchor_for(self, y: np.ndarray) -> np.ndarray:
-        """World point whose cross-frame coordinates equal y."""
-        return np.asarray(y, dtype=float) @ self.frame.cross
-
     def area(self, samples: int = _SHADOW_SAMPLES, seed: int = 0) -> tuple[float, float]:
         """(measure, standard error); exact values report zero error."""
         if self._exact is not None:
             return self._exact, 0.0
         samples = _check_samples(samples)
-        lo, hi = self.bbox(include_measure_zero=False)
-        box = float(np.prod(hi - lo))
-        if box <= 0.0:
-            return 0.0, 0.0
-        p, se = _mc_box_fraction(self.contains, lo, hi, samples, seed, TAG_SHADOW)
-        return box * p, box * se
+        return _box_estimate(self.contains, *_extent(self._solid), samples, seed, TAG_SHADOW)
 
 
 def shadow_area(s: Shape, direction, samples: int = _SHADOW_SAMPLES, seed: int = 0) -> float:

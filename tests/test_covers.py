@@ -32,7 +32,8 @@ from tubemeasure import (
     sample_points,
 )
 from tubemeasure import covers as covers_module
-from tubemeasure.projection import Shadow
+from tubemeasure import projection
+from tubemeasure.projection import _cross_view, _extent, _touch
 from tubemeasure.serialization import cover_to_json
 
 
@@ -390,8 +391,8 @@ class TestLatticeCertificate:
             found = cover_check(s, cover, samples=2_000, seed=1)
             if found.check == "lattice certificate":
                 # the dropped cell, shrunk by a millionth, misses the shadow
-                shadow = Shadow(s, cover.tubes[0].frame.axis)
-                assert not shadow.cell_touch(centre - 0.999999 * width, centre + 0.999999 * width)[0]
+                _, oracles = _cross_view(s, cover.tubes[0].frame.axis)
+                assert not _touch(oracles, (centre - 0.999999 * width)[None], (centre + 0.999999 * width)[None])[0]
                 continue
             refused += 1
             assert found.check == "sampled 2000 points"
@@ -512,6 +513,31 @@ class TestParallelCover:
         assert cover_cost(cover) == 1.0 / 16.0
         ok, _ = cover_check(cloud, cover)
         assert ok
+
+    @pytest.mark.parametrize("kind", ["polytope", "two balls", "ball and cloud"])
+    def test_anchors_are_cell_centres_and_no_shadow_is_built(self, kind, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a projection cover builds no Shadow")
+
+        monkeypatch.setattr(projection.Shadow, "__init__", refuse)
+        ball = Ball(center=np.zeros(3), radius=1.0)
+        s = {
+            "polytope": regular_tetrahedron(),
+            "two balls": UnionShape(members=(ball, Ball(center=np.array([1.5, 0.0, 0.0]), radius=0.7))),
+            "ball and cloud": UnionShape(
+                members=(ball, PointCloud(points=np.random.default_rng(12).uniform(-2.0, 2.0, (6, 3))))
+            ),
+        }[kind]
+        d, h = np.array([0.3, 0.5, 0.8]), 1 / 16
+        (grid,) = parallel_cover_from_projection(s, d, h).tubes
+        frame, oracles = _cross_view(s, d)
+        lo, hi = _extent(oracles)
+        if kind == "ball and cloud":  # the grid is widened by the cloud's margin
+            lo = lo - ((np.floor((hi - lo) / h + 0.5) + 1) * h - (hi - lo)) / 2
+        index = np.floor((grid.anchors @ frame.cross.T - lo) / h)
+        centres = lo + index * h + 0.5 * h
+        assert grid.frame.cross.tobytes() == frame.cross.tobytes()
+        assert np.array_equal(grid.anchors, np.array([c @ frame.cross for c in centres]))
 
     def test_rejects_bad_grid_step(self):
         for bad in (0.0, -0.5, math.inf):

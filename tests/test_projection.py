@@ -26,7 +26,7 @@ from tubemeasure import (
     unit_ball_volume,
 )
 from tubemeasure.montecarlo import BATCH, TAG_SHADOW, _mc_box_fraction, batch_rng
-from tubemeasure.projection import shadow_values_batch
+from tubemeasure.projection import _cross_view, _extent, shadow_values_batch
 
 
 def unit_cube():
@@ -166,8 +166,9 @@ class TestExactUnionShadows:
                     members.append(disk(x, y, float(rng.uniform(0.2, 1.0))))
                 else:
                     members.append(prism(np.array([x, y]) + 0.6 * rng.standard_normal((8, 2))))
-            shadow = Shadow(UnionShape(members=tuple(members)), UP)
-            lo, hi = shadow.bbox(include_measure_zero=False)
+            union = UnionShape(members=tuple(members))
+            shadow = Shadow(union, UP)
+            lo, hi = _extent(_cross_view(union, UP)[1])  # every member is solid
             box = float(np.prod(hi - lo))
             p, se = _mc_box_fraction(shadow.contains, lo, hi, 1_000_000, trial, TAG_SHADOW)
             assert abs(shadow.exact_area - box * p) <= 4 * box * se, f"trial {trial}"
@@ -228,10 +229,11 @@ class TestMonteCarloShadows:
                 Ball(center=np.array([1.5, 0.0, 0.0, 0.0]), radius=0.7),
             )
         )
-        shadow = Shadow(union, np.array([0.3, 0.4, 0.5, 0.6]))
+        d = np.array([0.3, 0.4, 0.5, 0.6])
+        shadow = Shadow(union, d)
         assert shadow.exact_area is None
         samples = 70_000
-        lo, hi = shadow.bbox(include_measure_zero=False)
+        lo, hi = _extent(_cross_view(union, d)[1])
         hits, index, done = 0, 0, 0
         while done < samples:
             count = min(BATCH, samples - done)
@@ -265,12 +267,12 @@ class TestShadowObject:
         rng = np.random.default_rng(4)
         shape = random_shape(rng, 3)
         d = random_direction(rng, 3)
-        shadow = Shadow(shape, d)
-        lo, hi = shadow.bbox()
+        frame, oracles = _cross_view(shape, d)
+        lo, hi = _extent(oracles)
         y = (lo + hi) / 2
-        anchor = shadow.anchor_for(y)
+        anchor = y @ frame.cross  # as parallel_cover_from_projection places a tube
         # anchor must project exactly onto y in the cross frame
-        assert np.allclose(shadow.frame.cross @ anchor, y, atol=1e-9)
+        assert np.allclose(frame.cross @ anchor, y, atol=1e-9)
         assert abs(anchor @ d) <= 1e-9
 
     def test_bbox_matches_support_function(self):
@@ -280,9 +282,9 @@ class TestShadowObject:
             n = int(rng.integers(2, 5))
             shape = random_shape(rng, n)
             d = random_direction(rng, n)
-            shadow = Shadow(shape, d)
-            lo, hi = shadow.bbox()
-            for i, row in enumerate(shadow.frame.cross):
+            frame, oracles = _cross_view(shape, d)
+            lo, hi = _extent(oracles)
+            for i, row in enumerate(frame.cross):
                 assert hi[i] == pytest.approx(shape.support(row), abs=1e-9)
                 assert lo[i] == pytest.approx(-shape.support(-row), abs=1e-9)
 

@@ -6,11 +6,13 @@ benchmark self-tests through a subprocess) and checks what the step
 checks.
 """
 
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tubemeasure.cli import main
@@ -38,6 +40,25 @@ def test_benchmark_oracle_and_checker_self_tests():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("name", ["bounds", "covers", "proof"])
+def test_each_benchmark_workload_runs_and_passes_its_checks(name, tmp_path, monkeypatch, capsys):
+    # step "Each benchmark workload runs and passes its checks": one untimed
+    # round at seed 1, run and checked as bench/run.py and bench/worker.py do
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads, checks = importlib.import_module("workloads"), importlib.import_module("checks")
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for i, op in enumerate(workloads.build(name, 1, tmp_path / "work", tmp_path)):
+        _, report = run_json(capsys, op["argv"])
+        results.append(report["result"])
+        save = op["facts"].get("save_cover")
+        if save:
+            Path(save).write_text(json.dumps(report["result"]["cover"]))
+        context = {"rng": np.random.default_rng([1, 7, i]), "argv": op["argv"], "results": results}
+        status, message, _ = checks.check(op, results[-1], context)
+        assert status == "ok", (op["argv"], message)
 
 
 @pytest.mark.parametrize(
