@@ -278,21 +278,29 @@ def truncated_product_lower(
     return 2.0 * r_half * measure / (2.0 * r_half + diam)
 
 
-def plank_value_2d(s: Shape) -> tuple[float, np.ndarray]:
-    """Exact minimal width of a planar convex body, with witness direction.
+def _plank_2d(s: Shape) -> tuple:
+    """(width, direction, method) behind ``plank_value_2d``.
 
-    The width is the least shadow in the plane, where the arrangement
-    vertices of the minimum-shadow search are the hull-edge directions
-    rotating calipers visit; the witness points along the minimizing edge.
+    The width is the least shadow in the plane: a disk's in closed form,
+    and a polygon's at the arrangement vertices of the minimum-shadow
+    search, which are the hull-edge directions rotating calipers visit;
+    the witness points along the minimizing edge.
     """
     if s.dim != 2:
         raise DimensionError("plank width is a planar computation")
     if not isinstance(s, (Ball, ConvexPolytope)):
         raise ParameterError("plank width needs a convex polygon or a disk")
-    width, direction, _ = _min_shadow(s)
+    width, direction, method = _min_shadow(s)
     if width <= 0.0:
         raise DegenerateShapeError("degenerate polygon: zero width")
-    return width, direction
+    if isinstance(s, ConvexPolytope):  # its arrangement vertices are the calipers' edges
+        method = "exact arrangement vertices: the hull-edge directions of rotating calipers"
+    return width, direction, method
+
+
+def plank_value_2d(s: Shape) -> tuple[float, np.ndarray]:
+    """Exact minimal width of a planar convex body, with witness direction."""
+    return _plank_2d(s)[:2]
 
 
 @dataclass(frozen=True)

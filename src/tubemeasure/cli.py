@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import compute_bounds, plank_value_2d
+from .bounds import _plank_2d, compute_bounds
 from .covers import (
     CHECK_SAMPLES,
     cover_check,
@@ -205,13 +206,8 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_plank(args) -> dict:
-    shape = _load_shape(args.shape)
-    width, direction = plank_value_2d(shape)
-    return {
-        "width": width,
-        "witness_direction": [float(v) for v in direction],
-        "method": "exact arrangement vertices: the hull-edge directions of rotating calipers",
-    }
+    width, direction, method = _plank_2d(_load_shape(args.shape))
+    return {"width": width, "witness_direction": [float(v) for v in direction], "method": method}
 
 
 def _cmd_cover(args) -> dict:
@@ -283,6 +279,7 @@ def _cmd_proof(args) -> dict:
 # parser and entry point
 
 
+@functools.cache  # built on the first call, once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tubemeasure",
@@ -359,8 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = _config(args)
         result = args.handler(args)

@@ -159,7 +159,7 @@ class Frame:
                 f"cross must have shape ({n - 1}, {n}), got {cross.shape}"
             )
         m = np.vstack([cross, axis])
-        if not np.allclose(m @ m.T, np.eye(n), atol=FRAME_ORTHO_TOL):
+        if not np.abs(m @ m.T - np.eye(n)).max() <= FRAME_ORTHO_TOL:  # NaN fails too
             raise GeometryError("frame rows are not orthonormal")
         object.__setattr__(self, "axis", _freeze(axis))
         object.__setattr__(self, "cross", _freeze(cross))

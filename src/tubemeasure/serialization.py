@@ -1,7 +1,8 @@
 """Strict JSON encoding of shapes, covers, and bound reports.
 
-Shape documents are objects {"dim": n, "kind": ..., ...}; the kinds are
-ball, cuboid, polytope, product, union, cloud.  Cover documents are
+Shape documents are objects {"dim": n, "kind": ..., ...}; ``_KINDS`` lists
+each kind (ball, cuboid, polytope, cloud, product, union) with its class
+and its fields, and both directions are read from it.  Cover documents are
 top-level lists of tubes, each {"kind": "round", ...} or
 {"kind": "square", ...}.  Rationals ride as {"num": int, "den": int} in
 lowest terms with a positive denominator.
@@ -56,12 +57,12 @@ def _require_dict(obj, what: str) -> dict:
     return obj
 
 
-def _check_fields(obj: dict, what: str, required: tuple, optional: tuple = ()):
+def _check_fields(obj: dict, what: str, required: tuple):
     keys = set(obj)
     missing = set(required) - keys
     if missing:
         raise SchemaError(f"{what} is missing fields: {sorted(missing)}")
-    unknown = keys - set(required) - set(optional)
+    unknown = keys - set(required)
     if unknown:
         raise SchemaError(f"{what} has unknown fields: {sorted(unknown)}")
 
@@ -96,14 +97,17 @@ def _vector(x, what: str, dim: int | None = None) -> np.ndarray:
     return np.array(vals)
 
 
-def _matrix(x, what: str, rows: int, cols: int) -> np.ndarray:
-    if not isinstance(x, list) or len(x) != rows:
-        raise SchemaError(f"{what} must be a list of {rows} vectors")
-    return np.array([_vector(r, f"{what}[{i}]", cols) for i, r in enumerate(x)])
+def _rows(x, what: str, dim: int, count: int | None = None) -> np.ndarray:
+    """A list of vectors of length ``dim``: ``count`` of them, or at least one."""
+    wanted = "one or more" if count is None else count
+    if not isinstance(x, list) or (len(x) != count if count is not None else not x):
+        raise SchemaError(f"{what} must be a list of {wanted} vectors")
+    return np.array([_vector(r, f"{what}[{i}]", dim) for i, r in enumerate(x)])
 
 
 def _jsonable(x):
-    """JSON-ready copy of x; the one place a rational becomes {"num", "den"}."""
+    """JSON-ready copy of x, a rational as {"num", "den"} in lowest terms;
+    ``SquarePacking.to_dict`` writes its reduced pairs itself, with no gcd."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, Fraction):
@@ -138,16 +142,17 @@ def rational_from_json(obj, what: str = "rational") -> Fraction:
 
 
 def _frame_to_json(frame: Frame) -> dict:
-    return {"axis": _jsonable(frame.axis), "cross": [_jsonable(row) for row in frame.cross]}
+    return {"axis": frame.axis.tolist(), "cross": frame.cross.tolist()}
 
 
-def _frame_from_json(obj, what: str, dim: int, frames: dict) -> Frame:
-    """Decode a frame; equal rows decode to one shared Frame, built and
-    validated once and memoized in ``frames`` by their float bytes."""
+def _frame_from_json(obj, what: str, dim: int, frames: dict | None = None) -> Frame:
+    """Decode a frame; given ``frames``, equal rows decode to one shared
+    Frame, built and validated once and memoized there by their float bytes."""
+    frames = {} if frames is None else frames
     obj = _require_dict(obj, what)
     _check_fields(obj, what, ("axis", "cross"))
     axis = _vector(obj["axis"], f"{what}.axis", dim)
-    cross = _matrix(obj["cross"], f"{what}.cross", dim - 1, dim)
+    cross = _rows(obj["cross"], f"{what}.cross", dim, dim - 1)
     key = (axis.tobytes(), cross.tobytes())
     if key not in frames:
         frames[key] = Frame(axis=axis, cross=cross)
@@ -158,50 +163,52 @@ def _frame_from_json(obj, what: str, dim: int, frames: dict) -> Frame:
 # shapes
 
 
+def _scalar(x, what: str, dim: int) -> float:
+    return _number(x, what)
+
+
+def _shape(x, what: str, dim: int) -> Shape:
+    return shape_from_json(x)
+
+
+def _shapes(x, what: str, dim: int) -> tuple:
+    if not isinstance(x, list):
+        raise SchemaError(f"{what} must be a list")
+    return tuple(map(shape_from_json, x))  # map adds no Python frame per nesting level
+
+
+# Each shape kind: its class, and its fields in document order after "dim"
+# and "kind", each with the decoder of its type, called as (value, what,
+# dim).  A cuboid carries its frame from dimension 2 on, and none in
+# dimension 1.
+_KINDS = {
+    "ball": (Ball, {"center": _vector, "radius": _scalar}),
+    "cuboid": (Cuboid, {"center": _vector, "half_lengths": _vector, "frame": _frame_from_json}),
+    "polytope": (ConvexPolytope, {"vertices": _rows}),
+    "cloud": (PointCloud, {"points": _rows}),
+    "product": (ProductSet, {"base": _shape, "axis": _vector}),
+    "union": (UnionShape, {"members": _shapes}),
+}
+
+
 def shape_to_json(s: Shape) -> dict:
-    if isinstance(s, Ball):
-        return {
-            "dim": s.dim,
-            "kind": "ball",
-            "center": _jsonable(s.center),
-            "radius": s.radius,
-        }
-    if isinstance(s, Cuboid):
-        out = {
-            "dim": s.dim,
-            "kind": "cuboid",
-            "center": _jsonable(s.center),
-            "half_lengths": _jsonable(s.half_lengths),
-        }
-        if s.frame is not None:
-            out["frame"] = _frame_to_json(s.frame)
-        return out
-    if isinstance(s, ConvexPolytope):
-        return {
-            "dim": s.dim,
-            "kind": "polytope",
-            "vertices": [_jsonable(row) for row in s.vertices],
-        }
-    if isinstance(s, PointCloud):
-        return {
-            "dim": s.dim,
-            "kind": "cloud",
-            "points": [_jsonable(row) for row in s.points],
-        }
-    if isinstance(s, ProductSet):
-        return {
-            "dim": s.dim,
-            "kind": "product",
-            "base": shape_to_json(s.base),
-            "axis": _jsonable(s.axis),
-        }
-    if isinstance(s, UnionShape):
-        return {
-            "dim": s.dim,
-            "kind": "union",
-            "members": [shape_to_json(member) for member in s.members],
-        }
-    raise SchemaError(f"cannot serialize shape of type {type(s).__name__}")
+    kind = next((k for k, (cls, _) in _KINDS.items() if isinstance(s, cls)), None)
+    if kind is None:
+        raise SchemaError(f"cannot serialize shape of type {type(s).__name__}")
+    out = {"dim": s.dim, "kind": kind}
+    for name in _KINDS[kind][1]:
+        value = getattr(s, name)
+        if isinstance(value, np.ndarray):  # a vector or a row list
+            out[name] = value.tolist()
+        elif isinstance(value, Frame):
+            out[name] = _frame_to_json(value)
+        elif isinstance(value, tuple):  # a union's members
+            out[name] = list(map(shape_to_json, value))
+        elif isinstance(value, float):
+            out[name] = value
+        elif value is not None:  # a product's base; a segment has no frame
+            out[name] = shape_to_json(value)
+    return out
 
 
 def shape_from_json(obj) -> Shape:
@@ -212,63 +219,17 @@ def shape_from_json(obj) -> Shape:
     dim = _integer(obj["dim"], "shape.dim")
     if dim < 1:
         raise SchemaError("shape.dim must be a positive integer")
-
-    if kind == "ball":
-        _check_fields(obj, "ball", ("dim", "kind", "center", "radius"))
-        return Ball(
-            center=_vector(obj["center"], "ball.center", dim),
-            radius=_number(obj["radius"], "ball.radius"),
-        )
-    if kind == "cuboid":
-        required = ("dim", "kind", "center", "half_lengths")
-        _check_fields(obj, "cuboid", required, optional=("frame",))
-        frame = None
-        if dim == 1:
-            if "frame" in obj:
-                raise SchemaError("cuboid in dimension 1 must not carry a frame")
-        else:
-            if "frame" not in obj:
-                raise SchemaError("cuboid needs a frame in dimension >= 2")
-            frame = _frame_from_json(obj["frame"], "cuboid.frame", dim, {})
-        return Cuboid(
-            center=_vector(obj["center"], "cuboid.center", dim),
-            frame=frame,
-            half_lengths=_vector(obj["half_lengths"], "cuboid.half_lengths", dim),
-        )
-    if kind == "polytope":
-        _check_fields(obj, "polytope", ("dim", "kind", "vertices"))
-        verts = obj["vertices"]
-        if not isinstance(verts, list) or len(verts) == 0:
-            raise SchemaError("polytope.vertices must be a nonempty list")
-        return ConvexPolytope(
-            vertices=np.array(
-                [_vector(v, f"polytope.vertices[{i}]", dim) for i, v in enumerate(verts)]
-            )
-        )
-    if kind == "cloud":
-        _check_fields(obj, "cloud", ("dim", "kind", "points"))
-        pts = obj["points"]
-        if not isinstance(pts, list) or len(pts) == 0:
-            raise SchemaError("cloud.points must be a nonempty list")
-        return PointCloud(
-            points=np.array(
-                [_vector(v, f"cloud.points[{i}]", dim) for i, v in enumerate(pts)]
-            )
-        )
-    if kind == "product":
-        _check_fields(obj, "product", ("dim", "kind", "base", "axis"))
-        base = shape_from_json(obj["base"])
-        return ProductSet(base=base, axis=_vector(obj["axis"], "product.axis", dim))
-    if kind == "union":
-        _check_fields(obj, "union", ("dim", "kind", "members"))
-        members = obj["members"]
-        if not isinstance(members, list):
-            raise SchemaError("union.members must be a list")
-        return UnionShape(
-            members=tuple(shape_from_json(member) for member in members),
-            dim_hint=dim,
-        )
-    raise SchemaError(f"unknown shape kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaError(f"unknown shape kind {kind!r}")
+    cls, fields = _KINDS[kind]
+    args = {"dim_hint": dim} if cls is UnionShape else {}
+    if cls is Cuboid and dim == 1:
+        args["frame"] = None
+        fields = {name: fields[name] for name in ("center", "half_lengths")}
+    _check_fields(obj, kind, ("dim", "kind", *fields))
+    for name, decode in fields.items():
+        args[name] = decode(obj[name], f"{kind}.{name}", dim)
+    return cls(**args)
 
 
 # ---------------------------------------------------------------------------

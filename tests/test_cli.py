@@ -177,6 +177,12 @@ class TestPlank:
             math.sqrt(3.0) / 2.0, abs=1e-9
         )
 
+    def test_disk_width_is_closed_form(self, tmp_path, capsys):
+        disk = {"dim": 2, "kind": "ball", "center": [0.5, -1.0], "radius": 0.75}
+        result = run_json(capsys, ["plank", "--shape", shape_file(tmp_path, disk)])["result"]
+        assert result["width"] == 1.5
+        assert result["method"] == "closed form"
+
     def test_wrong_dimension_exits_2(self, capsys):
         code, _, err = run(capsys, ["plank", "--shape", "tetrahedron"])
         assert code == 2 and "input error" in err
@@ -601,6 +607,21 @@ class TestReportLayout:
             "result.delta.num,1\nresult.delta.den,12\n"
             "result.count_a,9\nresult.count_b,10\n"
         )
+
+
+def test_two_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counting)
+    for argv in (["refine", "--widths", "3/4", "5/6"], ["pack", "--dim", "2", "--depth", "3"]):
+        run_json(capsys, argv)
+    # none when an earlier call in this process built them, else each parser once
+    assert built.count("tubemeasure") <= 1 and len(built) == len(set(built))
 
 
 def test_module_entry_point_runs():

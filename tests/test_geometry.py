@@ -85,6 +85,16 @@ class TestFrames:
         with pytest.raises(GeometryError):
             Frame(axis=np.array([1.0, 0.0]), cross=np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale, ok", [(1 + 1e-6, False), (1 + 1e-12, True)])
+    def test_orthonormality_is_checked_to_the_stated_tolerance(self, scale, ok):
+        # max |M M^T - I| <= FRAME_ORTHO_TOL, with no relative slack on the diagonal
+        rows = random_rotation(np.random.default_rng(11), 3) * scale
+        if ok:
+            Frame(axis=rows[-1], cross=rows[:-1])
+        else:
+            with pytest.raises(GeometryError, match="not orthonormal"):
+                Frame(axis=rows[-1], cross=rows[:-1])
+
     def test_rejects_bad_cross_shape(self):
         with pytest.raises(DimensionError):
             Frame(axis=np.array([0.0, 0.0, 1.0]), cross=np.eye(3))

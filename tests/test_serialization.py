@@ -122,6 +122,67 @@ class TestShapeRoundTrip:
         assert back.dim == 3 and back.members == ()
 
 
+BOX_FRAME = {"axis": [0.0, 0.0, 1.0], "cross": [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]}
+# one literal document per kind, keys in the order shape_to_json writes them
+LAYOUTS = [
+    (
+        Ball(center=np.array([0.25, -1.5, 3.0]), radius=0.75),
+        {"dim": 3, "kind": "ball", "center": [0.25, -1.5, 3.0], "radius": 0.75},
+    ),
+    (
+        Cuboid(
+            center=np.array([1.0, 2.0, 3.0]),
+            frame=Frame(axis=np.array(BOX_FRAME["axis"]), cross=np.array(BOX_FRAME["cross"])),
+            half_lengths=np.array([0.5, 1.5, 2.5]),
+        ),
+        {"dim": 3, "kind": "cuboid", "center": [1.0, 2.0, 3.0], "half_lengths": [0.5, 1.5, 2.5],
+         "frame": BOX_FRAME},
+    ),
+    (
+        axis_aligned_cuboid(np.array([0.5]), np.array([0.25])),
+        {"dim": 1, "kind": "cuboid", "center": [0.5], "half_lengths": [0.25]},
+    ),
+    (
+        ConvexPolytope(vertices=np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])),
+        {"dim": 2, "kind": "polytope", "vertices": [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]},
+    ),
+    (
+        PointCloud(points=np.array([[0.0, 1.0], [2.0, -3.0]])),
+        {"dim": 2, "kind": "cloud", "points": [[0.0, 1.0], [2.0, -3.0]]},
+    ),
+    (
+        ProductSet(base=Ball(center=np.zeros(2), radius=1.0), axis=np.array([0.0, 0.0, 1.0])),
+        {"dim": 3, "kind": "product",
+         "base": {"dim": 2, "kind": "ball", "center": [0.0, 0.0], "radius": 1.0},
+         "axis": [0.0, 0.0, 1.0]},
+    ),
+    (
+        UnionShape(members=(
+            PointCloud(points=np.array([[1.0, 2.0]])),
+            UnionShape(members=(Ball(center=np.array([3.0, 0.0]), radius=0.5),)),
+            UnionShape(members=(), dim_hint=2),
+        )),
+        {"dim": 2, "kind": "union", "members": [
+            {"dim": 2, "kind": "cloud", "points": [[1.0, 2.0]]},
+            {"dim": 2, "kind": "union", "members": [
+                {"dim": 2, "kind": "ball", "center": [3.0, 0.0], "radius": 0.5}]},
+            {"dim": 2, "kind": "union", "members": []},
+        ]},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, expected", LAYOUTS,
+    ids=["ball", "cuboid", "segment", "polytope", "cloud", "product", "nested-union"],
+)
+def test_document_layout_is_pinned(shape, expected):
+    # json.dumps keeps key order, so equal text means equal keys in equal order
+    doc = shape_to_json(shape)
+    assert json.dumps(doc) == json.dumps(expected)
+    assert json.dumps(shape_to_json(shape_from_json(expected))) == json.dumps(expected)
+
+
 class TestShapeSchemaErrors:
     def base_ball(self):
         return {"dim": 3, "kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
@@ -133,6 +194,13 @@ class TestShapeSchemaErrors:
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
             shape_from_json({"dim": 2, "kind": "simplex", "vertices": [[0.0, 0.0]]})
+
+    @pytest.mark.parametrize("kind", [["ball"], {"ball": 1}, 3, None, True])
+    def test_kind_that_is_not_a_string(self, kind):
+        doc = self.base_ball()
+        doc["kind"] = kind
+        with pytest.raises(SchemaError, match="unknown shape kind"):
+            shape_from_json(doc)
 
     def test_missing_field(self):
         doc = self.base_ball()

@@ -102,3 +102,13 @@ def test_cloud_members_of_a_union_are_covered_and_checked(tmp_path, capsys):
         {"dim": 3, "kind": "cloud", "points": [[2, 0, 1], [-1, 1, 0.5]]}]})
     assert run_json(capsys, ["cover", "--shape", two_clouds, "--search"])[1]["result"]["covered"] is True
 
+
+
+def test_frame_off_orthonormal_by_more_than_the_tolerance_is_an_input_error(tmp_path, capsys):
+    # step "A frame off orthonormal by more than 1e-10 is an input error"
+    s = 1.000001
+    path = write(tmp_path, "off_frame.json", {
+        "dim": 3, "kind": "cuboid", "center": [0, 0, 0], "half_lengths": [0.5, 0.5, 0.5],
+        "frame": {"axis": [0, 0, s], "cross": [[s, 0, 0], [0, s, 0]]}})
+    assert main(["bounds", "--shape", path]) == 2
+    assert capsys.readouterr().err == "input error: frame rows are not orthonormal\n"
