@@ -13,11 +13,14 @@ The upper bound is best at the least shadow, which
 ``upper_bound_min_projection`` finds in closed form for balls and
 cuboids.  A polytope's shadow, and an upper bound for a union's, is a
 sum of its leaves' Cauchy terms (``projection._cauchy_terms``), whose
-least value sits at a vertex of the arrangement of their normals; in
-R^2 and R^3 the union's exact shadows along 256 fixed directions join
-in.  Every candidate is an exact shadow, so the reported least one is a
-valid upper bound.  In the plane the least shadow is the minimal width
-(the plank problem).
+least value sits at a vertex of the arrangement of their normals.  In
+R^2 and R^3 a union's own exact shadow is taken instead: first along its
+members' witness directions and the lines through their centres, where
+one within 4 ulps of the floor (the largest member's least shadow) is a
+least shadow and ends the search, else along 256 fixed directions and
+the member-sum minimizer.  Every candidate is an exact shadow, so the
+reported least one is a valid upper bound.  In the plane the least
+shadow is the minimal width (the plank problem).
 Product sets A x R have mu = |A| exactly, with an explicit lower bound
 for truncated cylinders A x [-R, R].
 """
@@ -44,9 +47,11 @@ from .geometry import (
     Shape,
     SquareTubes,
     Tube,
+    UnionShape,
     _leaves,
     canonical_direction,
     diameter,
+    unit_vector,
 )
 from .montecarlo import VOLUME_SAMPLES, mc_volume
 from .projection import Shadow, _cauchy_terms, shadow_values_batch
@@ -56,6 +61,7 @@ _EVAL_CHUNK = 1 << 20  # direction-by-generator products held at once
 _PARALLEL_DECIMALS = 9  # unit normals equal to this many decimals are parallel
 _RANK_TOL = 1e-9  # least singular value of an independent set of unit normals
 _UNION_DIRECTIONS = 256  # fixed directions of a union's own shadow in R^2 and R^3
+_FLOOR_ULPS = 4  # a union shadow this many ulps from its floor is a least one
 
 
 def tube_exact_measure(tube: Tube) -> float:
@@ -202,6 +208,10 @@ def _min_shadow(s: Shape) -> tuple:
         full = 2.0 * s.half_lengths
         longest = canonical_direction(s.axes[int(np.argmax(full))])
         return float(np.prod(full) / full.max()), longest, "closed form"
+    if isinstance(s, UnionShape) and n <= 3:
+        at_floor = _floor_shadow(s, leaves)
+        if at_floor is not None:
+            return at_floor
     # a polytope or a union: the least sum of its leaves' Cauchy terms
     normals, measures, constants = zip(*map(_cauchy_terms, leaves))
     gens, weights = _generators(np.concatenate(normals), np.concatenate(measures))
@@ -218,6 +228,42 @@ def _min_shadow(s: Shape) -> tuple:
     return (*best, f"grid {len(grid)} of exact shadows, plus the member-sum minimizer")
 
 
+def _centre(leaf: Shape) -> np.ndarray | None:
+    """A ball's or cuboid's centre, a polytope's vertex mean; None for a cloud."""
+    if isinstance(leaf, (Ball, Cuboid)):
+        return leaf.center
+    if isinstance(leaf, ConvexPolytope):
+        return leaf.vertices.mean(axis=0)
+    return None
+
+
+def _floor_shadow(s: UnionShape, leaves: list) -> tuple | None:
+    """(value, direction, method) of a union in R^2 or R^3 that reaches its
+    floor, else None.
+
+    No shadow of a union is below the least shadow of its largest member,
+    the floor.  The candidates are each leaf's witness direction and each
+    line through two leaves' centres (see ``_centre``); the least of their
+    exact union shadows, when within ``_FLOOR_ULPS`` ulps of the floor, is
+    a least shadow, and it is reported as its own value, not the floor's.
+    """
+    least = [_min_shadow(leaf) for leaf in leaves]
+    floor = max(value for value, _, _ in least)
+    directions = [direction for _, direction, _ in least]
+    centres = [c for c in map(_centre, leaves) if c is not None]
+    for a, b in combinations(centres, 2):
+        try:
+            directions.append(unit_vector(b - a))
+        except DegenerateShapeError:  # one centre: no line through both
+            pass
+    directions = np.array(directions)
+    values = np.array([Shadow(s, d).exact_area for d in directions])
+    value, direction = _least(values, directions, (math.inf, None))
+    if abs(value - floor) > _FLOOR_ULPS * math.ulp(floor):
+        return None
+    return value, direction, "exact union shadow at its floor, the largest member's least shadow"
+
+
 def upper_bound_min_projection(s: Shape) -> tuple[float, np.ndarray]:
     """Smallest shadow over all directions, with a direction attaining it.
 
@@ -230,10 +276,15 @@ def upper_bound_min_projection(s: Shape) -> tuple[float, np.ndarray]:
     vertices, joined, heaviest first, by those that raise their rank
     until they span n - 1 dimensions; every candidate is an exact shadow.  A union is
     bounded by the least sum of its members' shadows, found on the
-    arrangement of all members' generators; in R^2 and R^3 the union's
-    exact shadows along 256 fixed directions and along that minimizer
-    take its place, so the value is never above the sum.  Ties go to the lexicographically smallest
-    canonical direction.
+    arrangement of all members' generators.  In R^2 and R^3 the union's
+    own exact shadow takes its place.  No direction shows less than the
+    floor, the largest member's least shadow, so the search stops when
+    a member's witness direction or a line through two members' centres
+    gives a shadow within 4 ulps of it; the method then reads "exact
+    union shadow at its floor, ...".  Otherwise the exact shadows along
+    256 fixed directions and along the member-sum minimizer are tried,
+    so the value is never above the sum.  Ties go to the
+    lexicographically smallest canonical direction.
     """
     value, direction, _ = _min_shadow(s)
     return value, direction

@@ -14,6 +14,7 @@ threads and reused as cache keys by identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -24,6 +25,7 @@ from .errors import (
     DegenerateShapeError,
     DimensionError,
     GeometryError,
+    InvariantError,
     ParameterError,
     UnboundedShapeError,
 )
@@ -33,6 +35,7 @@ UNIT_NORM_TOL = 1e-12   # ``unit_vector`` rejects vectors no longer than this
 FRAME_ORTHO_TOL = 1e-10  # frames must be orthonormal within this
 CONTAINS_TOL = 1e-9     # hull membership allows this slack past each facet
 _DIAMETER_ROWS = 1024   # pairwise-distance rows held at once by ``diameter``
+_SQ_STEPS = 4           # float steps from fl(r * r) to a ball's squared threshold, at most
 
 
 def unit_ball_volume(m: int) -> float:
@@ -64,6 +67,26 @@ def _ball_measure(m: int, r: float, what: str) -> float:
     return value
 
 
+def _sq_limit(r: float) -> float:
+    """The largest float t with math.sqrt(t) <= r, for a positive float r.
+
+    fl(r * r) is the float nearest r^2, and the floats t whose correctly
+    rounded square root is at most r end below (r + ulp(r) / 2)^2, which
+    lies at most about two floats above it (none in the subnormal range,
+    where the floats are far apart).  The search steps from fl(r * r),
+    capped at the largest float, and gives up after ``_SQ_STEPS`` steps.
+    """
+    t = min(r * r, sys.float_info.max)
+    for _ in range(_SQ_STEPS):
+        if math.sqrt(t) > r:
+            t = math.nextafter(t, 0.0)
+        elif (up := math.nextafter(t, math.inf)) < math.inf and math.sqrt(up) <= r:
+            t = up
+        else:
+            return t
+    raise InvariantError(f"no squared threshold within {_SQ_STEPS} floats of {r}^2")
+
+
 def _as_floats(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -89,6 +112,13 @@ def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     i = np.searchsorted(table, x)
     hit = table[np.minimum(i, len(table) - 1)] == x
     return np.where(hit, i, -1)
+
+
+def _c_ordered(pts: np.ndarray) -> bool:
+    """Whether numpy lays out pts - v, for v one row, in C order.  It does so
+    for every batch but an F-ordered one (F-like strides), as the first two
+    rows show."""
+    return (pts[:2] - pts[:1]).flags.c_contiguous
 
 
 def _rows_all(mask: np.ndarray) -> np.ndarray:
@@ -216,14 +246,36 @@ class Ball:
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "_volume", volume)
+        object.__setattr__(self, "_sq_limit", _sq_limit(r))
 
     @property
     def dim(self) -> int:
         return self.center.size
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Closed membership, the verdict of np.linalg.norm(pts - center,
+        axis=1) <= radius on every row, without its square root.
+
+        The squared differences are added in numpy's order: one column at a
+        time, except that numpy adds a C-ordered row of eight in pairs,
+        ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).  So each row's sum s is
+        the float whose square root norm takes, and as a correctly rounded
+        square root is monotone, sqrt(s) <= radius exactly when s is at most
+        ``_sq_limit``, the largest float whose square root is at most the
+        radius.  On 65,536 points in R^3 the column arithmetic takes about a
+        tenth of the time of norm's row reduction.
+        """
         pts = np.atleast_2d(pts)
-        return np.linalg.norm(pts - self.center, axis=1) <= self.radius
+        if pts.shape[-1] != self.dim:
+            raise DimensionError(f"query points must have {self.dim} coordinates")
+        squares = [np.square(pts[:, k] - x) for k, x in enumerate(self.center)]
+        if len(squares) == 8 and _c_ordered(pts):
+            while len(squares) > 1:
+                squares = [a + b for a, b in zip(squares[::2], squares[1::2])]
+        total = squares[0]
+        for column in squares[1:]:
+            total += column
+        return total <= self._sq_limit
 
     def support(self, d: np.ndarray) -> float:
         return float(self.center @ d) + self.radius
@@ -251,6 +303,8 @@ class Cuboid:
                 raise GeometryError("cuboid frame must be a Frame")
             if self.frame.dim != c.size:
                 raise DimensionError("cuboid frame dimension mismatch")
+        elif self.frame is not None:
+            raise GeometryError("a 1-D cuboid takes no frame")
         if h.size != c.size or np.any(h <= 0):
             raise DegenerateShapeError("half_lengths must be positive, one per axis")
         volume = math.prod((2.0 * h).tolist())  # as np.prod, without its warning
@@ -477,10 +531,30 @@ class UnionShape:
         return self.members[0].dim if self.members else int(self.dim_hint)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
+        """Membership in any member; each member after the first is asked
+        only about the points that are still outside.
+
+        A member's verdict on a row does not depend on the rows asked with
+        it, except that BLAS rounds a product of one row differently from a
+        batch, so one row left from a batch is asked as a batch of two (as
+        ``_in_square_tubes`` asks it).  Rows taken from an F-ordered batch
+        stay F-ordered, which keeps an 8-D ball's order of summation.
+        """
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts), dtype=bool)
+        left = np.arange(len(pts))
         for m in self.members:
-            out |= m.contains(pts)
+            if len(left) == len(pts):
+                rows = pts
+            else:
+                rows = pts.take(np.repeat(left, 2) if len(left) == 1 else left, axis=0)
+                if not _c_ordered(pts):
+                    rows = np.asfortranarray(rows)
+            hit = m.contains(rows)[: len(left)]
+            out[left] = hit
+            left = left[~hit]
+            if not len(left):
+                break
         return out
 
     def support(self, d: np.ndarray) -> float:

@@ -173,7 +173,8 @@ class TestUnionShadowGrid:
         )
         report = compute_bounds(union, mc_samples=2000)
         assert report.upper == 2.0
-        assert "grid 256 of exact shadows" in report.method
+        assert "exact union shadow at its floor" in report.method
+        assert report.witness_direction == (1.0, 0.0)
 
     def test_solid_union_takes_exact_shadows(self):
         # the cube lies inside the ball, so every shadow of the union is
@@ -185,7 +186,8 @@ class TestUnionShadowGrid:
             )
         )
         report = compute_bounds(union, mc_samples=2000, seed=1)
-        assert "grid 256 of exact shadows" in report.method
+        assert "exact union shadow at its floor" in report.method
+        assert report.witness_direction == (1.0, 0.0, 0.0)
         assert repr(compute_bounds(union, mc_samples=2000, seed=1)) == repr(report)
         assert report.upper == math.pi
 
@@ -201,18 +203,25 @@ class TestUnionShadowGrid:
         for seed in (0, 1, 5, 12):
             report = compute_bounds(union, mc_samples=2000, seed=seed)
             assert report.upper == math.pi, f"seed {seed}"
-            assert "exact shadows" in report.method
+            assert "exact union shadow at its floor" in report.method
+            assert report.witness_direction == (1.0, 0.0, 0.0)  # the centre line
 
 
 def member_sum(members, directions):
     return sum(shadow_values_batch(m, directions) for m in members)
 
 
-def union_loop_min_shadow(s):
+def union_loop_min_shadow(s, floor=True):
     """(value, direction, method) of a union's least shadow, its members'
     Cauchy terms gathered by a loop over their kinds, as ``_min_shadow``
-    gathered them before one table served every kind."""
+    gathered them before one table served every kind.  With ``floor`` a
+    union in R^2 or R^3 first tries ``bounds._floor_shadow``, as
+    ``_min_shadow`` does; without it the grid alone decides."""
     n = s.dim
+    if floor and n <= 3:
+        at_floor = bounds._floor_shadow(s, _leaves(s))
+        if at_floor is not None:
+            return at_floor
     normals, measures, constant = [np.zeros((0, n))], [np.zeros(0)], 0.0
     for leaf in _leaves(s):
         if isinstance(leaf, Cuboid):
@@ -283,6 +292,45 @@ class TestUnionMemberSum:
             else:
                 grid = sphere_directions(3, 2048)
                 assert value <= member_sum(members, grid).min() * (1.0 + 1e-12), f"trial {trial}"
+
+
+class TestUnionFloor:
+    def test_stops_only_at_the_floor_and_never_above_the_grid(self):
+        # no union shadow is below its largest member's least shadow, so a
+        # candidate at that floor is a least shadow; any other union keeps
+        # the grid's report byte for byte.  A grid shadow can read a few ulps
+        # below the floor by rounding (an interval's (c + r) - (c - r) below
+        # 2r), and only such a grid reads below a union stopped at its floor.
+        rng = np.random.default_rng(37)
+        ulps = 4.0 * np.finfo(float).eps
+        makers = (random_ball, random_cuboid, random_polytope)
+        reached = set()
+        for trial in range(24):
+            n = 2 + trial % 2
+            kinds = rng.integers(0, 3, int(rng.integers(2, 4)))
+            members = [makers[k](rng, n) for k in kinds]
+            if trial % 3 == 0:  # a ball that hides the first member along every direction
+                members.append(Ball(center=bounds._centre(members[0]), radius=1.1 * diameter(members[0])))
+            union = UnionShape(members=tuple(members))
+            value, direction, method = bounds._min_shadow(union)
+            grid = union_loop_min_shadow(union, floor=False)
+            floor = max(bounds._min_shadow(m)[0] for m in union.members)
+            assert value >= floor * (1.0 - ulps), (trial, kinds)
+            if "floor" in method:
+                reached.add((n, trial))
+                assert value <= grid[0] or grid[0] >= floor * (1.0 - ulps), (trial, kinds)
+                assert value == Shadow(union, direction).exact_area, (trial, kinds)
+            else:
+                assert value.hex() == grid[0].hex(), (trial, kinds)
+                assert direction.tobytes() == grid[1].tobytes(), (trial, kinds)
+                assert method == grid[2], (trial, kinds)
+        assert {n for n, _ in reached} == {2, 3} and len(reached) < 24
+
+    def test_concentric_members_have_no_centre_line(self):
+        balls = (Ball(center=np.full(3, 0.25), radius=1.0), Ball(center=np.full(3, 0.25), radius=0.5))
+        value, direction, method = bounds._min_shadow(UnionShape(members=balls))
+        assert value == math.pi and "floor" in method
+        assert direction.tolist() == [1.0, 0.0, 0.0]  # the witness of both balls
 
 
 def arrangement_oracle(poly):

@@ -1,8 +1,17 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from conftest import random_cuboid, random_direction, random_polytope, random_rotation, random_shape
+from conftest import (
+    random_ball,
+    random_cloud,
+    random_cuboid,
+    random_direction,
+    random_polytope,
+    random_rotation,
+    random_shape,
+)
 from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
@@ -30,7 +39,7 @@ from tubemeasure import (
     unit_ball_volume,
     volume_exact,
 )
-from tubemeasure.geometry import CONTAINS_TOL, _rows_all
+from tubemeasure.geometry import CONTAINS_TOL, _rows_all, _sq_limit
 from tubemeasure.montecarlo import BATCH, TAG_POINTS, batch_rng, sample_points
 from tubemeasure.projection import _BoxOracle, _HullOracle
 from fractions import Fraction
@@ -387,6 +396,100 @@ class TestBuiltins:
             lo, hi = bounding_box(shape)
             probe = (lo + hi) / 2 + d * (support - ((lo + hi) / 2) @ d + 0.05)
             assert not shape.contains(probe)
+
+
+def near_sphere(rng, ball, count):
+    """Points of the ball's sphere, each coordinate then moved a few ulps."""
+    u = rng.standard_normal((count, ball.dim))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    pts = ball.center + ball.radius * u
+    return pts + rng.integers(-3, 4, pts.shape) * np.spacing(pts)
+
+
+def layouts(pts):
+    """The same points C-ordered, F-ordered, and as strided views of a
+    C-ordered and of an F-ordered array."""
+    yield pts
+    yield np.asfortranarray(pts)
+    yield np.repeat(pts, 2, axis=1)[:, ::2]
+    yield np.asfortranarray(np.repeat(pts, 2, axis=0))[::2]
+
+
+class TestBallMembership:
+    """Ball.contains compares summed squares with a squared threshold;
+    np.linalg.norm(pts - center, axis=1) <= radius stays its oracle."""
+
+    def test_matches_the_norm_oracle_near_the_sphere(self):
+        rng = np.random.default_rng(41)
+        for n in range(1, 9):
+            # r * r is subnormal near 1e-160; coordinates near 1e150 square to 1e300
+            radii = [float(10.0 ** rng.uniform(-3, 3)) for _ in range(3)]
+            radii += [1e-160 * (1.0 + rng.random())] + ([1e150 * (1.0 + rng.random())] if n <= 2 else [])
+            for r in radii:
+                ball = Ball(center=rng.uniform(-2.0, 2.0, n) * r, radius=r)
+                pts = near_sphere(rng, ball, 2000)
+                for view in layouts(pts):
+                    assert np.array_equal(view, pts)
+                    expected = np.linalg.norm(view - ball.center, axis=1) <= r
+                    assert ball.contains(view).tolist() == expected.tolist(), (n, r)
+                    # subnormal squares are too coarse to tell ulps apart
+                    assert r < 1e-150 or (expected.any() and not expected.all()), (n, r)
+
+    def test_threshold_is_the_largest_square_within_the_radius(self):
+        rng = np.random.default_rng(43)
+        top = sys.float_info.max
+        radii = [5e-324, 1e-323, 1e-170, 0.5, 1.0, 2.0, top, math.sqrt(top)]
+        radii += [math.nextafter(math.sqrt(top), x) for x in (0.0, math.inf)]
+        radii += [math.nextafter(2.0 ** k, 0.0) for k in range(-1070, 1024, 7)]
+        radii += (2.0 ** rng.uniform(-1074.0, 1023.9, 3000)).tolist()
+        for r in radii:
+            t = _sq_limit(r)  # raises past its few steps
+            up = math.nextafter(t, math.inf)
+            assert math.sqrt(t) <= r and (up == math.inf or math.sqrt(up) > r), r
+        huge = Ball(center=np.zeros(1), radius=1e200)  # r * r overflows
+        pts = np.array([[1e154], [1e155], [-1e200]])
+        with np.errstate(over="ignore"):
+            assert huge.contains(pts).tolist() == [True, False, False]
+            assert (np.linalg.norm(pts, axis=1) <= 1e200).tolist() == [True, False, False]
+
+
+class TestUnionMembership:
+    def test_matches_the_loop_over_every_member(self):
+        # each member after the first is asked only about the points still
+        # outside; asking every member about every point is the oracle
+        rng = np.random.default_rng(47)
+        for n in range(2, 9):
+            members = (random_ball(rng, n), random_cuboid(rng, n), random_polytope(rng, n),
+                       random_cloud(rng, n), random_ball(rng, n))
+            union = UnionShape(members=members)
+            lo, hi = bounding_box(union)
+            pts = np.vstack([
+                rng.uniform(lo, hi, (3000, n)),
+                near_sphere(rng, members[0], 500),
+                near_sphere(rng, members[-1], 500),
+                members[3].points,
+            ])
+            lone = np.vstack([np.repeat(members[0].center[None], 4, axis=0), pts[-1000:-999]])
+            for batch in (pts, lone, lone[-1:]):  # one row left outside, one row asked
+                for view in layouts(batch):
+                    expected = np.zeros(len(view), dtype=bool)
+                    for m in members:
+                        expected |= m.contains(view)
+                    assert union.contains(view).tolist() == expected.tolist(), n
+
+    def test_one_row_left_is_decided_as_in_its_batch(self):
+        # BLAS rounds a product of one row differently from a batch, which
+        # flips the verdict on many points pushed CONTAINS_TOL off a facet
+        rng = np.random.default_rng(53)
+        for n in (2, 3, 5, 8):
+            poly = random_polytope(rng, n)
+            far = Ball(center=poly.vertices[0] + 100.0, radius=1.0)
+            union = UnionShape(members=(far, poly))
+            fill = np.repeat(far.center[None], 3, axis=0)
+            for p in TestColumnwiseMembership.facet_points(rng, poly._hull, 100):
+                batch = np.vstack([fill, p])
+                expected = far.contains(batch) | poly.contains(batch)
+                assert union.contains(batch).tolist() == expected.tolist(), n
 
 
 class TestColumnwiseMembership:

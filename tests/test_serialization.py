@@ -88,6 +88,15 @@ class TestShapeRoundTrip:
         assert "frame" not in doc
         assert_same_shape(segment, roundtrip(segment))
 
+    def test_segment_with_a_frame_is_not_built(self):
+        # its frame would be written, and the document then refused on reading
+        frame = Frame(axis=np.array([0.0, 1.0]), cross=np.array([[1.0, 0.0]]))
+        for bad in (frame, "frame"):
+            with pytest.raises(GeometryError, match="1-D cuboid takes no frame"):
+                Cuboid(center=np.array([0.5]), frame=bad, half_lengths=np.array([0.5]))
+        segment = Cuboid(center=np.array([0.5]), frame=None, half_lengths=np.array([0.5]))
+        assert shape_to_json(roundtrip(segment)) == shape_to_json(segment)
+
     def test_polytope(self):
         tri = ConvexPolytope.hull_of(
             np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])

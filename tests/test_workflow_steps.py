@@ -8,6 +8,7 @@ checks.
 
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,17 @@ def test_saved_grid_cover_rechecks_from_its_file(tmp_path, capsys):
         assert report["result"]["covered"] is True
         assert report["result"]["check"] == "lattice certificate"
     assert reread["result"]["tubes"] == built["result"]["tubes"]
+
+
+def test_two_ball_union_upper_bound_is_an_exact_shadow_at_the_larger_disk(tmp_path, capsys):
+    # step "Two-ball union upper bound is an exact shadow, never below the larger disk"
+    for centre, radius in (([1.5, 0, 0], 0.7), ([0, 1.2, 0], 0.5)):
+        union = write(tmp_path, "union.json", {"dim": 3, "kind": "union", "members": [
+            {"dim": 3, "kind": "ball", "center": [0, 0, 0], "radius": 1.0},
+            {"dim": 3, "kind": "ball", "center": centre, "radius": radius}]})
+        result = run_json(capsys, ["bounds", "--shape", union, "--seed", "1"])[1]["result"]
+        assert result["upper"] == math.pi
+        assert "exact" in result["method"] and "floor" in result["method"]
 
 
 def test_cloud_members_of_a_union_are_covered_and_checked(tmp_path, capsys):
