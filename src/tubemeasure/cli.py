@@ -7,7 +7,9 @@ cover.  Every report carries a ``config`` echo of the settings in effect
 for that command: its options (as ``seed``, ``mc_samples``,
 ``output_format``) and the comparison tolerances, read from the
 constants the code compares against.  Identical invocations
-print byte-identical output.
+print byte-identical output: ``json.dumps(report, indent=2)`` and a
+newline, with ``pack``'s squares and a built cover's tubes written from
+their ``serialization.Listing``, or with ``--format csv`` its flattening.
 
 Exit codes: 0 success, 1 invariant or step failure (the mathematics
 went wrong), 2 input error (unparseable files, bad parameters, shapes
@@ -45,9 +47,10 @@ from .proof import (
     run_proof_walkthrough,
 )
 from .serialization import (
+    Listing,
     bound_report_to_json,
     cover_from_json,
-    cover_to_json,
+    cover_listing,
     rational_to_json,
     shape_from_json,
 )
@@ -129,68 +132,41 @@ def _flatten(obj, prefix: str = ""):
     return rows
 
 
-# Compact reports shorter than this are faster through the stdlib's
-# indent=2 encoder than through the C encoder plus a re-indent; the two
-# cost the same near 1,000 characters.
-_REINDENT_MIN_CHARS = 1024
-
-# class of each byte of compact JSON: 1 comma, 2 opener, 3 closer, 4 quote
-_CHAR_CLASS = np.zeros(256, np.int8)
-_CHAR_CLASS[[ord(c) for c in ',[{]}"']] = [1, 2, 2, 3, 3, 4]
-_IS_MARK = (_CHAR_CLASS != 0).tobytes()  # bytes.translate table: 1 where classed
+# json.dumps of "\0", the stand-in for a listing in a report and for a slot in a layout
+_STAND_IN = '"\\u0000"'
 
 
 def _json_indent2(report) -> str:
-    """``json.dumps(report, indent=2) + "\\n"``, byte for byte.
-
-    A long report is encoded by the C encoder with the item and key
-    separators of ``indent=2`` and no whitespace, and each newline plus
-    indent is then inserted in one pass over the structural characters:
-    after every comma and every bracket that does not open an empty
-    container, before every bracket that does not close one.  The
-    indent is the nesting depth after that character.  Escaped
-    backslashes, then escaped quotes, are blanked out first, so the
-    quotes left are string delimiters, and a structural character lies
-    inside a string when an odd number of them precedes it.
-    """
-    text = json.dumps(report, separators=(",", ": "))
-    if len(text) < _REINDENT_MIN_CHARS:
-        return json.dumps(report, indent=2) + "\n"
-    raw = text.encode("ascii")  # ensure_ascii leaves no other character
-    masked = raw.replace(b"\\\\", b"__").replace(b'\\"', b"__")
-    pos = np.flatnonzero(np.frombuffer(masked.translate(_IS_MARK), np.bool_)).astype(np.int32)
-    kind = _CHAR_CLASS[np.frombuffer(masked, np.uint8)[pos]]
-    del masked
-    quote = kind == 4
-    keep = ~(np.logical_xor.accumulate(quote) | quote)
-    pos, kind = pos[keep], kind[keep]
-    depth = np.cumsum(np.array([0, 0, 1, -1], np.int32)[kind], dtype=np.int32)
-    empty = (kind[:-1] == 2) & (kind[1:] == 3) & (np.diff(pos) == 1)
-    run = np.ones(len(pos), np.bool_)
-    run[:-1] &= ~empty
-    run[1:] &= ~empty
-    at = pos[run] + (kind[run] != 3)  # after a comma or an opener, before a closer
-    width = 1 + 2 * depth[run]
-    # the output alternates copied stretches of the text with inserted runs
-    stretch = np.empty(2 * len(at) + 1, np.int64)
-    stretch[0::2] = np.diff(at, prepend=0, append=len(raw))
-    stretch[1::2] = width
-    copied = np.repeat(np.resize(np.array([True, False]), len(stretch)), stretch)
-    out = np.full(len(copied) + 1, ord(" "), np.uint8)
-    out[:-1][copied] = np.frombuffer(raw, np.uint8)
-    del copied, raw
-    out[at + np.cumsum(width, dtype=np.int64) - width] = ord("\n")
-    out[-1] = ord("\n")
-    return str(out, "ascii")
+    """``json.dumps(report, indent=2) + "\\n"`` of the report with its
+    listings expanded, byte for byte.  The report is encoded with each
+    ``Listing`` standing in as "\\0", and each listing is spliced in at the
+    indent of its stand-in's line.  Each layout of a listing is encoded once
+    as a template, its slots made ``%s``, and filled with each row, since
+    ``str`` of an int or of a finite float is what ``json`` writes for it."""
+    listings = []
+    text = json.dumps(report, indent=2, default=lambda listing: listings.append(listing) or "\0")
+    head, *tails = text.split(_STAND_IN)
+    out = [head]
+    for listing, tail in zip(listings, tails):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        pad = "\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
+        items = []
+        for layout, rows in listing.parts:
+            item = json.dumps(layout, indent=2, default=lambda slot: "\0")
+            template = item.replace("\n", pad).replace(_STAND_IN, "%s")
+            items.extend(template % tuple(row) for row in rows)
+        out += ["[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]", tail]
+    return "".join(out) + "\n"
 
 
 def _emit(report: dict, fmt: str) -> str:
     if fmt == "json":
         return _json_indent2(report)
+    result = {k: v.expand() if isinstance(v, Listing) else v for k, v in report["result"].items()}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
-    for key, value in _flatten(report):
+    for key, value in _flatten({**report, "result": result}):
         writer.writerow([key, value])
     return buf.getvalue()
 
@@ -248,13 +224,13 @@ def _cmd_cover(args) -> dict:
     if "shadow_area" in result:
         result["slack"] = cost - result["shadow_area"]
     if result["source"] != "file":
-        result["cover"] = cover_to_json(cover)
+        result["cover"] = cover_listing(cover)
     return result
 
 
 def _cmd_pack(args) -> dict:
     packing = ball_square_packing(args.dim, args.radius, args.depth)
-    return packing.to_dict()
+    return packing.report()
 
 
 def _cmd_refine(args) -> dict:

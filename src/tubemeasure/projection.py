@@ -333,17 +333,18 @@ class Shadow:
         if self.m == 2:
             return _planar_union_area(self._solid)
         if self.m == 1:
-            # merged intervals: exact union length in the plane
-            spans = sorted((float(o.lo[0]), float(o.hi[0])) for o in self._solid)
-            total = 0.0
-            cur_lo, cur_hi = spans[0]
-            for lo, hi in spans[1:]:
-                if lo > cur_hi:
-                    total += cur_hi - cur_lo
-                    cur_lo, cur_hi = lo, hi
+            # merged intervals: exact union length in the plane.  A run that one
+            # member spans alone counts as that member's own shadow, since
+            # hi - lo can round under it (a disk's (c + r) - (c - r) under 2r).
+            spans = {(float(o.lo[0]), float(o.hi[0])): leaf for o, leaf in zip(self._solid, solid_leaves)}
+            runs = []
+            for lo, hi in sorted(spans):
+                if runs and lo <= runs[-1][1]:
+                    runs[-1][1] = max(runs[-1][1], hi)
                 else:
-                    cur_hi = max(cur_hi, hi)
-            return total + (cur_hi - cur_lo)
+                    runs.append([lo, hi])
+            return sum(float(shadow_values_batch(spans[lo, hi], self.direction[None])[0]) if (lo, hi) in spans
+                       else hi - lo for lo, hi in runs)
         return None
 
     @property

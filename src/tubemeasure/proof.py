@@ -66,7 +66,7 @@ from .geometry import (
     volume_exact,
 )
 from .montecarlo import TAG_PROOF, batch_rng
-from .serialization import _jsonable
+from .serialization import SLOT, Listing, _jsonable
 
 _SCAN_CHUNK = 1 << 20
 _MAX_STORED_CELLS = 8_000_000
@@ -214,14 +214,14 @@ class SquarePacking:
         hw = self.half_width(depth)
         return tuple(hw * k for k in cell.tolist()), hw
 
-    def to_dict(self) -> dict:
+    def report(self) -> dict:
         """JSON-ready summary; squares listed with exact rationals.
 
         Each centre coordinate is k times the half-width num / den of its
         depth.  With k odd and den a power of two, {k num, den} is already
-        the reduced pair that ``square_exact`` gives as a Fraction.  Squares
-        are listed only up to 100000 cells; the census fields remain exact
-        either way.
+        the reduced pair that ``square_exact`` gives as a Fraction.  Up to
+        100000 squares are listed, one layout per depth with rows of k num;
+        the census fields remain exact either way.
         """
         out = {
             "m": self.m,
@@ -232,14 +232,17 @@ class SquarePacking:
             "covered_fraction": self.covered_fraction,
         }
         if self.n_squares <= 100_000:
-            squares = []
-            for depth, rows in sorted(self.cells.items()):
+            parts = []
+            for depth, cells in sorted(self.cells.items()):
                 num, den = self.half_width(depth).as_integer_ratio()
-                for row in rows.tolist():
-                    center = [{"num": k * num, "den": den} for k in row]
-                    squares.append({"center": center, "half_width": {"num": num, "den": den}})
-            out["squares"] = squares
+                square = {"center": [{"num": SLOT, "den": den}] * self.m, "half_width": {"num": num, "den": den}}
+                parts.append((square, (cells.astype(object) * num).tolist()))
+            out["squares"] = Listing(parts)
         return out
+
+    def to_dict(self) -> dict:
+        """``report`` with its squares expanded to a list of dicts."""
+        return {k: v.expand() if isinstance(v, Listing) else v for k, v in self.report().items()}
 
 
 def ball_square_packing(m: int, radius: float, max_depth: int) -> SquarePacking:

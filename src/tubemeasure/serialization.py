@@ -5,7 +5,9 @@ each kind (ball, cuboid, polytope, cloud, product, union) with its class
 and its fields, and both directions are read from it.  Cover documents are
 top-level lists of tubes, each {"kind": "round", ...} or
 {"kind": "square", ...}.  Rationals ride as {"num": int, "den": int} in
-lowest terms with a positive denominator.
+lowest terms with a positive denominator.  A long list of like entries
+(a cover's tubes, a packing's squares) is a ``Listing``: layouts whose
+varying numbers are ``SLOT`` markers, each with one row per entry.
 
 Parsing is strict: unknown fields, missing fields, wrong types, and
 malformed vectors all raise SchemaError rather than being guessed at.
@@ -41,6 +43,7 @@ __all__ = [
     "rational_from_json",
     "shape_to_json",
     "shape_from_json",
+    "cover_listing",
     "cover_to_json",
     "cover_from_json",
     "bound_report_to_json",
@@ -107,7 +110,7 @@ def _rows(x, what: str, dim: int, count: int | None = None) -> np.ndarray:
 
 def _jsonable(x):
     """JSON-ready copy of x, a rational as {"num", "den"} in lowest terms;
-    ``SquarePacking.to_dict`` writes its reduced pairs itself, with no gcd."""
+    ``SquarePacking.report`` writes its reduced pairs itself, with no gcd."""
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, Fraction):
@@ -125,6 +128,39 @@ def _jsonable(x):
     if isinstance(x, str) or x is None:
         return x
     return repr(x)
+
+
+SLOT = object()  # in a listing's layout: a number that each row fills
+
+
+def _filler(node):
+    """A function of an iterator of numbers giving ``node`` with each SLOT
+    replaced by the next one, copying only the containers that hold a slot;
+    None when ``node`` holds no slot."""
+    if node is SLOT:
+        return next
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    fills = [(k, f) for k in keys if (f := _filler(node[k]))]
+    if not fills:
+        return None
+    def fill(values):
+        out = node.copy()
+        for k, f in fills:
+            out[k] = f(values)
+        return out
+    return fill
+
+
+@dataclasses.dataclass
+class Listing:
+    """A JSON list as ``parts``, pairs (layout, rows): each row, Python ints and
+    finite floats, fills its layout's slots in document order to give one entry."""
+
+    parts: list
+
+    def expand(self) -> list:
+        fills = [(_filler(layout) or (lambda values, layout=layout: layout), rows) for layout, rows in self.parts]
+        return [fill(iter(row)) for fill, rows in fills for row in rows]
 
 
 def rational_to_json(q: Fraction) -> dict:
@@ -236,22 +272,24 @@ def shape_from_json(obj) -> Shape:
 # covers
 
 
-def cover_to_json(cover: TubeCover) -> list:
-    """The cover as a list of tube dicts, one per tube; the tubes of one
-    group share one frame dict and one delta dict, each encoded once."""
-    out = []
+def cover_listing(cover: TubeCover) -> Listing:
+    """The cover's tubes as a Listing: a round tube is its own layout, with
+    one empty row; a group of square tubes has one anchor row per tube."""
+    parts = []
     for part in cover.tubes:
         if isinstance(part, Tube):
-            point, axis = _jsonable(part.point), _jsonable(part.axis)
-            out.append({"kind": "round", "point": point, "axis": axis, "r": part.radius})
+            tube = {"kind": "round", "point": part.point.tolist(), "axis": part.axis.tolist(), "r": part.radius}
+            parts.append((tube, [()]))
         else:  # a group of square tubes; TubeCover admits no other kind
-            frame = _frame_to_json(part.frame)
-            delta = rational_to_json(part.half_width)
-            out.extend(
-                {"kind": "square", "anchor": anchor, "frame": frame, "delta": delta}
-                for anchor in part.anchors.tolist()
-            )
-    return out
+            frame, delta = _frame_to_json(part.frame), rational_to_json(part.half_width)
+            layout = {"kind": "square", "anchor": [SLOT] * part.dim, "frame": frame, "delta": delta}
+            parts.append((layout, part.anchors.tolist()))
+    return Listing(parts)
+
+
+def cover_to_json(cover: TubeCover) -> list:
+    """The cover as a list of tube dicts; a group's tubes share one frame and one delta dict."""
+    return cover_listing(cover).expand()
 
 
 def cover_from_json(obj) -> TubeCover:

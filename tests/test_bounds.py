@@ -298,9 +298,10 @@ class TestUnionFloor:
     def test_stops_only_at_the_floor_and_never_above_the_grid(self):
         # no union shadow is below its largest member's least shadow, so a
         # candidate at that floor is a least shadow; any other union keeps
-        # the grid's report byte for byte.  A grid shadow can read a few ulps
-        # below the floor by rounding (an interval's (c + r) - (c - r) below
-        # 2r), and only such a grid reads below a union stopped at its floor.
+        # the grid's report byte for byte.  In R^2 a merged interval that one
+        # member spans alone reads that member's own shadow, so no grid shadow
+        # is below the floor; in R^3 one can read a few ulps below it by
+        # rounding, and only such a grid reads below a union stopped at its floor.
         rng = np.random.default_rng(37)
         ulps = 4.0 * np.finfo(float).eps
         makers = (random_ball, random_cuboid, random_polytope)
@@ -316,6 +317,8 @@ class TestUnionFloor:
             grid = union_loop_min_shadow(union, floor=False)
             floor = max(bounds._min_shadow(m)[0] for m in union.members)
             assert value >= floor * (1.0 - ulps), (trial, kinds)
+            if n == 2:
+                assert grid[0] >= floor, (trial, kinds)
             if "floor" in method:
                 reached.add((n, trial))
                 assert value <= grid[0] or grid[0] >= floor * (1.0 - ulps), (trial, kinds)

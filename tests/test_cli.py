@@ -14,9 +14,11 @@ import pytest
 from tubemeasure import cli, cover_from_json
 from tubemeasure import proof as proof_module
 from tubemeasure.cli import main
+from tubemeasure.covers import parallel_cover_from_projection
 from tubemeasure.errors import InvariantError, NoWitnessError
-from tubemeasure.geometry import CONTAINS_TOL, FRAME_ORTHO_TOL
-from tubemeasure.proof import AGREEMENT_TOL
+from tubemeasure.geometry import CONTAINS_TOL, FRAME_ORTHO_TOL, regular_tetrahedron
+from tubemeasure.proof import AGREEMENT_TOL, ball_square_packing
+from tubemeasure.serialization import Listing, cover_to_json
 
 BALL3 = {"dim": 3, "kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
 CUBE3 = {
@@ -592,6 +594,38 @@ class TestReportLayout:
         assert code == 0, err
         report["config"]["output_format"] = "csv"
         assert csv_out == cli._emit(report, "csv")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pack", "--dim", "3", "--depth", "4", "--radius", "0.7"],
+            ["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1/8", "--samples", "2000"],
+        ],
+        ids=["pack", "cover"],
+    )
+    def test_csv_flattens_the_expanded_listing(self, capsys, monkeypatch, argv):
+        # the listing reaches the CSV writer as plain lists, never as a Listing
+        flatten, seen = cli._flatten, []
+
+        def spy(obj, prefix=""):
+            seen.append(obj)
+            return flatten(obj, prefix)
+
+        _, out, _ = run(capsys, argv)
+        expanded = json.loads(out)
+        expanded["config"]["output_format"] = "csv"
+        if argv[0] == "pack":
+            expanded["result"] = ball_square_packing(3, 0.7, 4).to_dict()
+        else:
+            tetrahedron, d = regular_tetrahedron(), np.array([0.0, 0.0, 1.0])
+            expanded["result"]["cover"] = cover_to_json(parallel_cover_from_projection(tetrahedron, d, 1 / 8))
+        monkeypatch.setattr(cli, "_flatten", spy)
+        code, csv_out, err = run(capsys, [*argv, "--format", "csv"])
+        assert code == 0, err
+        assert seen and not any(isinstance(obj, Listing) for obj in seen)
+        rows = io.StringIO()
+        csv.writer(rows, lineterminator="\n").writerows([("key", "value"), *flatten(expanded)])
+        assert csv_out == rows.getvalue()
 
     def test_csv_bytes(self, capsys):
         _, out, _ = run(capsys, ["refine", "--widths", "3/4", "5/6", "--format", "csv"])

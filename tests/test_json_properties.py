@@ -4,8 +4,10 @@ with hypothesis.
 Every test runs derandomized, so each run checks the same instances.
 """
 
+import contextlib
+import io
 import json
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -22,12 +24,14 @@ from tubemeasure import (
     TubeCover,
     TubeMeasureError,
     UnionShape,
+    ball_square_packing,
     cover_from_json,
     cover_to_json,
     orthonormal_frame,
     shape_from_json,
     shape_to_json,
 )
+from tubemeasure.serialization import cover_listing
 
 PROPERTY = settings(
     derandomize=True,
@@ -205,36 +209,69 @@ def test_cover_documents_are_fixed_points(cover):
 
 # --- the report emitter ----------------------------------------------------
 
-# strings full of what the re-indent must skip: quotes, backslashes,
-# brackets, separators, control and non-ASCII characters
-report_strings = st.text(st.sampled_from('"\\[]{},: a\x00\x1f\n\té\u2028\U0001f600'), max_size=8)
-report_strings = report_strings | st.text(max_size=4)
-report_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(-(10 ** 60), 10 ** 60)
-    | st.floats()  # NaN, both infinities and -0.0 included
-    | report_strings
-)
-report_keys = report_strings | st.integers() | st.floats() | st.booleans() | st.none()
-report_trees = st.recursive(
-    report_scalars | st.just([]) | st.just({}),
-    lambda inner: st.lists(inner, max_size=5)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(report_keys, inner, max_size=5),
-    max_leaves=30,
-)
+# a packing lists its squares up to this depth for each cross dimension m
+PACK_DEPTHS = {1: 12, 2: 10, 3: 6, 4: 4, 5: 3}
+radii = st.floats(2.0 ** -40, 1024.0) | st.sampled_from([1.0, 1024.0, 2.0 ** -40, 0.7049123008575975])
 
 
-@settings(PROPERTY, max_examples=500)
-@given(report_trees, st.integers(0, 2 * cli._REINDENT_MIN_CHARS))
-@example('\\"', 0)
-@example([[], {}, [[{}]], {"": [[]]}], 0)
-@example({"a\\": ["\\\\\"", '"[,]"'], "b": {"c": {}}}, 0)
-def test_report_emitter_matches_stdlib(tree, pad):
-    # a zero cutoff sends every tree, bare scalars too, through the
-    # re-indent; the padding puts a tree on either side of the real cutoff
-    for obj, cutoff in ((tree, 0), ([tree, "_" * pad], cli._REINDENT_MIN_CHARS)):
-        with mock.patch.object(cli, "_REINDENT_MIN_CHARS", cutoff):
-            assert cli._json_indent2(obj) == json.dumps(obj, indent=2) + "\n"
+@settings(PROPERTY, max_examples=40)
+@given(st.integers(1, 5).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, PACK_DEPTHS[m]))), radii)
+@example((2, 1), 1.0)  # lists no square
+@example((5, 3), 1024.0)
+@example((3, 6), 2.0 ** -40)
+def test_pack_stdout_is_the_stdlib_layout_of_the_expanded_report(m_depth, radius):
+    m, depth = m_depth
+    argv = ["pack", "--dim", str(m), "--depth", str(depth), "--radius", repr(radius)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    packing = ball_square_packing(m, radius, depth)
+    config = cli._config(cli._build_parser().parse_args(argv))
+    expanded = {"command": "pack", "config": config, "result": packing.to_dict()}
+    same = out.getvalue() == json.dumps(expanded, indent=2) + "\n"
+    assert same  # a diff of texts this long would take minutes
+
+
+# anchors whose text is hardest to match: a signed zero, the least subnormal
+# and the largest magnitudes
+anchor_coords = coords | st.sampled_from([-0.0, 5e-324, 1e308, -1e308])
+
+
+@st.composite
+def listed_covers(draw):
+    """Round tubes mixed with several groups of square tubes, two of which share a frame."""
+    n = draw(st.integers(2, 4))
+    shared = orthonormal_frame(draw(direction(n)))
+    frames = [shared, shared] + draw(st.lists(direction(n).map(orthonormal_frame), max_size=2))
+    parts = [
+        SquareTubes(
+            frame=frame,
+            anchors=np.array(draw(st.lists(st.lists(anchor_coords, min_size=n, max_size=n),
+                                           min_size=1, max_size=4))),
+            half_width=draw(st.fractions(min_value=0.001, max_value=3)),
+        )
+        for frame in frames
+    ]
+    parts += [Tube(point=draw(vector(n)), axis=draw(direction(n)), radius=draw(lengths))
+              for _ in range(draw(st.integers(1, 3)))]
+    return TubeCover(tubes=tuple(draw(st.permutations(parts))))
+
+
+SHARED = orthonormal_frame(np.array([0.0, 0.6, 0.8]))
+EXTREMES = TubeCover(tubes=(
+    SquareTubes(frame=SHARED, anchors=np.array([[-0.0, 5e-324, 1e308], [-1e308, 0.0, 1.0]]),
+                half_width=Fraction(1, 3)),
+    Tube(point=np.array([-0.0, 5e-324, 1e308]), axis=np.array([0.0, 0.0, 1.0]), radius=0.25),
+    SquareTubes(frame=SHARED, anchors=np.array([0.5, -0.0, -1e308]), half_width=Fraction(1, 2)),
+))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(listed_covers())
+@example(EXTREMES)
+def test_cover_report_is_the_stdlib_layout_of_the_expanded_report(cover):
+    config = {"seed": 0, "output_format": "json"}
+    result = {"source": "search", "tubes": len(cover), "cover": cover_listing(cover)}
+    expanded = {"command": "cover", "config": config, "result": {**result, "cover": cover_to_json(cover)}}
+    report = {"command": "cover", "config": config, "result": result}
+    same = cli._emit(report, "json") == json.dumps(expanded, indent=2) + "\n"
+    assert same

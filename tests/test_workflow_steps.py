@@ -62,16 +62,24 @@ def test_each_benchmark_workload_runs_and_passes_its_checks(name, tmp_path, monk
         assert status == "ok", (op["argv"], message)
 
 
+CLOUD = {"dim": 3, "kind": "cloud",
+         "points": [[1.2, 1.2, 0.1], [-0.9, -1.8, -0.5], [-0.4, -1.8, -1.8], [2.0, 0.6, -1.1]]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["pack", "--dim", "2", "--depth", "10", "--radius", "0.7"],
+        ["pack", "--dim", "5", "--depth", "3"],
+        ["pack", "--dim", "2", "--depth", "1"],
         ["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1/32"],
+        ["cover", "--shape", "CLOUD", "--search"],
     ],
-    ids=["pack", "cover"],
+    ids=["pack", "pack_depths", "pack_empty", "cover", "round"],
 )
-def test_reports_keep_the_indent2_layout(capsys, argv):
+def test_reports_keep_the_indent2_layout(tmp_path, capsys, argv):
     # step "Reports keep the indent=2 layout"
+    argv = [write(tmp_path, "cloud.json", CLOUD) if a == "CLOUD" else a for a in argv]
     out, report = run_json(capsys, argv)
     assert out == json.dumps(report, indent=2) + "\n"
 
