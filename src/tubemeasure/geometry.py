@@ -114,11 +114,16 @@ def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(hit, i, -1)
 
 
-def _c_ordered(pts: np.ndarray) -> bool:
-    """Whether numpy lays out pts - v, for v one row, in C order.  It does so
-    for every batch but an F-ordered one (F-like strides), as the first two
-    rows show."""
-    return (pts[:2] - pts[:1]).flags.c_contiguous
+def _rows_times(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix.T, with a lone row multiplied as a batch of two.
+
+    A one-row product runs through another BLAS kernel than a batch and can
+    round the last bit differently; as a batch of two, a row's product does
+    not depend on how many rows are asked with it.
+    """
+    if len(rows) == 1:
+        return (np.vstack([rows, rows]) @ matrix.T)[:1]
+    return rows @ matrix.T
 
 
 def _rows_all(mask: np.ndarray) -> np.ndarray:
@@ -254,27 +259,24 @@ class Ball:
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         """Closed membership, the verdict of np.linalg.norm(pts - center,
-        axis=1) <= radius on every row, without its square root.
+        axis=1) <= radius on every row, which is how R^8 computes it.
 
-        The squared differences are added in numpy's order: one column at a
-        time, except that numpy adds a C-ordered row of eight in pairs,
-        ((0 + 1) + (2 + 3)) + ((4 + 5) + (6 + 7)).  So each row's sum s is
-        the float whose square root norm takes, and as a correctly rounded
-        square root is monotone, sqrt(s) <= radius exactly when s is at most
-        ``_sq_limit``, the largest float whose square root is at most the
-        radius.  On 65,536 points in R^3 the column arithmetic takes about a
-        tenth of the time of norm's row reduction.
+        Below R^8 numpy adds a row's squared differences one column at a
+        time, so the column sum s taken here is the float whose square root
+        norm takes.  As a correctly rounded square root is monotone, sqrt(s)
+        <= radius exactly when s is at most ``_sq_limit``, the largest float
+        whose square root is at most the radius.  On 65,536 points in R^3 the
+        column arithmetic takes about a tenth of the time of norm's row
+        reduction.
         """
         pts = np.atleast_2d(pts)
         if pts.shape[-1] != self.dim:
             raise DimensionError(f"query points must have {self.dim} coordinates")
-        squares = [np.square(pts[:, k] - x) for k, x in enumerate(self.center)]
-        if len(squares) == 8 and _c_ordered(pts):
-            while len(squares) > 1:
-                squares = [a + b for a, b in zip(squares[::2], squares[1::2])]
-        total = squares[0]
-        for column in squares[1:]:
-            total += column
+        if self.dim == MAX_DIM:
+            return np.linalg.norm(pts - self.center, axis=1) <= self.radius
+        total = np.square(pts[:, 0] - self.center[0])
+        for k in range(1, self.dim):
+            total += np.square(pts[:, k] - self.center[k])
         return total <= self._sq_limit
 
     def support(self, d: np.ndarray) -> float:
@@ -331,8 +333,7 @@ class Cuboid:
         return self.center + (signs * self.half_lengths) @ self.axes
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        y = (pts - self.center) @ self.axes.T
+        y = _rows_times(np.atleast_2d(pts) - self.center, self.axes)
         return _rows_all(np.abs(y, out=y) <= self.half_lengths)
 
     def support(self, d: np.ndarray) -> float:
@@ -434,7 +435,7 @@ class ConvexPolytope:
 def _below_facets(pts: np.ndarray, equations: np.ndarray) -> np.ndarray:
     """Rows of pts within CONTAINS_TOL of the inner side of every facet of a
     qhull ``equations`` table (outward normal, then offset, per row)."""
-    values = pts @ equations[:, :-1].T
+    values = _rows_times(pts, equations[:, :-1])
     values += equations[:, -1]
     return _rows_all(values <= CONTAINS_TOL)
 
@@ -496,9 +497,7 @@ class ProductSet:
         return self.axis.size
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        y = pts @ self._frame.cross.T
-        return self.base.contains(y)
+        return self.base.contains(_rows_times(np.atleast_2d(pts), self._frame.cross))
 
     def support(self, d: np.ndarray) -> float:
         raise UnboundedShapeError("product set is unbounded along its axis")
@@ -531,30 +530,12 @@ class UnionShape:
         return self.members[0].dim if self.members else int(self.dim_hint)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Membership in any member; each member after the first is asked
-        only about the points that are still outside.
-
-        A member's verdict on a row does not depend on the rows asked with
-        it, except that BLAS rounds a product of one row differently from a
-        batch, so one row left from a batch is asked as a batch of two (as
-        ``_in_square_tubes`` asks it).  Rows taken from an F-ordered batch
-        stay F-ordered, which keeps an 8-D ball's order of summation.
-        """
+        """Membership in any member: every member is asked about the whole
+        batch, and the verdicts are or-ed."""
         pts = np.atleast_2d(pts)
         out = np.zeros(len(pts), dtype=bool)
-        left = np.arange(len(pts))
         for m in self.members:
-            if len(left) == len(pts):
-                rows = pts
-            else:
-                rows = pts.take(np.repeat(left, 2) if len(left) == 1 else left, axis=0)
-                if not _c_ordered(pts):
-                    rows = np.asfortranarray(rows)
-            hit = m.contains(rows)[: len(left)]
-            out[left] = hit
-            left = left[~hit]
-            if not len(left):
-                break
+            out |= m.contains(pts)
         return out
 
     def support(self, d: np.ndarray) -> float:
@@ -759,16 +740,10 @@ class SquareTubes:
 def _in_square_tubes(pts: np.ndarray, anchors: np.ndarray, cross: np.ndarray, width: float) -> np.ndarray:
     """Closed square-tube test of each row of pts against the anchor in the
     same row of anchors (or against one anchor), all sharing cross and width.
-
-    A one-row product runs through another BLAS kernel than a batch and can
-    round the last bit differently, so a lone row is evaluated as a batch of
-    two: a point's verdict then never depends on how many points share its
-    call, which lets callers test points in any grouping.
-    """
-    rel = pts - anchors
-    batch = np.vstack([rel, rel]) if len(rel) == 1 else rel
-    y = batch @ cross.T
-    return _rows_all(np.abs(y, out=y) <= width)[: len(rel)]
+    A row's verdict does not depend on the rows tested with it (see
+    ``_rows_times``), so callers may test points in any grouping."""
+    y = _rows_times(pts - anchors, cross)
+    return _rows_all(np.abs(y, out=y) <= width)
 
 
 def regular_tetrahedron(edge: float = 1.0) -> ConvexPolytope:

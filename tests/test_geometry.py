@@ -455,8 +455,7 @@ class TestBallMembership:
 
 class TestUnionMembership:
     def test_matches_the_loop_over_every_member(self):
-        # each member after the first is asked only about the points still
-        # outside; asking every member about every point is the oracle
+        # or-ing every member's verdict on the whole batch is the oracle
         rng = np.random.default_rng(47)
         for n in range(2, 9):
             members = (random_ball(rng, n), random_cuboid(rng, n), random_polytope(rng, n),
@@ -479,7 +478,9 @@ class TestUnionMembership:
 
     def test_one_row_left_is_decided_as_in_its_batch(self):
         # BLAS rounds a product of one row differently from a batch, which
-        # flips the verdict on many points pushed CONTAINS_TOL off a facet
+        # flips the verdict on many points pushed CONTAINS_TOL off a facet or
+        # a few ulps off a cuboid face, unless a lone row is multiplied as a
+        # batch of two
         rng = np.random.default_rng(53)
         for n in (2, 3, 5, 8):
             poly = random_polytope(rng, n)
@@ -490,6 +491,29 @@ class TestUnionMembership:
                 batch = np.vstack([fill, p])
                 expected = far.contains(batch) | poly.contains(batch)
                 assert union.contains(batch).tolist() == expected.tolist(), n
+        # a lone point asked on its own, against batches of 4 and 64 rows
+        for n in range(2, 9):
+            poly, box = random_polytope(rng, n), random_cuboid(rng, n)
+            if n == 2:
+                base = random_cuboid(rng, 1)
+                on_base = TestColumnwiseMembership.face_points(rng, base, 300)
+            else:
+                base = random_polytope(rng, n - 1)
+                on_base = TestColumnwiseMembership.facet_points(rng, base._hull, 150)
+            product = ProductSet(base=base, axis=random_direction(rng, n))
+            frame = product._frame
+            cases = [
+                (poly, TestColumnwiseMembership.facet_points(rng, poly._hull, 300)),
+                (box, TestColumnwiseMembership.face_points(rng, box, 600)),
+                (product, on_base @ frame.cross + rng.uniform(-3.0, 3.0, (300, 1)) * frame.axis),
+            ]
+            cases.append((UnionShape(members=tuple(s for s, _ in cases)), np.vstack([p for _, p in cases])))
+            for shape, pts in cases:
+                lone = [bool(shape.contains(p[None])[0]) for p in pts]
+                for size in (4, 64):
+                    batched = np.concatenate([shape.contains(pts[i:i + size])
+                                              for i in range(0, len(pts), size)])
+                    assert batched.tolist() == lone, (type(shape).__name__, n, size)
 
 
 class TestColumnwiseMembership:
@@ -511,6 +535,18 @@ class TestColumnwiseMembership:
             1.0 + rng.choice([-1e-6, 0.0, 1e-6], count)[:, None]
         )
         return np.vstack([on, on + push * hull.equations[facet, :-1]])
+
+    @staticmethod
+    def face_points(rng, box, count):
+        """Points each put on a random face of the cuboid, half of them then
+        moved a few ulps in or out across it."""
+        n, h = box.dim, box.half_lengths
+        y = rng.uniform(-1.2, 1.2, (count, n)) * h
+        face = rng.integers(n, size=count)
+        y[np.arange(count), face] = rng.choice([-1.0, 1.0], count) * h[face] * (
+            1.0 + rng.choice([-1e-15, 0.0, 0.0, 1e-15], count)
+        )
+        return box.center + y @ box.axes
 
     def test_polytope_and_hull_oracle_match_all_facets(self):
         rng = np.random.default_rng(19)
@@ -545,12 +581,7 @@ class TestColumnwiseMembership:
             for _ in range(3):
                 box = random_cuboid(rng, n)
                 h = box.half_lengths
-                y = rng.uniform(-1.2, 1.2, (1000, n)) * h
-                face = rng.integers(n, size=1000)
-                y[np.arange(1000), face] = rng.choice([-1.0, 1.0], 1000) * h[face] * (
-                    1.0 + rng.choice([-1e-15, 0.0, 0.0, 1e-15], 1000)
-                )
-                pts = box.center + y @ box.axes
+                pts = self.face_points(rng, box, 1000)
                 expected = np.all(np.abs((pts - box.center) @ box.axes.T) <= h, axis=1)
                 assert box.contains(pts).tolist() == expected.tolist()
                 assert expected.any() and not expected.all()
