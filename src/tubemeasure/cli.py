@@ -132,7 +132,7 @@ def _flatten(obj, prefix: str = ""):
     return rows
 
 
-# json.dumps of "\0", the stand-in for a listing in a report and for a slot in a layout
+# json.dumps of "\0", the stand-in for a listing in a report and for a number in a template
 _STAND_IN = '"\\u0000"'
 
 
@@ -140,9 +140,10 @@ def _json_indent2(report) -> str:
     """``json.dumps(report, indent=2) + "\\n"`` of the report with its
     listings expanded, byte for byte.  The report is encoded with each
     ``Listing`` standing in as "\\0", and each listing is spliced in at the
-    indent of its stand-in's line.  Each layout of a listing is encoded once
-    as a template, its slots made ``%s``, and filled with each row, since
-    ``str`` of an int or of a finite float is what ``json`` writes for it."""
+    indent of its stand-in's line.  Each run of a listing is encoded once as
+    a template, its entry function called on a row of "\\0" stand-ins made
+    ``%s``, and filled with each row, since ``str`` of an int or of a finite
+    float is what ``json`` writes for it."""
     listings = []
     text = json.dumps(report, indent=2, default=lambda listing: listings.append(listing) or "\0")
     head, *tails = text.split(_STAND_IN)
@@ -151,10 +152,10 @@ def _json_indent2(report) -> str:
         line = out[-1][out[-1].rfind("\n") + 1:]
         pad = "\n" + " " * (len(line) - len(line.lstrip(" ")) + 2)
         items = []
-        for layout, rows in listing.parts:
-            item = json.dumps(layout, indent=2, default=lambda slot: "\0")
-            template = item.replace("\n", pad).replace(_STAND_IN, "%s")
-            items.extend(template % tuple(row) for row in rows)
+        for entry, rows in listing.parts:
+            if rows:
+                template = json.dumps(entry(["\0"] * len(rows[0])), indent=2).replace("\n", pad).replace(_STAND_IN, "%s")
+                items.extend(template % tuple(row) for row in rows)
         out += ["[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]", tail]
     return "".join(out) + "\n"
 

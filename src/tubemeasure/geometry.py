@@ -675,7 +675,9 @@ class Tube:
     def distance_to_axis(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
         rel = pts - self.point
-        along = rel @ self.axis
+        along = rel[:, 0] * self.axis[0]  # column by column, so a lone point rounds as in any batch
+        for k in range(1, self.dim):
+            along += rel[:, k] * self.axis[k]
         return np.linalg.norm(rel - np.outer(along, self.axis), axis=1)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:

@@ -66,7 +66,7 @@ from .geometry import (
     volume_exact,
 )
 from .montecarlo import TAG_PROOF, batch_rng
-from .serialization import SLOT, Listing, _jsonable
+from .serialization import Listing, _jsonable
 
 _SCAN_CHUNK = 1 << 20
 _MAX_STORED_CELLS = 8_000_000
@@ -220,8 +220,9 @@ class SquarePacking:
         Each centre coordinate is k times the half-width num / den of its
         depth.  With k odd and den a power of two, {k num, den} is already
         the reduced pair that ``square_exact`` gives as a Fraction.  Up to
-        100000 squares are listed, one layout per depth with rows of k num;
-        the census fields remain exact either way.
+        100000 squares are listed, one run per depth: rows of k num, and an
+        entry function whose squares share one half_width dict.  The census
+        fields remain exact either way.
         """
         out = {
             "m": self.m,
@@ -232,12 +233,12 @@ class SquarePacking:
             "covered_fraction": self.covered_fraction,
         }
         if self.n_squares <= 100_000:
-            parts = []
-            for depth, cells in sorted(self.cells.items()):
+            def run(depth, cells):
                 num, den = self.half_width(depth).as_integer_ratio()
-                square = {"center": [{"num": SLOT, "den": den}] * self.m, "half_width": {"num": num, "den": den}}
-                parts.append((square, (cells.astype(object) * num).tolist()))
-            out["squares"] = Listing(parts)
+                half_width = {"num": num, "den": den}
+                return ((lambda ks: {"center": [{"num": k, "den": den} for k in ks], "half_width": half_width}),
+                        (cells.astype(object) * num).tolist())
+            out["squares"] = Listing([run(depth, cells) for depth, cells in sorted(self.cells.items())])
         return out
 
     def to_dict(self) -> dict:

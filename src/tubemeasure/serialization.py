@@ -6,8 +6,8 @@ and its fields, and both directions are read from it.  Cover documents are
 top-level lists of tubes, each {"kind": "round", ...} or
 {"kind": "square", ...}.  Rationals ride as {"num": int, "den": int} in
 lowest terms with a positive denominator.  A long list of like entries
-(a cover's tubes, a packing's squares) is a ``Listing``: layouts whose
-varying numbers are ``SLOT`` markers, each with one row per entry.
+(a cover's tubes, a packing's squares) is a ``Listing``: runs of rows of
+numbers, each run with the function that maps one row to its entry.
 
 Parsing is strict: unknown fields, missing fields, wrong types, and
 malformed vectors all raise SchemaError rather than being guessed at.
@@ -130,37 +130,16 @@ def _jsonable(x):
     return repr(x)
 
 
-SLOT = object()  # in a listing's layout: a number that each row fills
-
-
-def _filler(node):
-    """A function of an iterator of numbers giving ``node`` with each SLOT
-    replaced by the next one, copying only the containers that hold a slot;
-    None when ``node`` holds no slot."""
-    if node is SLOT:
-        return next
-    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
-    fills = [(k, f) for k in keys if (f := _filler(node[k]))]
-    if not fills:
-        return None
-    def fill(values):
-        out = node.copy()
-        for k, f in fills:
-            out[k] = f(values)
-        return out
-    return fill
-
-
 @dataclasses.dataclass
 class Listing:
-    """A JSON list as ``parts``, pairs (layout, rows): each row, Python ints and
-    finite floats, fills its layout's slots in document order to give one entry."""
+    """A JSON list as ``parts``, pairs (entry, rows): ``entry`` maps one row
+    of Python ints and finite floats to its JSON entry, holding each number
+    as is and in row order, so that an entry of stand-ins is a template."""
 
     parts: list
 
     def expand(self) -> list:
-        fills = [(_filler(layout) or (lambda values, layout=layout: layout), rows) for layout, rows in self.parts]
-        return [fill(iter(row)) for fill, rows in fills for row in rows]
+        return [entry(row) for entry, rows in self.parts for row in rows]
 
 
 def rational_to_json(q: Fraction) -> dict:
@@ -273,22 +252,21 @@ def shape_from_json(obj) -> Shape:
 
 
 def cover_listing(cover: TubeCover) -> Listing:
-    """The cover's tubes as a Listing: a round tube is its own layout, with
-    one empty row; a group of square tubes has one anchor row per tube."""
-    parts = []
-    for part in cover.tubes:
+    """The cover's tubes as a Listing: a round tube is one constant entry
+    with one empty row; a group of square tubes has one anchor row per tube,
+    and its entries share one frame dict and one delta dict."""
+    def run(part):
         if isinstance(part, Tube):
             tube = {"kind": "round", "point": part.point.tolist(), "axis": part.axis.tolist(), "r": part.radius}
-            parts.append((tube, [()]))
-        else:  # a group of square tubes; TubeCover admits no other kind
-            frame, delta = _frame_to_json(part.frame), rational_to_json(part.half_width)
-            layout = {"kind": "square", "anchor": [SLOT] * part.dim, "frame": frame, "delta": delta}
-            parts.append((layout, part.anchors.tolist()))
-    return Listing(parts)
+            return (lambda row: tube), [()]
+        frame, delta = _frame_to_json(part.frame), rational_to_json(part.half_width)
+        return (lambda anchor: {"kind": "square", "anchor": anchor, "frame": frame, "delta": delta}), part.anchors.tolist()
+    return Listing([run(part) for part in cover.tubes])
 
 
 def cover_to_json(cover: TubeCover) -> list:
-    """The cover as a list of tube dicts; a group's tubes share one frame and one delta dict."""
+    """The cover as a list of tube dicts, each with its own anchor list; the
+    tubes of one group share one frame dict and one delta dict."""
     return cover_listing(cover).expand()
 
 

@@ -508,12 +508,21 @@ class TestUnionMembership:
                 (product, on_base @ frame.cross + rng.uniform(-3.0, 3.0, (300, 1)) * frame.axis),
             ]
             cases.append((UnionShape(members=tuple(s for s, _ in cases)), np.vstack([p for _, p in cases])))
+            # a round tube is not a shape, so it stays out of the union
+            tube = Tube(point=rng.uniform(-3.0, 3.0, n), axis=random_direction(rng, n),
+                        radius=float(rng.uniform(0.2, 2.0)))
+            cross = rng.standard_normal((600, n))
+            cross -= np.outer(cross @ tube.axis, tube.axis)
+            cross *= tube.radius / np.linalg.norm(cross, axis=1)[:, None]
+            on = tube.point + rng.uniform(-3.0, 3.0, (600, 1)) * tube.axis + cross
+            cases.append((tube, on + rng.integers(-3, 4, on.shape) * np.spacing(on)))
             for shape, pts in cases:
                 lone = [bool(shape.contains(p[None])[0]) for p in pts]
                 for size in (4, 64):
-                    batched = np.concatenate([shape.contains(pts[i:i + size])
-                                              for i in range(0, len(pts), size)])
-                    assert batched.tolist() == lone, (type(shape).__name__, n, size)
+                    for view in layouts(pts) if shape is tube else (pts,):
+                        batched = np.concatenate([shape.contains(view[i:i + size])
+                                                  for i in range(0, len(view), size)])
+                        assert batched.tolist() == lone, (type(shape).__name__, n, size)
 
 
 class TestColumnwiseMembership:

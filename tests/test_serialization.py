@@ -21,6 +21,7 @@ from tubemeasure import (
     TubeCover,
     UnionShape,
     axis_aligned_cuboid,
+    ball_square_packing,
     bound_report_to_json,
     compute_bounds,
     cover_from_json,
@@ -364,6 +365,34 @@ class TestCoverDocuments:
         assert [type(part) for part in back.tubes] == [SquareTubes, Tube, SquareTubes]
         assert len(back) == 5
         assert json.loads(json.dumps(cover_to_json(back))) == doc
+
+    def test_expanded_entries_share_only_their_group_dicts(self):
+        # a group's tubes share one frame and one delta dict, a depth's squares
+        # one half_width dict; every entry and anchor or centre is its own
+        frame = Frame(axis=np.array([0.0, 0.0, 1.0]), cross=np.eye(3)[:2])
+        group_a = SquareTubes(frame=frame, anchors=np.zeros((3, 3)) + [[0.0], [1.0], [2.0]], half_width=Fraction(1, 4))
+        group_b = SquareTubes(frame=frame, anchors=np.ones((2, 3)), half_width=Fraction(1, 8))
+        round_tube = Tube(point=np.array([0.1, -0.2, 0.3]), axis=np.array([0.0, 1.0, 0.0]), radius=0.4)
+        doc = cover_to_json(TubeCover(tubes=(group_a, round_tube, group_b)))
+        a, b = doc[:3], doc[4:]
+        for group in (a, b):
+            assert all(t["frame"] is group[0]["frame"] and t["delta"] is group[0]["delta"] for t in group)
+        squares = a + b
+        assert len({id(t) for t in squares}) == len({id(t["anchor"]) for t in squares}) == 5
+        before = json.loads(json.dumps(doc))
+        squares[0]["anchor"][0] = 9.0
+        assert json.loads(json.dumps(doc))[1:] == before[1:]
+
+        listed = ball_square_packing(2, 1.0, 4).to_dict()["squares"]
+        by_depth = {}
+        for square in listed:
+            by_depth.setdefault(square["half_width"]["den"], []).append(square)
+        assert len(by_depth) > 1
+        for same in by_depth.values():
+            assert all(sq["half_width"] is same[0]["half_width"] for sq in same)
+        centres = [c for sq in listed for c in sq["center"]]
+        assert len({id(sq) for sq in listed}) == len(listed)
+        assert len({id(c) for c in centres}) == len(centres) == 2 * len(listed)
 
     def test_top_level_dict_rejected(self):
         with pytest.raises(SchemaError):
