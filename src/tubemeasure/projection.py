@@ -318,7 +318,18 @@ class Shadow:
     """Projection of a bounded shape onto the hyperplane orthogonal to d."""
 
     def __init__(self, shape: Shape, direction):
-        self.frame, oracles = _cross_view(shape, direction)
+        self._look(shape, *_cross_view(shape, direction))
+
+    @classmethod
+    def _of_view(cls, shape: Shape, frame, oracles) -> Shadow:
+        """The shadow through a cross view of the shape that ``_cross_view``
+        has built already, so that no hull is built twice."""
+        shadow = cls.__new__(cls)
+        shadow._look(shape, frame, oracles)
+        return shadow
+
+    def _look(self, shape: Shape, frame, oracles):
+        self.frame = frame
         self.direction = self.frame.axis
         self.m = len(self.frame.cross)
         solid = [(leaf, o) for leaf, o in zip(_leaves(shape), oracles) if not o.measure_zero]

@@ -222,6 +222,24 @@ class TestCover:
         assert result["slack"] == pytest.approx(0.0, abs=1e-12)
         assert len(result["cover"]) == 16
 
+    @pytest.mark.parametrize("how, hulls", [(["--parallel", "0.3,0.5,0.8", "1/32"], 2), (["--search"], 2)])
+    def test_a_built_cover_projects_its_hull_once(self, how, hulls, capsys, monkeypatch):
+        # the tetrahedron's own hull and one hull of its shadow, which the
+        # shadow area and the lattice certificate reuse
+        from tubemeasure import geometry, projection
+
+        built = []
+
+        def counted(points, hull=geometry.ConvexHull):
+            built.append(len(points))
+            return hull(points)
+
+        monkeypatch.setattr(geometry, "ConvexHull", counted)
+        monkeypatch.setattr(projection, "ConvexHull", counted)
+        result = run_json(capsys, ["cover", "--shape", "tetrahedron", *how])["result"]
+        assert result["check"] == "lattice certificate"
+        assert len(built) == hulls
+
     def test_emitted_cover_reloads(self, tmp_path, capsys):
         path = shape_file(tmp_path, CUBE3)
         report = run_json(

@@ -377,6 +377,21 @@ class TestLatticeCertificate:
         assert found == (True, None) and found.check == "lattice certificate"
         assert sampled_check(s, cover, 2_000, 0) == (True, None)
 
+    def test_the_build_s_oracles_check_as_fresh_ones(self):
+        # the certificate reuses a build's hulls, but widens a ball's disk by
+        # the frame's stretch itself: the verdict is that of a fresh check
+        rng = np.random.default_rng(28)
+        for trial in range(16):
+            n = 2 + trial % 4
+            s = UnionShape(members=(random_ball(rng, n), random_polytope(rng, n), random_cuboid(rng, n)))
+            s = s if trial % 2 else random_shape(rng, n)
+            step = diameter(s) / {2: 24, 3: 12, 4: 6, 5: 4}[n]
+            cover, oracles = covers_module._grid_cover(s, random_direction(rng, n), step)
+            found = covers_module._cover_check(s, cover, 2_000, 0, oracles)
+            fresh = cover_check(s, cover, samples=2_000)
+            assert_same_check(found, fresh)
+            assert found.check == fresh.check
+
     def test_drop_one_covers_are_refused_unless_the_cell_only_grazes(self, monkeypatch):
         samples = {}  # every call asks 2,000 points at seed 1: one draw per shape
 

@@ -10,6 +10,7 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tubemeasure import cli
@@ -31,7 +32,8 @@ from tubemeasure import (
     shape_from_json,
     shape_to_json,
 )
-from tubemeasure.serialization import cover_listing
+from tubemeasure.errors import SchemaError
+from tubemeasure.serialization import _read_cover, cover_listing
 
 PROPERTY = settings(
     derandomize=True,
@@ -205,6 +207,164 @@ def test_shape_documents_are_fixed_points(shape):
 def test_cover_documents_are_fixed_points(cover):
     doc = cover_to_json(cover)
     assert_same_document(cover_to_json(cover_from_json(wire(doc))), doc)
+
+
+# --- the block reader of covers against the per-entry reader ----------------
+
+
+def read_by_entry(doc):
+    return _read_cover(doc, whole_runs=False)
+
+
+@st.composite
+def square_runs(draw):
+    """A wired cover document of runs of square entries and round tubes: two
+    frames equal but for the sign of their zeros, one with integer
+    coordinates, one turned; deltas 2/4, 1/2 and 1/3, the first two equal
+    but written apart; some coordinates integers; a round tube anywhere,
+    in the middle of a run too."""
+    n = draw(st.integers(2, 4))
+    eye = np.eye(n)
+    plain = {"axis": eye[-1].tolist(), "cross": eye[:-1].tolist()}
+    signed = {"axis": [-0.0] * (n - 1) + [1.0], "cross": [[1.0] + [-0.0] * (n - 1)] + eye[1:-1].tolist()}
+    whole = {"axis": [0] * (n - 1) + [1], "cross": eye[:-1].astype(int).tolist()}
+    turned = orthonormal_frame(draw(direction(n)))
+    turned = {"axis": turned.axis.tolist(), "cross": turned.cross.tolist()}
+    frames = st.sampled_from([plain, signed, whole, turned])
+    deltas = st.sampled_from([{"num": 2, "den": 4}, {"num": 1, "den": 2}, {"num": 1, "den": 3}])
+    values = coords | st.integers(-3, 3) | st.just(-0.0)
+    doc = []
+    for _ in range(draw(st.integers(1, 5))):
+        frame, delta = draw(frames), draw(deltas)
+        for _ in range(draw(st.integers(1, 6))):
+            anchor = draw(st.lists(coords, min_size=n, max_size=n) | st.lists(values, min_size=n, max_size=n))
+            doc.append({"kind": "square", "anchor": anchor, "frame": frame, "delta": delta})
+    for _ in range(draw(st.integers(0, 2))):
+        tube = {"kind": "round", "point": draw(vector(n)).tolist(), "axis": eye[0].tolist(), "r": 0.5}
+        doc.insert(draw(st.integers(0, len(doc))), tube)
+    return wire(doc)
+
+
+def frame_owners(cover):
+    """For each part, the index of the first part with the same Frame object."""
+    frames = [getattr(part, "frame", part) for part in cover.tubes]
+    return [next(j for j, other in enumerate(frames) if other is frame) for frame in frames]
+
+
+def assert_same_cover(a, b):
+    assert [type(p) for p in a.tubes] == [type(p) for p in b.tubes]
+    assert [len(p) if isinstance(p, SquareTubes) else 1 for p in a.tubes] == [
+        len(p) if isinstance(p, SquareTubes) else 1 for p in b.tubes]
+    assert frame_owners(a) == frame_owners(b)
+    for p, q in zip(a.tubes, b.tubes):
+        if isinstance(p, Tube):
+            assert (p.point.tobytes(), p.axis.tobytes(), p.radius) == (q.point.tobytes(), q.axis.tobytes(), q.radius)
+        else:
+            assert p.anchors.tobytes() == q.anchors.tobytes() and p.half_width == q.half_width
+            assert (p.frame.axis.tobytes(), p.frame.cross.tobytes()) == (q.frame.axis.tobytes(), q.frame.cross.tobytes())
+
+
+def outcome(read, doc):
+    """The cover read from doc, or the class and message of its package error."""
+    try:
+        return read(doc)
+    except TubeMeasureError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(square_runs())
+def test_block_reader_matches_the_per_entry_reader(doc):
+    assert_same_cover(cover_from_json(doc), read_by_entry(doc))
+
+
+def retyped(x):
+    """A value equal to x of another JSON type, which only the per-entry
+    checks tell apart: a bool for 0 or 1, a float for another int, an int
+    for another whole float."""
+    if x in (0, 1) and type(x) is not bool:
+        return bool(x)
+    return float(x) if type(x) is int else int(x) if x.is_integer() else x
+
+
+BAD = [True, "0.5", 10**400, [0.5], float("nan"), float("inf"), -float("inf"), retyped]
+
+
+@st.composite
+def mutated_runs(draw):
+    """A square_runs document with one entry of a run made bad, often one
+    after the run's first: a number of its anchor, frame or delta replaced,
+    by one of BAD or by an equal number of another type, its whole anchor
+    replaced, a cross row cut short, an empty anchor, or at the run's last
+    entry a field dropped or added."""
+    doc = draw(square_runs())
+    squares = [i for i, entry in enumerate(doc) if entry["kind"] == "square"]
+    later = [i for i in squares if i - 1 in squares and doc[i - 1]["frame"] == doc[i]["frame"]]
+    i = draw(st.sampled_from(later) | st.sampled_from(squares) if later else st.sampled_from(squares))
+    entry = doc[i]  # wired: no other entry shares its lists and dicts
+    how = draw(st.sampled_from(["anchor", "axis", "cross", "delta", "whole", "ragged", "empty", "missing",
+                                "extra"]))
+    bad = draw(st.sampled_from(BAD))
+    if how == "whole":
+        entry["anchor"] = bad(0.5) if bad is retyped else bad
+    elif how in ("anchor", "axis", "cross", "delta"):
+        numbers = {"anchor": entry["anchor"], "axis": entry["frame"]["axis"], "delta": entry["delta"],
+                   "cross": draw(st.sampled_from(entry["frame"]["cross"]))}[how]
+        at = draw(st.sampled_from(list(numbers) if how == "delta" else range(len(numbers))))
+        numbers[at] = bad(numbers[at]) if bad is retyped else bad
+    elif how == "ragged":
+        draw(st.sampled_from(entry["frame"]["cross"])).pop()
+    elif how == "empty":
+        entry["anchor"] = []
+    else:
+        while i + 1 < len(doc) and doc[i + 1]["kind"] == "square" and doc[i + 1]["frame"] == entry["frame"]:
+            i += 1  # the last entry of the run
+        if how == "missing":
+            del doc[i][draw(st.sampled_from(["anchor", "frame", "delta"]))]
+        else:
+            doc[i]["label"] = "x"
+    return doc
+
+
+@settings(PROPERTY, max_examples=400)
+@given(mutated_runs())
+def test_block_reader_fails_as_the_per_entry_reader(doc):
+    got, want = outcome(cover_from_json, doc), outcome(read_by_entry, doc)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert_same_cover(got, want)
+
+
+def test_schema_error_of_a_later_entry_comes_before_a_nan_anchor():
+    entry = {"kind": "square", "anchor": [0.5, 0.5, 0.5], "frame": {"axis": [0.0, 0.0, 1.0],
+             "cross": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "delta": {"num": 1, "den": 4}}
+    doc = wire([entry] * 401)
+    doc[0]["anchor"][0] = float("nan")
+    doc[400]["label"] = "x"
+    for read in (cover_from_json, read_by_entry):
+        with pytest.raises(SchemaError) as info:
+            read(doc)
+        assert str(info.value) == "cover[400] has unknown fields: ['label']"
+
+
+def test_an_array_in_a_document_built_in_python_is_refused_by_name():
+    entry = {"kind": "square", "anchor": [0.5, 0.5, 0.5], "frame": {"axis": [0.0, 0.0, 1.0],
+             "cross": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "delta": {"num": 1, "den": 4}}
+    doc = wire([entry] * 3)
+    doc[1]["frame"]["axis"] = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(SchemaError, match=r"^cover\[1\]\.frame\.axis must be a nonempty list"):
+        cover_from_json(doc)
+
+
+def test_signed_zero_frame_past_the_first_chunk_starts_its_own_group():
+    entry = {"kind": "square", "anchor": [0.5, 0.5, 0.5], "frame": {"axis": [0.0, 0.0, 1.0],
+             "cross": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, "delta": {"num": 1, "den": 4}}
+    doc = wire([entry] * 1500)
+    doc[1300]["frame"]["cross"][0][1] = -0.0
+    cover = cover_from_json(doc)
+    assert [len(part) for part in cover.tubes] == [1300, 1, 199]
+    assert_same_cover(cover, read_by_entry(doc))
 
 
 # --- the report emitter ----------------------------------------------------

@@ -94,6 +94,7 @@ def test_saved_grid_cover_rechecks_from_its_file(tmp_path, capsys):
         assert report["result"]["covered"] is True
         assert report["result"]["check"] == "lattice certificate"
     assert reread["result"]["tubes"] == built["result"]["tubes"]
+    assert reread["result"]["cost"] == built["result"]["cost"]
 
 
 def test_two_ball_union_upper_bound_is_an_exact_shadow_at_the_larger_disk(tmp_path, capsys):
