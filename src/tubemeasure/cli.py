@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import _plank_2d, compute_bounds
-from .covers import CHECK_SAMPLES, _cover_check, _grid_cover, _search, cover_cost
+from .covers import CHECK_SAMPLES, cover_check, cover_cost, cover_search, parallel_cover_from_projection
 from .errors import ParameterError, SchemaError, StepFailureError
 from .geometry import CONTAINS_TOL, FRAME_ORTHO_TOL, regular_tetrahedron, unit_vector
 from .montecarlo import MIN_SAMPLES, VOLUME_SAMPLES
@@ -184,12 +184,11 @@ def _cmd_plank(args) -> dict:
 def _cmd_cover(args) -> dict:
     shape = _load_shape(args.shape)
     result: dict = {}
-    oracles = None  # of a built cover's cross view, one per leaf, for the check
     if args.cover is not None:
         cover = cover_from_json(_load_json_file(args.cover))
         result["source"] = "file"
     elif args.search:
-        cover, oracles = _search(shape)
+        cover = cover_search(shape)
         result["source"] = "search"
     elif args.parallel is not None:
         direction = _parse_direction(args.parallel[0])
@@ -197,17 +196,16 @@ def _cmd_cover(args) -> dict:
             grid_step = float(_parse_rational(args.parallel[1]))
         except OverflowError:
             raise ParameterError(f"grid step {args.parallel[1]} overflows a float") from None
-        cover, oracles = _grid_cover(shape, direction, grid_step)
+        cover = parallel_cover_from_projection(shape, direction, grid_step)
         result["source"] = "parallel"
-        shadow = Shadow._of_view(shape, cover.tubes[0].frame, oracles)
-        area, std_error = shadow.area(samples=args.mc_samples, seed=args.seed)
+        area, std_error = Shadow(shape, direction).area(samples=args.mc_samples, seed=args.seed)
         result["shadow_area"] = area
         result["shadow_std_error"] = std_error
     else:
         raise SchemaError("cover needs one of --cover FILE, --search, --parallel D H")
 
     cost = cover_cost(cover)
-    verdict = _cover_check(shape, cover, args.mc_samples, args.seed, oracles)
+    verdict = cover_check(shape, cover, samples=args.mc_samples, seed=args.seed)
     covered, worst = verdict
     result.update(
         {

@@ -199,8 +199,7 @@ def _square_groups(cover: TubeCover) -> list[tuple[np.ndarray, float, np.ndarray
     return [(cross, width, np.concatenate(anchors)) for cross, width, anchors in groups.values()]
 
 
-def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors: np.ndarray,
-                         built: list | None = None) -> bool:
+def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors: np.ndarray) -> bool:
     """True when the squares of one group of tubes cover the shadow of the
     solid leaves up to 2 eta in each cross coordinate, so that the tubes
     cover the leaves.
@@ -221,16 +220,15 @@ def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors:
     their unsafe boxes.  Cells are asked in chunks, and the first flagged
     unsafe box refuses.
     Anchors off the lattice, a half-width of at most 2 eta, and more cells
-    than MAX_GRID_CELLS refuse the certificate too.  ``built``, when given,
-    holds each solid's oracle from the build of the cover on this very
-    cross; it stands in for all but a ball's disk, which alone depends on
-    the stretch, so that no hull is built again.
+    than MAX_GRID_CELLS refuse the certificate too.  The oracles come from
+    ``_leaf_oracle``, so the hull projected for the build of this cover, on
+    this very cross, is not projected again; a ball's disk is widened by
+    the frame's stretch here.
     """
     m = cross.shape[0]
     # the largest singular value of cross is at most sqrt(1 + dev) <= 1 + dev
     dev = float(np.linalg.norm(cross @ cross.T - np.eye(m), 2))
-    oracles = [_leaf_oracle(leaf, cross, stretch=1.0 + dev) if o is None or isinstance(leaf, Ball) else o
-               for leaf, o in zip(solids, built or [None] * len(solids))]
+    oracles = [_leaf_oracle(leaf, cross, stretch=1.0 + dev) for leaf in solids]
     lo, hi = _extent(oracles)
     y = anchors @ cross.T
     side = 2.0 * width
@@ -313,12 +311,14 @@ def cover_check(
     half-width, over any number of parts) whose anchors lie on their own
     lattice, and the shape's solid leaves are balls, cuboids and polytopes,
     ``_lattice_certificate`` tries to prove that the tubes' squares cover
-    the solids' shadow, drawing no sample.  Otherwise, or when it is
-    refused, the points are ``samples`` points drawn from the shape, when
-    some member of it has volume, in either case followed by every point
-    of every cloud member in member order.  Returns (True, None) or
-    (False, first uncovered point) in that order, as a ``CoverVerdict``
-    whose ``check`` names the path taken.
+    the solids' shadow, drawing no sample; on a cover just built from the
+    same shape it reuses the hulls that the build projected, which each
+    cuboid and polytope keeps (``projection._leaf_oracle``).  Otherwise,
+    or when it is refused, the points are ``samples`` points drawn from
+    the shape, when some member of it has volume, in either case followed
+    by every point of every cloud member in member order.  Returns
+    (True, None) or (False, first uncovered point) in that order, as a
+    ``CoverVerdict`` whose ``check`` names the path taken.
 
     Each group of square tubes has its anchors hashed into cells of side
     2 delta in cross coordinates (the fixed-radius near-neighbour grid of
@@ -334,22 +334,15 @@ def cover_check(
     not depend on the order in which tubes are tried, so the verdict and
     the witness are those of testing every tube.
     """
-    return _cover_check(s, cover, samples, seed)
-
-
-def _cover_check(s: Shape, cover: TubeCover, samples: int, seed: int, oracles: list | None = None) -> CoverVerdict:
-    """``cover_check``; ``oracles``, one per leaf of s, are those of the
-    build of this cover (``_grid_cover``), which the certificate reuses."""
     if s.dim != cover.dim:
         raise DimensionError("shape and cover dimensions differ")
     leaves = _leaves(s)
     clouds = [leaf.points for leaf in leaves if isinstance(leaf, PointCloud)]
     solids = [leaf for leaf in leaves if not isinstance(leaf, PointCloud)]
-    built = None if oracles is None else [o for leaf, o in zip(leaves, oracles) if not isinstance(leaf, PointCloud)]
     groups = _square_groups(cover)
     looped = [t for t in cover.tubes if isinstance(t, Tube)]
     readable = all(isinstance(leaf, (Ball, Cuboid, ConvexPolytope)) for leaf in solids)
-    if solids and readable and len(groups) == 1 and not looped and _lattice_certificate(solids, *groups[0], built):
+    if solids and readable and len(groups) == 1 and not looped and _lattice_certificate(solids, *groups[0]):
         pts, check = clouds, "lattice certificate"
     elif clouds and not solids:
         pts, check = clouds, "cloud points"
@@ -371,12 +364,6 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     a cell the shadow touches, at the price of a slack of order
     grid_step times the shadow's boundary measure.
     """
-    return _grid_cover(s, direction, grid_step)[0]
-
-
-def _grid_cover(s: Shape, direction, grid_step: float) -> tuple[TubeCover, list]:
-    """(``parallel_cover_from_projection``, the oracles of its cross view,
-    one per leaf of s), so that the shadow and the check build no hull again."""
     h = float(grid_step)
     if not (math.isfinite(h) and h > 0):
         raise ParameterError(f"grid_step must be positive, got {grid_step}")
@@ -411,7 +398,7 @@ def _grid_cover(s: Shape, direction, grid_step: float) -> tuple[TubeCover, list]
     centers = cell_lo[keep] + 0.5 * h
     # one centre at a time: a product of all centres at once rounds some anchors otherwise
     anchors = np.array([c @ frame.cross for c in centers])
-    return TubeCover(tubes=(SquareTubes(frame=frame, anchors=anchors, half_width=half),)), oracles
+    return TubeCover(tubes=(SquareTubes(frame=frame, anchors=anchors, half_width=half),))
 
 
 def _point_lines(cloud: PointCloud) -> TubeCover:
@@ -449,17 +436,11 @@ def cover_search(s: Shape) -> TubeCover:
     its radius r (1e-9 for clouds inside the unit cube), and that cover
     wins when strictly cheaper.
     """
-    return _search(s)[0]
-
-
-def _search(s: Shape) -> tuple[TubeCover, list | None]:
-    """(``cover_search``, the oracles of the grid cover's cross view when
-    that cover wins, else None)."""
     _, witness = upper_bound_min_projection(s)
     h = max(diameter(s) / 16.0, 1e-6)
-    grid, oracles = _grid_cover(s, witness, h)
+    best = parallel_cover_from_projection(s, witness, h)
     if isinstance(s, PointCloud):
         lines = _point_lines(s)
-        if cover_cost(lines) < cover_cost(grid):
-            return lines, None
-    return grid, oracles
+        if cover_cost(lines) < cover_cost(best):
+            best = lines
+    return best

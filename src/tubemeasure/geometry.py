@@ -8,7 +8,9 @@ polytopes and tubes need dimension >= 2.
 
 All shape objects are immutable after construction: array fields are
 copied and marked read-only, so shapes can be shared freely between
-threads and reused as cache keys by identity.
+threads and reused as cache keys by identity.  A cuboid or polytope keeps
+the last hull of its projection (``projection._leaf_oracle``), a pure
+function of the shape and the cross rows, so sharing them stays safe.
 """
 
 from __future__ import annotations

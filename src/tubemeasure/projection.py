@@ -172,21 +172,32 @@ def _leaf_oracle(leaf: Shape, cross: np.ndarray, stretch: float = 1.0):
     """The leaf's shadow in the cross coordinates y = cross @ x.  ``stretch``
     bounds the largest singular value of cross, by which a ball's disk
     widens when the cross rows are not exactly orthonormal; the hull of
-    projected vertices is exact under any linear map."""
-    m = cross.shape[0]
+    projected vertices is exact under any linear map.
+
+    A cuboid or polytope keeps the last oracle built for it, with its
+    arrays read-only, as ``(cross.tobytes(), oracle)``: a cover's build,
+    its ``Shadow`` and its lattice certificate then project the hull once.
+    A ball's disk depends on ``stretch`` and a cloud's points cost nothing
+    to project, so neither is kept."""
     if isinstance(leaf, Ball):
         return _DiskOracle(cross @ leaf.center, leaf.radius * stretch)
     if isinstance(leaf, (Cuboid, ConvexPolytope)):
-        verts = leaf.vertices @ cross.T
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        if m == 1:
-            return _BoxOracle(lo, hi, measure_zero=False)
-        from scipy.spatial import QhullError  # see geometry.ConvexHull
+        key, oracle = getattr(leaf, "_last_shadow", (None, None))
+        if key != cross.tobytes():
+            verts = leaf.vertices @ cross.T
+            oracle = _BoxOracle(verts.min(axis=0), verts.max(axis=0), measure_zero=False)
+            if len(cross) > 1:
+                from scipy.spatial import QhullError  # see geometry.ConvexHull
 
-        try:
-            return _HullOracle(verts)
-        except QhullError:
-            return _BoxOracle(lo, hi, measure_zero=True)
+                try:
+                    oracle = _HullOracle(verts)
+                except QhullError:
+                    oracle.measure_zero = True
+            for value in vars(oracle).values():
+                if isinstance(value, np.ndarray):
+                    value.setflags(write=False)
+            object.__setattr__(leaf, "_last_shadow", (cross.tobytes(), oracle))
+        return oracle
     if isinstance(leaf, PointCloud):
         return _PointsOracle(leaf.points @ cross.T)
     raise UnboundedShapeError(f"no bounded shadow for {type(leaf).__name__}")
@@ -315,21 +326,11 @@ def _planar_union_area(oracles) -> float:
 
 
 class Shadow:
-    """Projection of a bounded shape onto the hyperplane orthogonal to d."""
+    """Projection of a bounded shape onto the hyperplane orthogonal to d,
+    through the leaves' oracles, whose hulls ``_leaf_oracle`` keeps."""
 
     def __init__(self, shape: Shape, direction):
-        self._look(shape, *_cross_view(shape, direction))
-
-    @classmethod
-    def _of_view(cls, shape: Shape, frame, oracles) -> Shadow:
-        """The shadow through a cross view of the shape that ``_cross_view``
-        has built already, so that no hull is built twice."""
-        shadow = cls.__new__(cls)
-        shadow._look(shape, frame, oracles)
-        return shadow
-
-    def _look(self, shape: Shape, frame, oracles):
-        self.frame = frame
+        self.frame, oracles = _cross_view(shape, direction)
         self.direction = self.frame.axis
         self.m = len(self.frame.cross)
         solid = [(leaf, o) for leaf, o in zip(_leaves(shape), oracles) if not o.measure_zero]

@@ -757,9 +757,10 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     Two seeded tubes are subdivided to ``depth``; synthetic mass shares,
     streamed from the seed, drive the pigeonhole selections; the selected
     widths are refined to a common rational delta; disjoint delta-balls go
-    on the tubes' axes (stepping along the second axis until separated,
-    erroring if the tubes are too entangled to separate at the default
-    spacing); aligned inscribed cuboids then feed the final inequality.
+    on the tubes' axes (the second ball at its anchor, else moved 4 delta
+    along the second axis, forward and then back, one of which always
+    separates them; a step that still fails reports the tubes too
+    entangled); aligned inscribed cuboids then feed the final inequality.
     Any failing step raises StepFailureError naming the step, with the
     partial report attached; a selection that finds no witness chains
     the NoWitnessError as its cause.
@@ -871,18 +872,13 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     delta_f = float(delta)
     ball1 = Ball(center=square1.anchors[0], radius=delta_f)
     ball2 = None
-    separation = 0.0
-    for k in range(0, 65):
-        for sign in (1, -1) if k else (1,):
-            cand = Ball(
-                center=square2.anchors[0] + sign * k * 4.0 * delta_f * tube2.axis,
-                radius=delta_f,
-            )
-            separation = float(np.linalg.norm(cand.center - ball1.center))
-            if separation > 2.0 * delta_f * (1.0 + 1e-9):
-                ball2 = cand
-                break
-        if ball2 is not None:
+    # v the second anchor less the first centre, u the unit axis: the k of
+    # v . u's sign gives |v + 4 delta k u|^2 >= 16 delta^2, 4 times the need
+    for k in (0, 1, -1):
+        cand = Ball(center=square2.anchors[0] + k * 4.0 * delta_f * tube2.axis, radius=delta_f)
+        separation = float(np.linalg.norm(cand.center - ball1.center))
+        if separation > 2.0 * delta_f * (1.0 + 1e-9):
+            ball2 = cand
             break
     step(
         "place_balls",

@@ -34,7 +34,7 @@ from tubemeasure import (
 from tubemeasure import covers as covers_module
 from tubemeasure import projection
 from tubemeasure.projection import _cross_view, _extent, _touch
-from tubemeasure.serialization import cover_to_json
+from tubemeasure.serialization import cover_to_json, shape_from_json, shape_to_json
 
 
 def unit_cube():
@@ -378,17 +378,67 @@ class TestLatticeCertificate:
         assert sampled_check(s, cover, 2_000, 0) == (True, None)
 
     def test_the_build_s_oracles_check_as_fresh_ones(self):
-        # the certificate reuses a build's hulls, but widens a ball's disk by
-        # the frame's stretch itself: the verdict is that of a fresh check
+        # the certificate reuses the hulls the build kept on the leaves, but
+        # widens a ball's disk by the frame's stretch itself: the verdict is
+        # that of a fresh copy of the shape, which keeps no hull
         rng = np.random.default_rng(28)
         for trial in range(16):
             n = 2 + trial % 4
             s = UnionShape(members=(random_ball(rng, n), random_polytope(rng, n), random_cuboid(rng, n)))
             s = s if trial % 2 else random_shape(rng, n)
             step = diameter(s) / {2: 24, 3: 12, 4: 6, 5: 4}[n]
-            cover, oracles = covers_module._grid_cover(s, random_direction(rng, n), step)
-            found = covers_module._cover_check(s, cover, 2_000, 0, oracles)
-            fresh = cover_check(s, cover, samples=2_000)
+            cover = parallel_cover_from_projection(s, random_direction(rng, n), step)
+            found = cover_check(s, cover, samples=2_000)
+            fresh = cover_check(shape_from_json(shape_to_json(s)), cover, samples=2_000)
+            assert_same_check(found, fresh)
+            assert found.check == fresh.check
+
+    @staticmethod
+    def counted_hulls(monkeypatch):
+        """The list that each hull built from now on appends its point count to."""
+        from tubemeasure import geometry
+
+        built = []
+
+        def counted(points, hull=geometry.ConvexHull):
+            built.append(len(points))
+            return hull(points)
+
+        monkeypatch.setattr(geometry, "ConvexHull", counted)
+        monkeypatch.setattr(projection, "ConvexHull", counted)
+        return built
+
+    @pytest.mark.parametrize("search", [False, True])
+    def test_a_library_cover_projects_its_hull_once(self, search, monkeypatch):
+        # the build keeps its projected hull on the leaf, read-only, and the
+        # check and the shadow along the same direction reuse it
+        tet, d = regular_tetrahedron(), np.array([0.3, 0.5, 0.8])
+        built = self.counted_hulls(monkeypatch)
+        if search:
+            cover = cover_search(tet)
+        else:
+            cover = parallel_cover_from_projection(tet, d, 1 / 32)
+            assert projection.Shadow(tet, d).area()[1] == 0.0
+        assert cover_check(tet, cover).check == "lattice certificate"
+        assert len(built) == 1
+        oracle = projection._leaf_oracle(tet, cover.tubes[0].frame.cross)
+        assert not oracle.equations.flags.writeable and not oracle.lo.flags.writeable
+
+    def test_a_kept_hull_answers_only_its_own_cross_rows(self, monkeypatch):
+        # build along d1, then d2: the check of the d1 cover projects the hull
+        # along d1 again, and gives the verdict of a fresh copy of the shape
+        rng = np.random.default_rng(29)
+        built = self.counted_hulls(monkeypatch)
+        for trial in range(8):
+            n = 3 + trial % 3
+            s = random_polytope(rng, n) if trial % 2 else random_cuboid(rng, n)
+            step = diameter(s) / {3: 12, 4: 6, 5: 4}[n]
+            first = parallel_cover_from_projection(s, random_direction(rng, n), step)
+            parallel_cover_from_projection(s, random_direction(rng, n), step)
+            before = len(built)
+            found = cover_check(s, first, samples=2_000)
+            assert len(built) == before + 1
+            fresh = cover_check(shape_from_json(shape_to_json(s)), first, samples=2_000)
             assert_same_check(found, fresh)
             assert found.check == fresh.check
 
@@ -580,7 +630,7 @@ class TestCoverSearch:
         # tubes only pay off on point clouds, so on solids the search
         # returns that cover tube for tube
         from tubemeasure import diameter, upper_bound_min_projection
-        from tubemeasure.serialization import cover_to_json
+        from tubemeasure.serialization import cover_to_json, shape_from_json, shape_to_json
 
         rng = np.random.default_rng(41)
         shapes = [unit_cube()] + [random_shape(rng, int(rng.integers(2, 5))) for _ in range(10)]

@@ -803,6 +803,31 @@ class TestWalkthrough:
         b = run_proof_walkthrough(3, 4, seed=8).to_dict()
         assert json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
 
+    def test_place_balls_picks_the_centre_of_the_full_scan(self):
+        # the step tries 0, then +1, then -1 steps of 4 delta along the
+        # second axis; the scan over 0, +-1, ..., +-64 steps that it
+        # replaced picks the same centre, bit for bit
+        def scanned(anchor, centre, axis, delta):
+            for k in range(0, 65):
+                for sign in (1, -1) if k else (1,):
+                    cand = anchor + sign * k * 4.0 * delta * axis
+                    if float(np.linalg.norm(cand - centre)) > 2.0 * delta * (1.0 + 1e-9):
+                        return cand
+            return None
+
+        moved = 0
+        for n in range(2, 9):
+            for seed in range(200):
+                report = run_proof_walkthrough(n, 2 if n <= 5 else 3, seed=seed)
+                steps = {s.name: s for s in report.steps}
+                place = steps["place_balls"]
+                anchor = steps["select_square_tube_complement"].outputs["anchor"]
+                axis = steps["subdivide_tubes"].inputs["axis_second"]
+                expected = scanned(anchor, place.outputs["center_first"], axis, float(place.inputs["radius"]))
+                assert place.outputs["center_second"].tobytes() == expected.tobytes(), (n, seed)
+                moved += expected.tobytes() != anchor.tobytes()
+        assert moved > 0
+
     @pytest.mark.parametrize(
         "key, name", [(1, "select_square_tube"), (2, "select_square_tube_complement")]
     )

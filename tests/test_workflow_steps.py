@@ -62,6 +62,35 @@ def test_each_benchmark_workload_runs_and_passes_its_checks(name, tmp_path, monk
         assert status == "ok", (op["argv"], message)
 
 
+# one cover command under the benchmark's tracer, in a fresh interpreter,
+# since installing the tracer rebinds the package's functions for good
+TRACED_COVER = """
+import contextlib, io, json, sys
+sys.path[:0] = sys.argv[1:3]
+from tracing import Tracer
+from tubemeasure import cli
+tracer = Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["cover", "--shape", "tetrahedron", "--search"])
+print(json.dumps([code, tracer.inclusive_s["covers.cover_check"], tracer.counts["covers.searches"]]))
+"""
+
+
+def test_a_traced_cover_run_shows_its_covers_layer():
+    # step "A traced cover run shows its covers layer": the tracer wraps
+    # public functions only, so the cover command must call them
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_COVER, str(ROOT / "src"), str(ROOT / "bench")],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    code, check_s, searches = json.loads(out.stdout)
+    assert code == 0
+    assert check_s > 0
+    assert searches == 1
+
+
 CLOUD = {"dim": 3, "kind": "cloud",
          "points": [[1.2, 1.2, 0.1], [-0.9, -1.8, -0.5], [-0.4, -1.8, -1.8], [2.0, 0.6, -1.1]]}
 
