@@ -52,6 +52,7 @@ from .geometry import (
     Shape,
     SquareTubes,
     Tube,
+    _distance,
     _find_rows,
     _in_square_tubes,
     _leaves,
@@ -367,6 +368,14 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     h = float(grid_step)
     if not (math.isfinite(h) and h > 0):
         raise ParameterError(f"grid_step must be positive, got {grid_step}")
+    cover, total = _guarded_grid_cover(s, direction, h)
+    if cover is None:
+        raise ParameterError(f"grid_step {h} would produce {total:.0f} cells; choose a coarser grid")
+    return cover
+
+
+def _guarded_grid_cover(s: Shape, direction, h: float) -> tuple[TubeCover | None, float]:
+    """(the cover at a valid step h, None past MAX_GRID_CELLS; its cell count)."""
     leaves = _leaves(s)
     if not leaves:
         raise DegenerateShapeError("empty shape: nothing to cover")
@@ -383,9 +392,7 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     # cast for tiny steps
     total = math.prod(float(c) for c in counts)
     if total > MAX_GRID_CELLS:
-        raise ParameterError(
-            f"grid_step {h} would produce {total:.0f} cells; choose a coarser grid"
-        )
+        return None, total
     counts = counts.astype(int)
     grids = np.meshgrid(*[np.arange(c) for c in counts], indexing="ij")
     index = np.column_stack([g.ravel() for g in grids])
@@ -398,7 +405,7 @@ def parallel_cover_from_projection(s: Shape, direction, grid_step: float) -> Tub
     centers = cell_lo[keep] + 0.5 * h
     # one centre at a time: a product of all centres at once rounds some anchors otherwise
     anchors = np.array([c @ frame.cross for c in centers])
-    return TubeCover(tubes=(SquareTubes(frame=frame, anchors=anchors, half_width=half),))
+    return TubeCover(tubes=(SquareTubes(frame=frame, anchors=anchors, half_width=half),)), total
 
 
 def _point_lines(cloud: PointCloud) -> TubeCover:
@@ -416,7 +423,7 @@ def _point_lines(cloud: PointCloud) -> TubeCover:
     tubes = []
     while len(uncovered):
         anchor = uncovered[0]
-        apart = np.linalg.norm(uncovered - anchor, axis=1) > radius
+        apart = _distance(uncovered, anchor) > radius
         if np.any(apart):
             axis = uncovered[int(np.argmax(apart))] - anchor
         else:
@@ -434,13 +441,17 @@ def cover_search(s: Shape) -> TubeCover:
     direction, with grid step diam(s) / 16.  A point cloud also gets
     ``_point_lines``, which costs of order N * gamma_{n-1} * r^(n-1) for
     its radius r (1e-9 for clouds inside the unit cube), and that cover
-    wins when strictly cheaper.
+    wins when strictly cheaper.  A grid past MAX_GRID_CELLS (a unit ball's
+    from R^7 on) leaves a cloud its lines and refuses any other shape.
     """
     _, witness = upper_bound_min_projection(s)
     h = max(diameter(s) / 16.0, 1e-6)
-    best = parallel_cover_from_projection(s, witness, h)
+    best, total = _guarded_grid_cover(s, witness, h)
+    if best is None and not isinstance(s, PointCloud):
+        raise ParameterError(f"the search step diam/16 = {h:g} would produce {total:.0f} grid cells, more than "
+                             f"MAX_GRID_CELLS = {MAX_GRID_CELLS}; cover along one direction with --parallel DIRECTION STEP")
     if isinstance(s, PointCloud):
         lines = _point_lines(s)
-        if cover_cost(lines) < cover_cost(best):
+        if best is None or cover_cost(lines) < cover_cost(best):
             best = lines
     return best

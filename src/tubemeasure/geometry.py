@@ -16,7 +16,6 @@ function of the shape and the cross rows, so sharing them stays safe.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +26,6 @@ from .errors import (
     DegenerateShapeError,
     DimensionError,
     GeometryError,
-    InvariantError,
     ParameterError,
     UnboundedShapeError,
 )
@@ -37,7 +35,6 @@ UNIT_NORM_TOL = 1e-12   # ``unit_vector`` rejects vectors no longer than this
 FRAME_ORTHO_TOL = 1e-10  # frames must be orthonormal within this
 CONTAINS_TOL = 1e-9     # hull membership allows this slack past each facet
 _DIAMETER_ROWS = 1024   # pairwise-distance rows held at once by ``diameter``
-_SQ_STEPS = 4           # float steps from fl(r * r) to a ball's squared threshold, at most
 
 
 def unit_ball_volume(m: int) -> float:
@@ -67,26 +64,6 @@ def _ball_measure(m: int, r: float, what: str) -> float:
     if not math.isfinite(value):
         raise ParameterError(f"{what} overflows a float")
     return value
-
-
-def _sq_limit(r: float) -> float:
-    """The largest float t with math.sqrt(t) <= r, for a positive float r.
-
-    fl(r * r) is the float nearest r^2, and the floats t whose correctly
-    rounded square root is at most r end below (r + ulp(r) / 2)^2, which
-    lies at most about two floats above it (none in the subnormal range,
-    where the floats are far apart).  The search steps from fl(r * r),
-    capped at the largest float, and gives up after ``_SQ_STEPS`` steps.
-    """
-    t = min(r * r, sys.float_info.max)
-    for _ in range(_SQ_STEPS):
-        if math.sqrt(t) > r:
-            t = math.nextafter(t, 0.0)
-        elif (up := math.nextafter(t, math.inf)) < math.inf and math.sqrt(up) <= r:
-            t = up
-        else:
-            return t
-    raise InvariantError(f"no squared threshold within {_SQ_STEPS} floats of {r}^2")
 
 
 def _as_floats(x, name: str) -> np.ndarray:
@@ -145,6 +122,17 @@ def _rows_all(mask: np.ndarray) -> np.ndarray:
     for column in mask.T:
         out &= column
     return out
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| along the last axis, broadcast over the leading axes: squared
+    differences added in coordinate order in any memory layout (np.linalg.norm
+    adds a C-ordered row of 8 pairwise), then one correctly rounded square
+    root, which is monotone: a comparison with a radius is the sum's."""
+    total = np.square(a[..., 0] - b[..., 0])
+    for k in range(1, a.shape[-1]):
+        total += np.square(a[..., k] - b[..., k])
+    return np.sqrt(total)
 
 
 def unit_vector(v) -> np.ndarray:
@@ -253,33 +241,17 @@ class Ball:
         object.__setattr__(self, "center", _freeze(c))
         object.__setattr__(self, "radius", r)
         object.__setattr__(self, "_volume", volume)
-        object.__setattr__(self, "_sq_limit", _sq_limit(r))
 
     @property
     def dim(self) -> int:
         return self.center.size
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Closed membership, the verdict of np.linalg.norm(pts - center,
-        axis=1) <= radius on every row, which is how R^8 computes it.
-
-        Below R^8 numpy adds a row's squared differences one column at a
-        time, so the column sum s taken here is the float whose square root
-        norm takes.  As a correctly rounded square root is monotone, sqrt(s)
-        <= radius exactly when s is at most ``_sq_limit``, the largest float
-        whose square root is at most the radius.  On 65,536 points in R^3 the
-        column arithmetic takes about a tenth of the time of norm's row
-        reduction.
-        """
+        """Closed membership: ``_distance`` to the center at most the radius."""
         pts = np.atleast_2d(pts)
         if pts.shape[-1] != self.dim:
             raise DimensionError(f"query points must have {self.dim} coordinates")
-        if self.dim == MAX_DIM:
-            return np.linalg.norm(pts - self.center, axis=1) <= self.radius
-        total = np.square(pts[:, 0] - self.center[0])
-        for k in range(1, self.dim):
-            total += np.square(pts[:, k] - self.center[k])
-        return total <= self._sq_limit
+        return _distance(pts, self.center) <= self.radius
 
     def support(self, d: np.ndarray) -> float:
         return float(self.center @ d) + self.radius
@@ -625,8 +597,7 @@ def _farthest_pair(pts: np.ndarray, radii: np.ndarray) -> float:
     best = 0.0
     for i in range(0, len(pts), _DIAMETER_ROWS):  # pairs (i, j) with j >= i suffice
         rows = pts[i:i + _DIAMETER_ROWS]
-        # summed one coordinate at a time, as scipy's cdist sums: equal bit for bit
-        block = np.sqrt(sum((rows[:, k, None] - pts[i:, k]) ** 2 for k in range(pts.shape[1])))
+        block = _distance(rows[:, None], pts[i:])  # as scipy's cdist sums: equal bit for bit
         block += radii[i:i + _DIAMETER_ROWS, None]
         block += radii[i:]
         best = max(best, float(block.max()))
@@ -675,12 +646,11 @@ class Tube:
         return self.point.size
 
     def distance_to_axis(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        rel = pts - self.point
+        rel = np.atleast_2d(pts) - self.point
         along = rel[:, 0] * self.axis[0]  # column by column, so a lone point rounds as in any batch
         for k in range(1, self.dim):
             along += rel[:, k] * self.axis[k]
-        return np.linalg.norm(rel - np.outer(along, self.axis), axis=1)
+        return _distance(rel, along[:, None] * self.axis)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         return self.distance_to_axis(pts) <= self.radius

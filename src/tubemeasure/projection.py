@@ -33,6 +33,7 @@ from .geometry import (
     Shape,
     UnionShape,
     _below_facets,
+    _distance,
     _leaves,
     _rows_all,
     orthonormal_frame,
@@ -65,19 +66,22 @@ class _BoxOracle:
 
 
 class _DiskOracle(_BoxOracle):
+    """A ball's shadow.  ``cell_touch`` measures as ``contains`` does, so it
+    flags the box [q, q] of every point q that ``contains`` accepts."""
+
     def __init__(self, center_y: np.ndarray, radius: float):
         super().__init__(center_y - radius, center_y + radius, measure_zero=False)
         self.center = center_y
         self.radius = radius
 
     def contains(self, y):
-        return np.linalg.norm(y - self.center, axis=1) <= self.radius
+        return _distance(y, self.center) <= self.radius
 
     def depth(self, y):
         """(signed distance to the boundary, negative inside; outward unit
         normal of the nearest boundary point), for points in the plane."""
         off = y - self.center
-        dist = np.linalg.norm(off, axis=1)
+        dist = _distance(y, self.center)
         return dist - self.radius, off / np.maximum(dist, np.finfo(float).tiny)[:, None]
 
     def boundary_integral(self, i, oracles, origin, tol) -> float:
@@ -98,9 +102,7 @@ class _DiskOracle(_BoxOracle):
         return 0.5 * float(np.sum(arcs))
 
     def cell_touch(self, cl, ch):
-        nearest = np.clip(self.center, cl, ch)
-        d2 = np.sum((nearest - self.center) ** 2, axis=1)
-        return d2 <= self.radius ** 2
+        return _distance(np.clip(self.center, cl, ch), self.center) <= self.radius
 
 
 class _HullOracle(_BoxOracle):
@@ -302,7 +304,8 @@ def _extent(oracles) -> tuple[np.ndarray, np.ndarray]:
 
 def _touch(oracles, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per box, a row of lo and hi: whether the conservative ``cell_touch``
-    of some oracle flags it."""
+    of some oracle flags it: no box that meets the shadow, down to [q, q]
+    for a point q an oracle's ``contains`` accepts, is dropped."""
     flagged = np.zeros(len(lo), dtype=bool)
     for o in oracles:
         flagged |= o.cell_touch(lo, hi)

@@ -68,9 +68,11 @@ from .geometry import (
 from .montecarlo import TAG_PROOF, batch_rng
 from .serialization import Listing, _jsonable
 
-_SCAN_CHUNK = 1 << 20
+_SCAN_CHUNK = 1 << 20  # frontier cells the packing scan tests at once
+_SHARE_CHUNK = 1 << 20  # shares per subseed of the pigeonhole stream; it fixes the draws
 _MAX_STORED_CELLS = 8_000_000
 _MAX_SUBDIVISION_TUBES = 1_000_000
+_MAX_LISTED_SQUARES = 100_000  # a packing report lists its squares up to this many
 AGREEMENT_TOL = 1e-12  # the two forms of the final inequality must agree within this
 
 
@@ -220,9 +222,9 @@ class SquarePacking:
         Each centre coordinate is k times the half-width num / den of its
         depth.  With k odd and den a power of two, {k num, den} is already
         the reduced pair that ``square_exact`` gives as a Fraction.  Up to
-        100000 squares are listed, one run per depth: rows of k num, and an
-        entry function whose squares share one half_width dict.  The census
-        fields remain exact either way.
+        ``_MAX_LISTED_SQUARES`` squares are listed, one run per depth: rows
+        of k num, and an entry function whose squares share one half_width
+        dict.  The census fields remain exact either way.
         """
         out = {
             "m": self.m,
@@ -232,7 +234,7 @@ class SquarePacking:
             "depth_counts": {str(d): c for d, c in self.depth_counts.items()},
             "covered_fraction": self.covered_fraction,
         }
-        if self.n_squares <= 100_000:
+        if self.n_squares <= _MAX_LISTED_SQUARES:
             def run(depth, cells):
                 num, den = self.half_width(depth).as_integer_ratio()
                 half_width = {"num": num, "den": den}
@@ -705,7 +707,7 @@ def _stream_pigeonhole(
         for (count, mass), rest in zip(groups, after):
             done = 0
             while done < count:
-                c = min(_SCAN_CHUNK, count - done)
+                c = min(_SHARE_CHUNK, count - done)
                 rng = batch_rng(seed, TAG_PROOF, key, retry, bindex)
                 q = low + rng.random(c) * (1.0 - low)
                 acc += mass * float(q.sum())

@@ -324,6 +324,19 @@ class TestCover:
         # three collinear points admit a near-free tube
         assert result["cost"] < 1e-12
 
+    def test_search_past_the_grid_guard(self, tmp_path, capsys):
+        # diam / 16 splits the shadow of a unit ball in R^7 into 16^6 cells
+        ball7 = {"dim": 7, "kind": "ball", "center": [0.0] * 7, "radius": 1.0}
+        code, out, err = run(capsys, ["cover", "--shape", shape_file(tmp_path, ball7), "--search"])
+        assert code == 2 and out == ""
+        for part in ("diam/16 = 0.125", "MAX_GRID_CELLS = 2000000", "--parallel DIRECTION STEP"):
+            assert part in err
+        # a cloud falls back to tubes through its points
+        points = np.random.default_rng(5).uniform(0.0, 1.0, (6, 8)).tolist()
+        cloud8 = shape_file(tmp_path, {"dim": 8, "kind": "cloud", "points": points}, "cloud.json")
+        result = run_json(capsys, ["cover", "--shape", cloud8, "--search"])["result"]
+        assert result["tubes"] == 3 and result["covered"] is True and result["check"] == "cloud points"
+
     @pytest.mark.parametrize("step", ["1e-300", "1/100000000000000000000"])
     def test_tiny_grid_step_is_refused(self, capsys, step):
         code, out, err = run(

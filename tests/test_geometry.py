@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -39,7 +38,7 @@ from tubemeasure import (
     unit_ball_volume,
     volume_exact,
 )
-from tubemeasure.geometry import CONTAINS_TOL, _rows_all, _sq_limit
+from tubemeasure.geometry import CONTAINS_TOL, _rows_all
 from tubemeasure.montecarlo import BATCH, TAG_POINTS, batch_rng, sample_points
 from tubemeasure.projection import _BoxOracle, _HullOracle
 from fractions import Fraction
@@ -416,8 +415,9 @@ def layouts(pts):
 
 
 class TestBallMembership:
-    """Ball.contains compares summed squares with a squared threshold;
-    np.linalg.norm(pts - center, axis=1) <= radius stays its oracle."""
+    """Ball.contains sums squares column by column and takes one square
+    root; np.linalg.norm of an F-ordered copy, which numpy sums column by
+    column at every width, stays its oracle."""
 
     def test_matches_the_norm_oracle_near_the_sphere(self):
         rng = np.random.default_rng(41)
@@ -428,24 +428,14 @@ class TestBallMembership:
             for r in radii:
                 ball = Ball(center=rng.uniform(-2.0, 2.0, n) * r, radius=r)
                 pts = near_sphere(rng, ball, 2000)
+                expected = np.linalg.norm(np.asfortranarray(pts) - ball.center, axis=1) <= r
+                # subnormal squares are too coarse to tell ulps apart
+                assert r < 1e-150 or (expected.any() and not expected.all()), (n, r)
                 for view in layouts(pts):
                     assert np.array_equal(view, pts)
-                    expected = np.linalg.norm(view - ball.center, axis=1) <= r
                     assert ball.contains(view).tolist() == expected.tolist(), (n, r)
-                    # subnormal squares are too coarse to tell ulps apart
-                    assert r < 1e-150 or (expected.any() and not expected.all()), (n, r)
 
-    def test_threshold_is_the_largest_square_within_the_radius(self):
-        rng = np.random.default_rng(43)
-        top = sys.float_info.max
-        radii = [5e-324, 1e-323, 1e-170, 0.5, 1.0, 2.0, top, math.sqrt(top)]
-        radii += [math.nextafter(math.sqrt(top), x) for x in (0.0, math.inf)]
-        radii += [math.nextafter(2.0 ** k, 0.0) for k in range(-1070, 1024, 7)]
-        radii += (2.0 ** rng.uniform(-1074.0, 1023.9, 3000)).tolist()
-        for r in radii:
-            t = _sq_limit(r)  # raises past its few steps
-            up = math.nextafter(t, math.inf)
-            assert math.sqrt(t) <= r and (up == math.inf or math.sqrt(up) > r), r
+    def test_squares_that_overflow_decide_as_the_norm_does(self):
         huge = Ball(center=np.zeros(1), radius=1e200)  # r * r overflows
         pts = np.array([[1e154], [1e155], [-1e200]])
         with np.errstate(over="ignore"):
@@ -502,10 +492,12 @@ class TestUnionMembership:
                 on_base = TestColumnwiseMembership.facet_points(rng, base._hull, 150)
             product = ProductSet(base=base, axis=random_direction(rng, n))
             frame = product._frame
+            ball = random_ball(rng, n)
             cases = [
                 (poly, TestColumnwiseMembership.facet_points(rng, poly._hull, 300)),
                 (box, TestColumnwiseMembership.face_points(rng, box, 600)),
                 (product, on_base @ frame.cross + rng.uniform(-3.0, 3.0, (300, 1)) * frame.axis),
+                (ball, near_sphere(rng, ball, 600)),
             ]
             cases.append((UnionShape(members=tuple(s for s, _ in cases)), np.vstack([p for _, p in cases])))
             # a round tube is not a shape, so it stays out of the union
@@ -519,7 +511,7 @@ class TestUnionMembership:
             for shape, pts in cases:
                 lone = [bool(shape.contains(p[None])[0]) for p in pts]
                 for size in (4, 64):
-                    for view in layouts(pts) if shape is tube else (pts,):
+                    for view in layouts(pts) if shape is tube or shape is ball else (pts,):
                         batched = np.concatenate([shape.contains(view[i:i + size])
                                                   for i in range(0, len(view), size)])
                         assert batched.tolist() == lone, (type(shape).__name__, n, size)

@@ -26,7 +26,7 @@ from tubemeasure import (
     unit_ball_volume,
 )
 from tubemeasure.montecarlo import BATCH, TAG_SHADOW, _mc_box_fraction, batch_rng
-from tubemeasure.projection import _cross_view, _extent, shadow_values_batch
+from tubemeasure.projection import _cross_view, _DiskOracle, _extent, shadow_values_batch
 
 
 def unit_cube():
@@ -287,6 +287,35 @@ class TestShadowObject:
             for i, row in enumerate(frame.cross):
                 assert hi[i] == pytest.approx(shape.support(row), abs=1e-9)
                 assert lo[i] == pytest.approx(-shape.support(-row), abs=1e-9)
+
+
+class TestDiskOracle:
+    def test_a_point_box_touches_every_point_the_disk_holds(self):
+        # cell_touch never drops a box that meets the shadow, down to the
+        # degenerate box [q, q] of a point q that contains accepts
+        rng = np.random.default_rng(59)
+        held = 0
+        for _ in range(20):
+            disk = _DiskOracle(rng.uniform(-5.0, 5.0, 2), float(rng.uniform(0.1, 10.0)))
+            angle = rng.uniform(0.0, 2.0 * math.pi, 1000)
+            q = disk.center + disk.radius * np.column_stack([np.cos(angle), np.sin(angle)])
+            q += rng.integers(-2, 3, q.shape) * np.spacing(q)
+            inside = disk.contains(q)
+            assert disk.cell_touch(q[inside], q[inside]).all()
+            held += int(inside.sum())
+        assert 5000 < held < 15000
+
+    def test_a_point_is_decided_alone_as_in_any_layout(self):
+        rng = np.random.default_rng(61)
+        for m in range(1, 8):
+            disk = _DiskOracle(rng.uniform(-3.0, 3.0, m), float(rng.uniform(0.2, 2.0)))
+            u = rng.standard_normal((500, m))
+            q = disk.center + disk.radius * u / np.linalg.norm(u, axis=1)[:, None]
+            q += rng.integers(-3, 4, q.shape) * np.spacing(q)
+            lone = [bool(disk.contains(p[None])[0]) for p in q]
+            assert 0 < sum(lone) < len(lone), m
+            for view in (q, np.asfortranarray(q), np.repeat(q, 2, axis=1)[:, ::2]):
+                assert disk.contains(view).tolist() == lone, m
 
 
 class TestBatchValues:

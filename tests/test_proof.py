@@ -496,7 +496,7 @@ def _full_stream(groups, eps, seed, key):
         for count, mass in groups:
             done = 0
             while done < count:
-                c = min(proof_module._SCAN_CHUNK, count - done)
+                c = min(proof_module._SHARE_CHUNK, count - done)
                 rng = batch_rng(seed, TAG_PROOF, key, retry, bindex)
                 q = low + rng.random(c) * (1.0 - low)
                 acc += mass * float(q.sum())
@@ -571,9 +571,16 @@ class TestShareStreamStop:
         monkeypatch.setattr(proof_module, "batch_rng", counting_rng)
         _, eps = proof_module._p_eps(5)
         groups = _stream_groups(5, 7, Fraction(1))
-        assert sum(count for count, _ in groups) > 4 * proof_module._SCAN_CHUNK
+        assert sum(count for count, _ in groups) > 4 * proof_module._SHARE_CHUNK
         proof_module._stream_pigeonhole(groups, eps, 7, 1)
         assert 0 < len(drawn) < len(groups)  # one chunk per depth reached
+
+    def test_the_scan_chunk_leaves_every_selection_alone(self, monkeypatch):
+        # the shares are drawn in chunks of their own: how many cells the
+        # packing scan tests at once moves no walkthrough's selection
+        expected = [run_proof_walkthrough(3, 5, seed).to_dict() for seed in range(8)]
+        monkeypatch.setattr(proof_module, "_SCAN_CHUNK", 1)
+        assert [run_proof_walkthrough(3, 5, seed).to_dict() for seed in range(8)] == expected
 
 
 class TestCommonRefinement:
