@@ -9,6 +9,12 @@ construction.  Two workhorse inequalities bracket it:
 * a bounded E satisfies mu(E) >= |E| / diam(E), since one tube can hold
   at most diam(E) * gamma_{n-1} r^{n-1} of E's volume.
 
+|E| is closed form for one solid leaf, Green's exact area for a union in
+R^2, and a sliced quadrature for a union of balls in R^3, whose error is
+subtracted so that the lower bound errs low (``projection._union_volume``);
+any other union, or a slicing over its work cap, takes a seeded Monte
+Carlo volume.
+
 The upper bound is best at the least shadow, which
 ``upper_bound_min_projection`` finds in closed form for balls and
 cuboids.  A polytope's shadow, and an upper bound for a union's, is a
@@ -53,8 +59,8 @@ from .geometry import (
     diameter,
     unit_vector,
 )
-from .montecarlo import VOLUME_SAMPLES, mc_volume
-from .projection import Shadow, _cauchy_terms, shadow_values_batch
+from .montecarlo import VOLUME_SAMPLES, _check_samples, mc_volume
+from .projection import Shadow, _cauchy_terms, _union_volume, shadow_values_batch
 
 _VERTEX_BUDGET = 1 << 18  # arrangement vertices enumerated per polytope
 _EVAL_CHUNK = 1 << 20  # direction-by-generator products held at once
@@ -290,15 +296,28 @@ def upper_bound_min_projection(s: Shape) -> tuple[float, np.ndarray]:
     return value, direction
 
 
-def lower_bound_volume_diam(
-    s: Shape, samples: int = VOLUME_SAMPLES, seed: int = 0
-) -> tuple[float, float]:
-    """Volume-over-diameter lower bound with propagated standard error."""
+def _volume_diam(s: Shape, samples: int, seed: int) -> tuple[float, float, str]:
+    """(lower, error, path) behind ``lower_bound_volume_diam``."""
     diam = diameter(s)
     if diam <= 0.0:
         raise DegenerateShapeError("zero diameter; volume/diameter bound undefined")
+    samples = _check_samples(samples)
+    found = _union_volume(_leaves(s))
+    if found is not None:
+        volume, error, path = found
+        return (volume - error) / diam, error / diam, path
     volume, se = mc_volume(s, samples=samples, seed=seed)
-    return volume / diam, se / diam
+    return volume / diam, se / diam, "mc" if se else "exact"
+
+
+def lower_bound_volume_diam(
+    s: Shape, samples: int = VOLUME_SAMPLES, seed: int = 0
+) -> tuple[float, float]:
+    """Volume-over-diameter lower bound with its error: 0 for an exact
+    volume, a sliced volume's quadrature error, subtracted first so that the
+    bound errs low, or a Monte Carlo standard error, the only path that
+    reads ``samples`` and ``seed`` (see the module docstring)."""
+    return _volume_diam(s, samples, seed)[:2]
 
 
 def product_measure(base: Shape, samples: int = VOLUME_SAMPLES, seed: int = 0) -> float:
@@ -359,8 +378,9 @@ class BoundReport:
     """Certified bracket lower <= mu(E) <= upper for one shape.
 
     ``witness_direction`` attains the reported upper bound; the lower
-    bound carries the Monte Carlo standard error of the volume estimate
-    (zero when the volume is closed form).
+    bound carries the Monte Carlo standard error of the volume estimate,
+    or a sliced volume's quadrature error (zero when the volume is closed
+    form or an exact planar area).
     """
 
     lower: float
@@ -387,8 +407,8 @@ def compute_bounds(
     upper, direction, path = _min_shadow(s)
     methods = [f"upper: min shadow, {path}"]
     try:
-        lower, lower_se = lower_bound_volume_diam(s, samples=mc_samples, seed=seed)
-        methods.append("lower: volume / diameter" + (" (mc)" if lower_se else " (exact)"))
+        lower, lower_se, path = _volume_diam(s, mc_samples, seed)
+        methods.append(f"lower: volume / diameter ({path})")
     except DegenerateShapeError:
         lower, lower_se = 0.0, 0.0
         methods.append("lower: degenerate shape, 0")

@@ -5,8 +5,9 @@ only the options its computation reads: ``--format`` everywhere,
 ``--seed`` for bounds, cover and proof, ``--samples`` for bounds and
 cover.  Every report carries a ``config`` echo of the settings in effect
 for that command: its options (as ``seed``, ``mc_samples``,
-``output_format``) and the comparison tolerances, read from the
-constants the code compares against.  Identical invocations
+``output_format``) and the tolerances that command compares against,
+read from the constants the code uses: ``algebraic_agreement`` for
+``proof`` alone, and none for ``pack`` and ``refine``.  Identical invocations
 print byte-identical output: ``json.dumps(report, indent=2)`` and a
 newline, with ``pack``'s squares and a built cover's tubes written from
 their ``serialization.Listing``, or with ``--format csv`` its flattening.
@@ -49,20 +50,17 @@ from .serialization import (
     shape_from_json,
 )
 
-_TOLERANCES = {
-    "contains": CONTAINS_TOL,
-    "frame_orthonormality": FRAME_ORTHO_TOL,
-    "algebraic_agreement": AGREEMENT_TOL,
-}
+# the tolerances of every command that reads a shape; pack and refine compare none
+_SHAPE_TOLERANCES = {"contains": CONTAINS_TOL, "frame_orthonormality": FRAME_ORTHO_TOL}
 
 
 def _config(args) -> dict:
-    """The settings in effect: this subcommand's options and the tolerances."""
+    """The settings in effect: this subcommand's options and the tolerances it compares against."""
     options = vars(args)
     if options.get("mc_samples", MIN_SAMPLES) < MIN_SAMPLES:
         raise ParameterError(f"mc_samples must be at least {MIN_SAMPLES}")
     config = {key: options[key] for key in ("seed", "mc_samples") if key in options}
-    config["tolerances"] = dict(_TOLERANCES)
+    config["tolerances"] = dict(args.tolerances)
     config["output_format"] = args.format
     return config
 
@@ -265,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if samples is not None:
             p.add_argument(
                 "--samples", dest="mc_samples", metavar="SAMPLES", type=int, default=samples,
-                help="Monte-Carlo samples",
+                help="Monte Carlo samples, read only where a value is sampled",
             )
         p.add_argument(
             "--format", choices=("json", "csv"), default="json", help="output format"
@@ -274,12 +272,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="lower and upper tube-measure bounds of a shape")
     p.add_argument("--shape", required=True, help="shape JSON file or 'tetrahedron'")
     add_common(p, seed=True, samples=VOLUME_SAMPLES)
-    p.set_defaults(handler=_cmd_bounds)
+    p.set_defaults(handler=_cmd_bounds, tolerances=_SHAPE_TOLERANCES)
 
     p = sub.add_parser("plank", help="exact minimal width of a planar convex body")
     p.add_argument("--shape", required=True, help="2-D shape JSON file")
     add_common(p)
-    p.set_defaults(handler=_cmd_plank)
+    p.set_defaults(handler=_cmd_plank, tolerances=_SHAPE_TOLERANCES)
 
     p = sub.add_parser("cover", help="evaluate or construct a tube cover")
     p.add_argument("--shape", required=True, help="shape JSON file or 'tetrahedron'")
@@ -297,14 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel grid cover: comma-separated direction and grid step",
     )
     add_common(p, seed=True, samples=CHECK_SAMPLES)
-    p.set_defaults(handler=_cmd_cover)
+    p.set_defaults(handler=_cmd_cover, tolerances=_SHAPE_TOLERANCES)
 
     p = sub.add_parser("pack", help="dyadic square packing of a ball")
     p.add_argument("--dim", type=int, required=True, help="cross-section dimension m")
     p.add_argument("--radius", type=float, default=1.0, help="ball radius")
     p.add_argument("--depth", type=int, required=True, help="maximum dyadic depth")
     add_common(p)
-    p.set_defaults(handler=_cmd_pack)
+    p.set_defaults(handler=_cmd_pack, tolerances={})
 
     p = sub.add_parser("refine", help="exact common refinement of two rational widths")
     p.add_argument(
@@ -315,13 +313,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="two positive rationals, e.g. 3/4 5/6",
     )
     add_common(p)
-    p.set_defaults(handler=_cmd_refine)
+    p.set_defaults(handler=_cmd_refine, tolerances={})
 
     p = sub.add_parser("proof", help="run the constructive proof walkthrough")
     p.add_argument("--dim", type=int, required=True, help="ambient dimension n (2..8)")
     p.add_argument("--depth", type=int, required=True, help="subdivision depth")
     add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_proof)
+    p.set_defaults(handler=_cmd_proof, tolerances={**_SHAPE_TOLERANCES, "algebraic_agreement": AGREEMENT_TOL})
 
     return parser
 

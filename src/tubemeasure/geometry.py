@@ -136,11 +136,15 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalize v to unit length; rejects (near-)zero vectors."""
+    """Normalize v to unit length; rejects (near-)zero vectors.  A copy of v
+    as given when its norm is within 4 eps of 1, so that a unit vector is
+    a fixed point and an axis read back from a report keeps its bits."""
     v = _as_floats(v, "direction").ravel()
     norm = float(np.linalg.norm(v))
     if norm <= UNIT_NORM_TOL:
         raise DegenerateShapeError("cannot normalize a zero vector")
+    if abs(norm - 1.0) <= 4.0 * np.finfo(float).eps:
+        return v.copy()
     return v / norm
 
 

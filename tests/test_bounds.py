@@ -1,9 +1,12 @@
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from conftest import (
     random_ball,
     random_cloud,
@@ -44,9 +47,15 @@ from tubemeasure import (
     unit_ball_volume,
     upper_bound_min_projection,
 )
-from tubemeasure import bounds
+from tubemeasure import bounds, projection
 from tubemeasure.geometry import _leaves
-from tubemeasure.projection import Shadow, shadow_values_batch
+from tubemeasure.montecarlo import mc_volume
+from tubemeasure.projection import Shadow, _union_volume, shadow_values_batch
+
+# the benchmark's closed-form oracles, read from their file
+_spec = importlib.util.spec_from_file_location("oracles", Path(__file__).resolve().parents[1] / "bench" / "oracles.py")
+oracles = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracles)
 
 
 def unit_cube():
@@ -460,6 +469,116 @@ class TestLowerBound:
     def test_single_point_rejected(self):
         with pytest.raises(DegenerateShapeError):
             lower_bound_volume_diam(PointCloud(points=np.zeros((1, 2))))
+
+
+def ball_union(*balls):
+    return UnionShape(tuple(Ball(center=np.array(c, dtype=float), radius=r) for c, r in balls))
+
+
+@st.composite
+def ball_unions(draw):
+    """2 to 5 balls in R^3, centres in [-1, 1]^3 and radii in [0.3, 1]."""
+    count = draw(st.integers(2, 5))
+    coords = st.floats(-1.0, 1.0, allow_nan=False)
+    return [(draw(st.lists(coords, min_size=3, max_size=3)), draw(st.floats(0.3, 1.0))) for _ in range(count)]
+
+
+@st.composite
+def planar_unions(draw):
+    """2 to 4 disks, axis-aligned rectangles and hexagon hulls in the plane."""
+    members = []
+    for _ in range(draw(st.integers(2, 4))):
+        kind = draw(st.sampled_from(["disk", "rectangle", "polygon"]))
+        c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+        if kind == "disk":
+            members.append(Ball(center=c, radius=draw(st.floats(0.2, 1.0))))
+        elif kind == "rectangle":
+            members.append(axis_aligned_cuboid(c, np.array(draw(st.lists(st.floats(0.1, 0.8), min_size=2, max_size=2)))))
+        else:
+            seed = draw(st.integers(0, 2 ** 32 - 1))
+            members.append(ConvexPolytope.hull_of(c + np.random.default_rng(seed).uniform(-0.7, 0.7, (6, 2))))
+    return UnionShape(tuple(members))
+
+
+class TestUnionVolume:
+    """Unions that take their volume without sampling: one solid leaf in
+    closed form, Green's area in the plane, sliced ball unions in R^3."""
+
+    TWO_BALLS = {
+        "disjoint": (((0, 0, 0), 1.0), ((3, 0, 0), 0.7)),
+        "externally tangent": (((0, 0, 0), 1.0), ((1.5, 0, 0), 0.5)),
+        "overlapping": (((0, 0, 0), 1.0), ((1.5, 0, 0), 0.7)),
+        "overlapping oblique": (((0, 0, 0), 1.0), ((0.3, 0.4, 0.5), 0.9)),
+        "internally tangent": (((0, 0, 0), 1.0), ((0.5, 0, 0), 0.5)),
+        "nested": (((0, 0, 0), 1.0), ((0.1, 0.2, 0), 0.5)),
+        "concentric, equal radii": (((0, 0, 0), 1.0), ((0, 0, 0), 1.0)),
+        "vertically aligned": (((0, 0, 0), 1.0), ((0, 0, 1.2), 0.7)),
+    }
+
+    @pytest.mark.parametrize("name", list(TWO_BALLS))
+    def test_two_balls_match_the_lens_formula(self, name):
+        (c1, r1), (c2, r2) = self.TWO_BALLS[name]
+        union = ball_union((c1, r1), (c2, r2))
+        exact = oracles.two_ball_union_volume(c1, r1, c2, r2)
+        volume, error, path = _union_volume(_leaves(union))
+        assert path == "sliced, quadrature error"
+        assert abs(volume - exact) <= error + 1e-12 * volume
+        assert 0.0 < error <= 1e-6 * volume
+        # the bound errs low
+        report = compute_bounds(union)
+        assert report.lower <= exact / oracles.two_ball_union_diameter(c1, r1, c2, r2)
+        assert report.method.endswith("lower: volume / diameter (sliced, quadrature error)")
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(ball_unions())
+    def test_sliced_ball_unions_pass_a_monte_carlo_test(self, balls):
+        union = ball_union(*balls)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(projection, "_SLICE_WORK", math.inf)  # slice whatever the work
+            volume, error, _ = _union_volume(_leaves(union))
+            patch.setattr(projection, "_SLICE_ORDERS", (32, 24))
+            reference, _, _ = _union_volume(_leaves(union))
+        estimate, se = mc_volume(union, samples=200_000, seed=1)
+        assert abs(volume - estimate) <= 4.0 * se
+        assert abs(volume - reference) <= error <= 1e-6 * volume
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(planar_unions())
+    def test_planar_unions_pass_a_monte_carlo_test(self, union):
+        area, error, path = _union_volume(_leaves(union))
+        assert (error, path) == (0.0, "exact area")
+        estimate, se = mc_volume(union, samples=200_000, seed=1)
+        assert abs(area - estimate) <= 4.0 * se
+        report = compute_bounds(union, seed=1)
+        assert report.lower_std_error == 0.0 and report.method.endswith("(exact area)")
+
+    def test_one_solid_leaf_is_closed_form(self):
+        cloud = PointCloud(points=np.array([[3.0, 0.0, 0.0], [4.0, 1.0, 0.0]]))
+        for solid in (Ball(center=np.zeros(3), radius=1.0), unit_cube()):
+            assert _union_volume(_leaves(UnionShape((solid, cloud)))) == (solid._volume, 0.0, "exact")
+        assert _union_volume(_leaves(UnionShape((cloud,)))) == (0.0, 0.0, "exact")
+
+    def test_ball_union_ignores_the_seed(self):
+        union = ball_union(((0, 0, 0), 1.0), ((1.5, 0, 0), 0.7))
+        reports = [compute_bounds(union, mc_samples=2000, seed=seed) for seed in (0, 1, 2)]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_other_unions_keep_the_monte_carlo_volume(self):
+        cases = [
+            UnionShape((Ball(center=np.zeros(3), radius=1.0), unit_cube())),
+            UnionShape((Ball(center=np.zeros(4), radius=1.0), Ball(center=np.full(4, 0.5), radius=1.0))),
+            # six crossing balls plan more slice work than _SLICE_WORK allows
+            ball_union(*[((math.cos(k), math.sin(k), 0.3 * k), 1.0) for k in range(6)]),
+        ]
+        for union in cases:
+            assert _union_volume(_leaves(union)) is None
+            report = compute_bounds(union, mc_samples=20_000, seed=3)
+            lower, se = lower_bound_volume_diam(union, samples=20_000, seed=3)
+            assert (report.lower, report.lower_std_error) == (lower, se)
+            assert se > 0.0 and report.method.endswith("lower: volume / diameter (mc)")
+        # 50 disjoint balls: more pairs to compare than _SLICE_WORK
+        assert _union_volume(_leaves(ball_union(*[((3.0 * k, 0, 0), 1.0) for k in range(50)]))) is None
+        assert _union_volume(_leaves(ball_union(*[((3.0 * k, 0, 0), 1.0) for k in range(49)]))) is not None
 
 
 class TestBoundOrdering:

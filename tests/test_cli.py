@@ -538,7 +538,9 @@ class TestConfigEcho:
         path = shape_file(tmp_path, BALL3)
         report = run_json(capsys, ["bounds", "--shape", path, "--samples", "2000"])
         tol = report["config"]["tolerances"]
-        assert tol == {
+        assert tol == {"contains": 1e-9, "frame_orthonormality": 1e-10}
+        report = run_json(capsys, ["proof", "--dim", "2", "--depth", "3"])
+        assert report["config"]["tolerances"] == {
             "contains": 1e-9,
             "frame_orthonormality": 1e-10,
             "algebraic_agreement": 1e-12,
@@ -580,7 +582,10 @@ class TestConfigEcho:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_tolerances_are_the_compared_constants(self, capsys):
-        report = run_json(capsys, ["refine", "--widths", "3/4", "5/6"])
+        # refine and pack compare no tolerance; proof compares all three
+        for argv in (["refine", "--widths", "3/4", "5/6"], ["pack", "--dim", "2", "--depth", "2"]):
+            assert run_json(capsys, argv)["config"]["tolerances"] == {}
+        report = run_json(capsys, ["proof", "--dim", "2", "--depth", "3"])
         assert report["config"]["tolerances"] == {
             "contains": CONTAINS_TOL,
             "frame_orthonormality": FRAME_ORTHO_TOL,
@@ -665,9 +670,6 @@ class TestReportLayout:
         assert out == (
             "key,value\n"
             "command,refine\n"
-            "config.tolerances.contains,1e-09\n"
-            "config.tolerances.frame_orthonormality,1e-10\n"
-            "config.tolerances.algebraic_agreement,1e-12\n"
             "config.output_format,csv\n"
             "result.width_a.num,3\nresult.width_a.den,4\n"
             "result.width_b.num,5\nresult.width_b.den,6\n"

@@ -178,15 +178,11 @@ def wire(doc):
 
 
 def assert_same_document(again, doc):
-    """Equal to the last bit, except round-tube and product axes: their
-    constructors normalize the axis again, which can move its last bits."""
+    """Equal to the last bit, axes included: ``unit_vector`` keeps a unit axis as given."""
     if isinstance(doc, dict):
         assert again.keys() == doc.keys()
         for key in doc:
-            if key == "axis" and doc.get("kind") in ("round", "product"):
-                np.testing.assert_allclose(again[key], doc[key], rtol=0, atol=1e-15)
-            else:
-                assert_same_document(again[key], doc[key])
+            assert_same_document(again[key], doc[key])
     elif isinstance(doc, list):
         assert len(again) == len(doc)
         for x, y in zip(again, doc):

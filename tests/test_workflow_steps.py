@@ -137,6 +137,22 @@ def test_two_ball_union_upper_bound_is_an_exact_shadow_at_the_larger_disk(tmp_pa
         assert "exact" in result["method"] and "floor" in result["method"]
 
 
+def test_a_two_ball_union_gets_its_lower_bound_without_sampling(tmp_path, capsys, monkeypatch):
+    # step "A two-ball union gets its lower bound without sampling"
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    oracles = importlib.import_module("oracles")
+    union = write(tmp_path, "union.json", {"dim": 3, "kind": "union", "members": [
+        {"dim": 3, "kind": "ball", "center": [0, 0, 0], "radius": 1.0},
+        {"dim": 3, "kind": "ball", "center": [1.5, 0, 0], "radius": 0.7}]})
+    r1, r2 = (run_json(capsys, ["bounds", "--shape", union, "--seed", seed])[1]["result"] for seed in ("1", "2"))
+    balls = ((0, 0, 0), 1.0, (1.5, 0, 0), 0.7)
+    expected = oracles.two_ball_union_volume(*balls) / oracles.two_ball_union_diameter(*balls)
+    assert r1 == r2
+    assert "(sliced, quadrature error)" in r1["method"]
+    assert r1["lower_std_error"] > 0
+    assert abs(r1["lower"] - expected) <= 5 * r1["lower_std_error"]
+
+
 def test_cloud_members_of_a_union_are_covered_and_checked(tmp_path, capsys):
     # step "Cloud members of a union are covered and checked"
     cloud = {"dim": 3, "kind": "cloud",
