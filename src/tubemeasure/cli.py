@@ -6,8 +6,8 @@ only the options its computation reads: ``--format`` everywhere,
 cover.  Every report carries a ``config`` echo of the settings in effect
 for that command: its options (as ``seed``, ``mc_samples``,
 ``output_format``) and the tolerances that command compares against,
-read from the constants the code uses: ``algebraic_agreement`` for
-``proof`` alone, and none for ``pack`` and ``refine``.  Identical invocations
+read from the constants the code uses: ``contains`` for ``bounds`` and
+``cover`` alone, and none for ``pack`` and ``refine``.  Identical invocations
 print byte-identical output: ``json.dumps(report, indent=2)`` and a
 newline, with ``pack``'s squares and a built cover's tubes written from
 their ``serialization.Listing``, or with ``--format csv`` its flattening.
@@ -35,12 +35,7 @@ from .errors import ParameterError, SchemaError, StepFailureError
 from .geometry import CONTAINS_TOL, FRAME_ORTHO_TOL, regular_tetrahedron, unit_vector
 from .montecarlo import MIN_SAMPLES, VOLUME_SAMPLES
 from .projection import Shadow
-from .proof import (
-    AGREEMENT_TOL,
-    ball_square_packing,
-    common_refinement,
-    run_proof_walkthrough,
-)
+from .proof import ball_square_packing, common_refinement, run_proof_walkthrough
 from .serialization import (
     Listing,
     bound_report_to_json,
@@ -50,8 +45,9 @@ from .serialization import (
     shape_from_json,
 )
 
-# the tolerances of every command that reads a shape; pack and refine compare none
-_SHAPE_TOLERANCES = {"contains": CONTAINS_TOL, "frame_orthonormality": FRAME_ORTHO_TOL}
+# plank and proof test no membership against a hull; pack and refine compare no tolerance
+_FRAME_TOLERANCES = {"frame_orthonormality": FRAME_ORTHO_TOL}
+_SHAPE_TOLERANCES = {"contains": CONTAINS_TOL, **_FRAME_TOLERANCES}
 
 
 def _config(args) -> dict:
@@ -277,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plank", help="exact minimal width of a planar convex body")
     p.add_argument("--shape", required=True, help="2-D shape JSON file")
     add_common(p)
-    p.set_defaults(handler=_cmd_plank, tolerances=_SHAPE_TOLERANCES)
+    p.set_defaults(handler=_cmd_plank, tolerances=_FRAME_TOLERANCES)
 
     p = sub.add_parser("cover", help="evaluate or construct a tube cover")
     p.add_argument("--shape", required=True, help="shape JSON file or 'tetrahedron'")
@@ -319,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True, help="ambient dimension n (2..8)")
     p.add_argument("--depth", type=int, required=True, help="subdivision depth")
     add_common(p, seed=True)
-    p.set_defaults(handler=_cmd_proof, tolerances={**_SHAPE_TOLERANCES, "algebraic_agreement": AGREEMENT_TOL})
+    p.set_defaults(handler=_cmd_proof, tolerances=_FRAME_TOLERANCES)
 
     return parser
 

@@ -238,13 +238,11 @@ def _lattice_certificate(solids: list, cross: np.ndarray, width: float, anchors:
     y0 = y[0]
     k = np.rint((y - y0) / side)
     # a non-finite coordinate fails every comparison, and refuses; a cell of
-    # side above 4 eta keeps every |k| below 1 / (128 eps), a float's integer
+    # side above 4 eta = 256 eps scale keeps every |k|, and |k_lo| and |k_hi|
+    # below, at most 2 scale / side + 1 <= 2^45 + 1, integers a float holds
     if not (4.0 * eta < side and np.all(np.abs(y - (y0 + side * k)) <= eta)):
         return False
     k_lo, k_hi = np.floor((lo - y0) / side), np.ceil((hi - y0) / side)
-    # cells this far from y0 hold no anchor, and their numbers round
-    if not np.all(np.abs(np.concatenate([k_lo, k_hi])) < 2.0**52):
-        return False
     if math.prod(float(c) for c in k_hi - k_lo + 1) > MAX_GRID_CELLS:
         return False
     shape = (k_hi - k_lo + 1).astype(np.int64)

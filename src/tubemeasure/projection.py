@@ -344,10 +344,9 @@ def _union_volume(leaves) -> tuple[float, float, str] | None:
     error is 0.  In R^2 the union is its own shadow plane, and its area is
     ``_planar_union_area`` under the identity, also with error 0.  In R^3 a
     union whose solid leaves are all balls is sliced (``_sliced_ball_volume``).
-    Anything else, or a slicing above ``_SLICE_WORK``, gives None.
+    Anything else, or a slicing above ``_SLICE_WORK``, gives None.  No leaf
+    is a product: the caller's ``diameter`` refuses one first.
     """
-    if any(isinstance(leaf, ProductSet) for leaf in leaves):
-        return None
     solid = [leaf for leaf in leaves if not isinstance(leaf, PointCloud)]
     if len(solid) <= 1:
         return (volume_exact(solid[0]) if solid else 0.0), 0.0, "exact"

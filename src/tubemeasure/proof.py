@@ -13,12 +13,15 @@ tube decomposition runs through a chain of concrete, checkable builds:
    eccentric cuboid of cross width eta in each, and align the pair
    inside a single enclosing square tube of half-width eta / 2;
 5. compare the cuboid volume against the enclosing tube's cost: with
-   parameters chosen here the comparison lands strictly above 1, the
-   desired contradiction.
+   the rational parameters chosen here, a point (p, q) of the ellipse
+   (n-1) p^2 + q^2 = 1, the comparison lands at q + 1/2 > 1, the desired
+   contradiction.
 
 ``run_proof_walkthrough`` executes the chain end to end with synthetic
 mass data standing in for the unknowable intersection measures, and
 reports every step.  Each numbered piece is also exposed on its own.
+Each check is a comparison of Fractions, every float being a rational, or
+the closed membership test of the float cuboid vertices actually built.
 
 Packing cells live on an integer lattice: a cell of depth d has
 half-width r / 2^d and center k times that half-width, every component
@@ -73,7 +76,6 @@ _SHARE_CHUNK = 1 << 20  # shares per subseed of the pigeonhole stream; it fixes 
 _MAX_STORED_CELLS = 8_000_000
 _MAX_SUBDIVISION_TUBES = 1_000_000
 _MAX_LISTED_SQUARES = 100_000  # a packing report lists its squares up to this many
-AGREEMENT_TOL = 1e-12  # the two forms of the final inequality must agree within this
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +477,12 @@ def cuboid_in_ball(ball: Ball, axis, eta: float, frame: Frame | None = None) -> 
     return Cuboid(center=ball.center, frame=frame, half_lengths=half)
 
 
+def _apart(b1: Ball, b2: Ball) -> bool:
+    """Whether two balls are disjoint, decided in the rationals of their floats."""
+    gap = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(b1.center.tolist(), b2.center.tolist()))
+    return gap > (Fraction(b1.radius) + Fraction(b2.radius)) ** 2
+
+
 @dataclass(frozen=True)
 class AlignedCuboidPair:
     """Two congruent inscribed cuboids sharing one enclosing square tube.
@@ -504,10 +512,10 @@ def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
         raise DimensionError("balls must share one ambient dimension")
     if abs(b1.radius - b2.radius) > 1e-12 * max(b1.radius, b2.radius):
         raise ParameterError("balls must have equal radii")
+    if not _apart(b1, b2):
+        raise ParameterError("balls overlap or coincide; alignment needs disjoint balls")
     dvec = b2.center - b1.center
     dist = float(np.linalg.norm(dvec))
-    if dist <= b1.radius + b2.radius:
-        raise ParameterError("balls overlap or coincide; alignment needs disjoint balls")
     n = b1.dim
     eta = float(eta)
     axis = dvec / dist
@@ -541,11 +549,12 @@ def align_cuboids(b1: Ball, b2: Ball, eta: float) -> AlignedCuboidPair:
 class ProofParameters:
     """Parameter pack (n, p, eps, delta, eta) for the final comparison.
 
-    Constructed values keep sqrt(1 - (n-1) p^2) > 1/2 via the upper
-    bound on p, keep eta = 2 delta p, and keep the cross width feasible
-    for the inscribed cuboid.  Whether eps is small enough for the
-    contradiction is exactly what ``contradiction_check`` evaluates, so
-    that inequality is deliberately not a construction invariant.
+    Constructed values keep 4 (n-1) p^2 < 3 in Fractions, so that
+    sqrt(1 - (n-1) p^2) > 1/2, and eta = 2 delta p, which keeps the cross
+    width feasible for the inscribed cuboid.  Whether eps is small enough
+    for the contradiction is exactly what ``contradiction_check``
+    evaluates, so that inequality is deliberately not a construction
+    invariant.
     """
 
     n: int
@@ -563,67 +572,62 @@ class ProofParameters:
             object.__setattr__(self, "delta", delta)
         if delta <= 0:
             raise ParameterError("delta must be a positive rational")
-        p_max = math.sqrt(3.0 / (4.0 * (self.n - 1)))
-        if not (0.0 < self.p < p_max):
-            raise ParameterError(f"p must lie in (0, {p_max:.7f}), got {self.p}")
+        # p < 1 first, which 4 (n-1) p^2 < 3 implies: Fraction takes no nan or infinity
+        if not (0.0 < self.p < 1.0 and 4 * (self.n - 1) * Fraction(self.p) ** 2 < 3):
+            raise ParameterError(f"p must lie in (0, sqrt(3 / (4 (n-1)))), got {self.p}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise ParameterError(f"eps must be positive, got {self.eps}")
         expected_eta = 2.0 * float(delta) * self.p
         if abs(self.eta - expected_eta) > 1e-12 * max(1.0, expected_eta):
             raise ParameterError("eta must equal 2 * delta * p")
-        if (self.n - 1) * self.eta ** 2 >= 4.0 * float(delta) ** 2:
-            raise ParameterError("cross width infeasible: (n-1) eta^2 >= (2 delta)^2")
 
 
-def _p_eps(n: int) -> tuple[float, float]:
-    """(p, eps) of ``choose_parameters``; they depend on n alone."""
-    p = 0.5 * math.sqrt(3.0 / (4.0 * (n - 1)))
-    root = math.sqrt(1.0 - (n - 1) * p * p)
-    return p, 0.5 * p ** (n - 1) * (root - 0.5)
+def _p_q_eps(n: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The exact (p, q, eps) of ``choose_parameters``; they depend on n alone.
+
+    With k = n - 1, p = 2s / (k + s^2) and q = (k - s^2) / (k + s^2) lie on
+    the ellipse k p^2 + q^2 = 1 for any rational s, the half-angle tangent
+    of (p sqrt(k), q) times sqrt(k).  s is the rational of denominator at
+    most 16 nearest that of p0 = sqrt(3 / (16 k)), half of p's allowed
+    range; eps = p^k (q - 1/2) / 2 leaves half the gap.
+    """
+    k = n - 1
+    p0 = math.sqrt(3.0 / (16 * k))
+    s = Fraction(k * p0 / (1.0 + math.sqrt(13.0) / 4.0)).limit_denominator(16)
+    p, q = 2 * s / (k + s * s), (k - s * s) / (k + s * s)
+    return p, q, p**k * (q - Fraction(1, 2)) / 2
 
 
 def choose_parameters(n: int, delta) -> ProofParameters:
-    """Midpoint defaults: p at half its allowed range, eps at half the slack.
+    """Rational defaults from ``_p_q_eps``, as floats.
 
-    With p^2 = 3 / (16 (n-1)) the root sqrt(1 - (n-1) p^2) is sqrt(13)/4
-    for every n, and eps = p^{n-1} (root - 1/2) / 2 leaves half the gap,
-    so the final comparison lands at 1.4013876 regardless of n.
+    eta = 2 delta p, the root sqrt(1 - (n-1) p^2) = q and the final value
+    q + 1/2, 1.3987 to 1.4069 for n = 2..8, are exact rationals, and
+    (n-1) eta^2 + (2 delta q)^2 = (2 delta)^2 holds exactly.  n = 6, for
+    example, takes p = 4/21 and q = 19/21, and lands at 59/42.
     """
     delta = Fraction(delta)
     if delta <= 0:
         raise ParameterError("delta must be a positive rational")
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
-    p, eps = _p_eps(n)
-    eta = 2.0 * float(delta) * p
-    return ProofParameters(n=n, p=p, eps=eps, delta=delta, eta=eta)
+    p, _, eps = _p_q_eps(n)
+    return ProofParameters(n=n, p=float(p), eps=float(eps), delta=delta, eta=float(2 * delta * p))
 
 
 def contradiction_check(params: ProofParameters) -> tuple[float, bool]:
-    """Evaluate 2 (sqrt(1 - (n-1)(eta / 2 delta)^2) - eps (2 delta / eta)^{n-1}).
+    """Evaluate 2 (sqrt(1 - (n-1) x^2) - t), x = eta / (2 delta) and t = eps / x^(n-1).
 
-    Computed twice: from the closed form above and from the volume of an
-    actual inscribed cuboid via |C| / (2 delta eta^{n-1}); the two must
-    agree to ``AGREEMENT_TOL``.  A return above 1 is the contradiction:
-    two disjoint cuboids would each carry more than half the enclosing
-    tube's cost.
+    A value above 1 is the contradiction: two disjoint cuboids would each
+    carry more than half the enclosing tube's cost.  x and t are the
+    Fractions of the pack's floats.  The value is their float evaluation;
+    whether it exceeds 1 is decided exactly: as t > 0, it does iff
+    1 - (n-1) x^2 > (1/2 + t)^2.
     """
-    n = params.n
-    m = n - 1
-    delta = float(params.delta)
-    x = params.eta / (2.0 * delta)
-    tail = params.eps * (1.0 / x) ** m
-    simplified = 2.0 * (math.sqrt(1.0 - m * x * x) - tail)
-
-    ball = Ball(center=np.zeros(n), radius=delta)
-    cuboid = cuboid_in_ball(ball, np.eye(n)[-1], params.eta)
-    volume = volume_exact(cuboid)
-    raw = 2.0 * (volume / (2.0 * delta * params.eta ** m) - tail)
-    if abs(raw - simplified) > AGREEMENT_TOL:
-        raise InvariantError(
-            f"final inequality forms disagree: {raw!r} vs {simplified!r}"
-        )
-    return simplified, simplified > 1.0
+    m = params.n - 1
+    x = Fraction(params.eta) / (2 * params.delta)
+    t = Fraction(params.eps) / x**m
+    return 2.0 * (math.sqrt(1 - m * x * x) - t), 1 - m * x * x > (Fraction(1, 2) + t) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +790,7 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
         if not passed:
             raise StepFailureError(name, message or "check failed", report=report) from cause
 
-    _, eps = _p_eps(n)
+    p, q, eps = _p_q_eps(n)
 
     rng = batch_rng(seed, TAG_PROOF, 0)
     r1 = _RADII_FIRST[int(rng.integers(len(_RADII_FIRST)))]
@@ -821,10 +825,10 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     mu2 = tube_exact_measure(tube2)
     sum1 = frac * mu1
     sum2 = frac * mu2
-    ok = 0.0 < sum1 <= mu1 * (1 + 1e-12) and 0.0 < sum2 <= mu2 * (1 + 1e-12)
+    # rounding is monotone, so a share of at most 1 keeps each sum at most its measure
     step(
         "partial_sums",
-        ok,
+        0.0 < frac <= 1.0,
         {"squares_first": squares, "squares_second": squares},
         {
             "tube_measure_first": mu1,
@@ -834,18 +838,18 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
             "packed_sum_second": sum2,
             "deficit_second": 1.0 - frac,
         },
-        "packed square-tube measures must stay within the tube measure",
+        "the packed share of the ball volume must lie in (0, 1]",
     )
 
     # 3, 4: pigeonhole selection on synthetic mass shares
-    select_inputs = {"eps": eps, "synthetic": True}
+    select_inputs = {"eps": float(eps), "synthetic": True}
     selected = []
     for name, tube, key in (
         ("select_square_tube", tube1, 1),
         ("select_square_tube_complement", tube2, 2),
     ):
         try:
-            square, outputs = _select_square_tube(tube, packing, eps, seed, key)
+            square, outputs = _select_square_tube(tube, packing, select_inputs["eps"], seed, key)
         except NoWitnessError as exc:
             step(name, False, select_inputs, {"error": str(exc)}, str(exc), cause=exc)
         step(name, True, select_inputs, outputs)
@@ -879,7 +883,7 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     for k in (0, 1, -1):
         cand = Ball(center=square2.anchors[0] + k * 4.0 * delta_f * tube2.axis, radius=delta_f)
         separation = float(np.linalg.norm(cand.center - ball1.center))
-        if separation > 2.0 * delta_f * (1.0 + 1e-9):
+        if _apart(ball1, cand):
             ball2 = cand
             break
     step(
@@ -889,20 +893,19 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
         {
             "center_first": ball1.center,
             "center_second": None if ball2 is None else ball2.center,
-            "separation_over_diameter": separation / (2.0 * delta_f) if delta_f else 0.0,
+            "separation_over_diameter": separation / (2.0 * delta_f),
         },
         "tubes too entangled to separate the balls at the default spacing",
     )
 
     # 7: parameters for the chosen delta (cuboids below need eta = 2 delta p)
     params = choose_parameters(n, delta)
-    root = math.sqrt(1.0 - m * params.p ** 2)
     step(
         "choose_parameters",
-        root > 0.5,
+        q > Fraction(1, 2),
         {"n": n, "delta": delta},
-        {"p": params.p, "eps": params.eps, "eta": params.eta, "root": root},
-        "sqrt(1 - (n-1) p^2) must exceed 1/2",
+        {"p": params.p, "eps": params.eps, "eta": params.eta, "root": float(q)},
+        "the root q = sqrt(1 - (n-1) p^2) must exceed 1/2",
     )
 
     # 8: aligned inscribed cuboids inside one enclosing square tube
@@ -910,9 +913,11 @@ def run_proof_walkthrough(n: int, depth: int, seed: int = 0) -> WalkthroughRepor
     verts = np.vstack([pair.first.vertices, pair.second.vertices])
     contained = bool(np.all(pair.enclosing.contains(verts)))
     diam = float(np.linalg.norm(2.0 * pair.first.half_lengths))
+    # the cross width eta = 2 delta p and the long edge 2 delta q span the ball's diameter
+    spans = m * (2 * delta * p) ** 2 + (2 * delta * q) ** 2 == (2 * delta) ** 2
     step(
         "build_cuboids",
-        contained and abs(diam - 2.0 * delta_f) <= 1e-9 * max(1.0, delta_f),
+        contained and spans,
         {"eta": params.eta, "ball_radius": delta},
         {
             "cuboid_volume": volume_exact(pair.first),

@@ -28,8 +28,10 @@ from tubemeasure import (
     InvariantError,
     ParameterError,
     PointCloud,
+    ProductSet,
     SquareTubes,
     Tube,
+    UnboundedShapeError,
     UnionShape,
     axis_aligned_cuboid,
     compute_bounds,
@@ -579,6 +581,25 @@ class TestUnionVolume:
         # 50 disjoint balls: more pairs to compare than _SLICE_WORK
         assert _union_volume(_leaves(ball_union(*[((3.0 * k, 0, 0), 1.0) for k in range(50)]))) is None
         assert _union_volume(_leaves(ball_union(*[((3.0 * k, 0, 0), 1.0) for k in range(49)]))) is not None
+
+    def test_crossing_pairs_past_the_slice_work_keep_the_monte_carlo_volume(self, monkeypatch):
+        # nine unit balls on a helix cross in 36 pairs, and 2 (12 + 8) 36 =
+        # 1,440 planned units pass _SLICE_WORK before any triple is sought
+        turn = 2 * math.pi / 9
+        union = ball_union(*[((0.5 * math.cos(turn * i), 0.5 * math.sin(turn * i), 0.05 * i), 1.0) for i in range(9)])
+
+        def no_triples(*args):
+            raise AssertionError("the triples were sought")
+
+        monkeypatch.setattr(projection, "_triple_heights", no_triples)
+        assert _union_volume(_leaves(union)) is None
+        assert compute_bounds(union, mc_samples=20_000, seed=3).method.endswith("lower: volume / diameter (mc)")
+
+    def test_a_product_member_is_refused_before_the_volume(self):
+        # the diameter refuses the unbounded product, so _union_volume never sees one
+        product = ProductSet(base=Ball(center=np.zeros(2), radius=0.5), axis=np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(UnboundedShapeError):
+            lower_bound_volume_diam(UnionShape((Ball(center=np.zeros(3), radius=1.0), product)))
 
 
 class TestBoundOrdering:

@@ -17,7 +17,7 @@ from tubemeasure.cli import main
 from tubemeasure.covers import parallel_cover_from_projection
 from tubemeasure.errors import InvariantError, NoWitnessError
 from tubemeasure.geometry import CONTAINS_TOL, FRAME_ORTHO_TOL, regular_tetrahedron
-from tubemeasure.proof import AGREEMENT_TOL, ball_square_packing
+from tubemeasure.proof import ball_square_packing
 from tubemeasure.serialization import Listing, cover_to_json
 
 BALL3 = {"dim": 3, "kind": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
@@ -540,11 +540,7 @@ class TestConfigEcho:
         tol = report["config"]["tolerances"]
         assert tol == {"contains": 1e-9, "frame_orthonormality": 1e-10}
         report = run_json(capsys, ["proof", "--dim", "2", "--depth", "3"])
-        assert report["config"]["tolerances"] == {
-            "contains": 1e-9,
-            "frame_orthonormality": 1e-10,
-            "algebraic_agreement": 1e-12,
-        }
+        assert report["config"]["tolerances"] == {"frame_orthonormality": 1e-10}
 
     @pytest.mark.parametrize(
         "argv, options",
@@ -581,16 +577,19 @@ class TestConfigEcho:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_tolerances_are_the_compared_constants(self, capsys):
-        # refine and pack compare no tolerance; proof compares all three
+    def test_tolerances_are_the_compared_constants(self, tmp_path, capsys):
+        # refine and pack compare no tolerance; plank and proof test no
+        # membership against a hull; bounds and cover compare both
         for argv in (["refine", "--widths", "3/4", "5/6"], ["pack", "--dim", "2", "--depth", "2"]):
             assert run_json(capsys, argv)["config"]["tolerances"] == {}
-        report = run_json(capsys, ["proof", "--dim", "2", "--depth", "3"])
-        assert report["config"]["tolerances"] == {
-            "contains": CONTAINS_TOL,
-            "frame_orthonormality": FRAME_ORTHO_TOL,
-            "algebraic_agreement": AGREEMENT_TOL,
-        }
+        for argv in (["plank", "--shape", shape_file(tmp_path, SQUARE2)], ["proof", "--dim", "2", "--depth", "3"]):
+            assert run_json(capsys, argv)["config"]["tolerances"] == {"frame_orthonormality": FRAME_ORTHO_TOL}
+        for argv in (["bounds", "--shape", "tetrahedron", "--samples", "2000"],
+                     ["cover", "--shape", "tetrahedron", "--parallel", "0,0,1", "1/4"]):
+            assert run_json(capsys, argv)["config"]["tolerances"] == {
+                "contains": CONTAINS_TOL,
+                "frame_orthonormality": FRAME_ORTHO_TOL,
+            }
 
 
 class TestReportLayout:

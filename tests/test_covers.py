@@ -480,6 +480,14 @@ class TestLatticeCertificate:
         found = cover_check(tet, cover, samples=20_000)
         assert found == (True, None) and found.check == "sampled 20000 points"
 
+    def test_more_cells_than_max_grid_cells_refuses(self, monkeypatch):
+        # the 1/32 cover lists hundreds of cells over the shadow's box
+        tet = regular_tetrahedron()
+        cover = parallel_cover_from_projection(tet, np.array([0.0, 0.0, 1.0]), 1 / 32)
+        monkeypatch.setattr(covers_module, "MAX_GRID_CELLS", 100)
+        found = cover_check(tet, cover, samples=2_000)
+        assert found == (True, None) and found.check == "sampled 2000 points"
+
     def test_half_width_near_the_rounding_refuses(self):
         # delta = 1e-7 at coordinates near 1e9, below eta: cells shrunk by
         # eta would turn inside out and flag nothing

@@ -527,7 +527,7 @@ class TestShareStreamStop:
          (6, (3, 4, 5)), (7, (3, 4)), (8, (3, 4))],
     )
     def test_matches_full_stream(self, n, depths):
-        _, eps = proof_module._p_eps(n)
+        eps = float(proof_module._p_q_eps(n)[2])
         for depth in depths:
             for radius in (Fraction(1), Fraction(3, 2), Fraction(1, 2)):
                 groups = _stream_groups(n, depth, radius)
@@ -569,7 +569,7 @@ class TestShareStreamStop:
             return batch_rng(*key)
 
         monkeypatch.setattr(proof_module, "batch_rng", counting_rng)
-        _, eps = proof_module._p_eps(5)
+        eps = float(proof_module._p_q_eps(5)[2])
         groups = _stream_groups(5, 7, Fraction(1))
         assert sum(count for count, _ in groups) > 4 * proof_module._SHARE_CHUNK
         proof_module._stream_pigeonhole(groups, eps, 7, 1)
@@ -712,21 +712,26 @@ class TestAlignCuboids:
 
 class TestParameters:
     def test_choose_parameters_planar(self):
-        params = choose_parameters(2, Fraction(1, 2))
-        assert params.p == pytest.approx(0.4330127018922193, abs=1e-15)
-        assert params.eps == pytest.approx(0.0869030119768951, abs=1e-12)
-        assert params.eta == pytest.approx(0.4330127018922193, abs=1e-15)
+        params = choose_parameters(2, Fraction(1, 2))  # p = 39/89
+        assert params.p == pytest.approx(0.43820224719101125, abs=1e-15)
+        assert params.eps == pytest.approx(0.08739426840045449, abs=1e-12)
+        assert params.eta == pytest.approx(0.43820224719101125, abs=1e-15)
 
     def test_choose_parameters_three_dims(self):
-        params = choose_parameters(3, Fraction(1))
-        assert params.p == pytest.approx(0.3061862, abs=1e-7)
-        assert params.eta == pytest.approx(0.6123724, abs=1e-7)
+        params = choose_parameters(3, Fraction(1))  # p = 160/537
+        assert params.p == pytest.approx(0.2979516, abs=1e-7)
+        assert params.eta == pytest.approx(0.5959032, abs=1e-7)
 
     def test_root_above_half_for_all_dims(self):
-        for n in range(2, 9):
+        # p = 2 s / (k + s^2) and the root q = (k - s^2) / (k + s^2), k = n - 1
+        table = (Fraction(3, 13), Fraction(5, 16), Fraction(2, 5), Fraction(5, 11),
+                 Fraction(1, 2), Fraction(5, 9), Fraction(3, 5))
+        for n, s in zip(range(2, 9), table):
+            k = n - 1
             params = choose_parameters(n, Fraction(1, 4))
+            assert params.p == float(2 * s / (k + s * s))
             root = math.sqrt(1.0 - (n - 1) * params.p ** 2)
-            assert root == pytest.approx(math.sqrt(13.0) / 4.0, abs=1e-12)
+            assert root == pytest.approx(float((k - s * s) / (k + s * s)), abs=1e-12)
             assert root > 0.5
 
     def test_structural_validation(self):
@@ -752,11 +757,14 @@ class TestParameters:
 
 
 class TestContradiction:
-    def test_value_independent_of_dimension(self):
-        for n in range(2, 9):
+    def test_value_is_q_plus_half(self):
+        # q + 1/2 for q = 80/89, 487/537, 71/79, 459/509, 19/21, 461/511 and 83/92
+        values = (Fraction(249, 178), Fraction(1511, 1074), Fraction(221, 158), Fraction(1427, 1018),
+                  Fraction(59, 42), Fraction(1433, 1022), Fraction(129, 92))
+        for n, value in zip(range(2, 9), values):
             rhs, ok = contradiction_check(choose_parameters(n, Fraction(1, 2)))
             assert ok
-            assert rhs == pytest.approx(1.4013878188659974, abs=1e-9)
+            assert rhs == pytest.approx(float(value), abs=1e-15)
             assert rhs > 1.0 + 1e-6
 
     def test_stated_failure_example(self):
@@ -863,12 +871,12 @@ class TestWalkthrough:
     @pytest.mark.parametrize(
         "n, depth, first, second",
         [
-            (2, 6, (1, 1, Fraction(1), 0.9433475319180745, 0),
-             (0, 1, Fraction(5, 8), 0.916063556053704, 0)),
-            (3, 5, (1, 2, Fraction(1, 2), 0.9877343808634914, 0),
-             (0, 2, Fraction(5, 16), 0.9818272268097948, 0)),
-            (8, 3, (1, 3, Fraction(1, 4), 0.9999995884908361, 0),
-             (0, 3, Fraction(5, 32), 0.9999993903069533, 0)),
+            (2, 6, (1, 1, Fraction(1), 0.9430272796250568, 0),
+             (0, 1, Fraction(5, 8), 0.915589069424054, 0)),
+            (3, 5, (1, 2, Fraction(1, 2), 0.9882260399010239, 0),
+             (0, 2, Fraction(5, 16), 0.9825556701175931, 0)),
+            (8, 3, (1, 3, Fraction(1, 4), 0.9999995984941025, 0),
+             (0, 3, Fraction(5, 32), 0.9999994051278187, 0)),
         ],
     )
     def test_streamed_selections_are_pinned(self, n, depth, first, second):
@@ -882,14 +890,14 @@ class TestWalkthrough:
     @pytest.mark.parametrize(
         "n, depth, first, second",
         [
-            (4, 10, (1, 2, Fraction(1, 2), 0.9979557301439153, 0),
-             (0, 2, Fraction(5, 16), 0.9969712044682991, 0)),
-            (5, 7, (1, 2, Fraction(1, 2), 0.9997125245514881, 0),
-             (0, 2, Fraction(5, 16), 0.9995740756283545, 0)),
-            (6, 5, (1, 3, Fraction(1, 4), 0.999964371596015, 0),
-             (0, 3, Fraction(5, 32), 0.99994721286406, 0)),
-            (7, 4, (1, 3, Fraction(1, 4), 0.9999960072854374, 0),
-             (0, 3, Fraction(5, 32), 0.9999940843837272, 0)),
+            (4, 10, (1, 2, Fraction(1, 2), 0.9978911475924777, 0),
+             (0, 2, Fraction(5, 16), 0.9968755187922433, 0)),
+            (5, 7, (1, 2, Fraction(1, 2), 0.9997143533392503, 0),
+             (0, 2, Fraction(5, 16), 0.999576785165056, 0)),
+            (6, 5, (1, 3, Fraction(1, 4), 0.9999669206380476, 0),
+             (0, 3, Fraction(5, 32), 0.9999509895313603, 0)),
+            (7, 4, (1, 3, Fraction(1, 4), 0.9999960873176427, 0),
+             (0, 3, Fraction(5, 32), 0.9999942029596506, 0)),
         ],
     )
     def test_stopped_selections_are_pinned(self, n, depth, first, second):

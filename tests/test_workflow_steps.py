@@ -11,6 +11,7 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,25 @@ def test_a_two_ball_union_gets_its_lower_bound_without_sampling(tmp_path, capsys
     assert "(sliced, quadrature error)" in r1["method"]
     assert r1["lower_std_error"] > 0
     assert abs(r1["lower"] - expected) <= 5 * r1["lower_std_error"]
+
+
+# s of p = 2 s / (k + s^2) and q = (k - s^2) / (k + s^2), k = n - 1
+ELLIPSE_S = {2: Fraction(3, 13), 3: Fraction(5, 16), 4: Fraction(2, 5), 5: Fraction(5, 11),
+             6: Fraction(1, 2), 7: Fraction(5, 9), 8: Fraction(3, 5)}
+
+
+@pytest.mark.parametrize("n", sorted(ELLIPSE_S))
+def test_the_walkthrough_s_parameters_are_rational_points_of_the_ellipse(capsys, n):
+    # step "The walkthrough's parameters are rational points of the ellipse"
+    s, k = ELLIPSE_S[n], n - 1
+    p, q = 2 * s / (k + s * s), (k - s * s) / (k + s * s)
+    assert k * p * p + q * q == 1
+    result = run_json(capsys, ["proof", "--dim", str(n), "--depth", "3", "--seed", "0"])[1]["result"]
+    steps = {step["name"]: step for step in result["steps"]}
+    target = float(q + Fraction(1, 2))
+    assert result["all_passed"] is True
+    assert steps["choose_parameters"]["outputs"]["p"] == float(p)
+    assert abs(steps["final_inequality"]["outputs"]["rhs"] - target) <= 4 * math.ulp(target)
 
 
 def test_cloud_members_of_a_union_are_covered_and_checked(tmp_path, capsys):
