@@ -351,19 +351,22 @@ def truncated_product_lower(
 def _plank_2d(s: Shape) -> tuple:
     """(width, direction, method) behind ``plank_value_2d``.
 
-    The width is the least shadow in the plane: a disk's in closed form,
-    and a polygon's at the arrangement vertices of the minimum-shadow
-    search, which are the hull-edge directions rotating calipers visit;
-    the witness points along the minimizing edge.
+    The shape is one disk, rectangle or convex polygon, alone or as the one
+    leaf of a union.  The width is its least shadow in the plane: a disk's
+    and a rectangle's in closed form, and a polygon's at the arrangement
+    vertices of the minimum-shadow search, which are the hull-edge
+    directions rotating calipers visit; the witness points along the
+    minimizing edge.
     """
     if s.dim != 2:
         raise DimensionError("plank width is a planar computation")
-    if not isinstance(s, (Ball, ConvexPolytope)):
-        raise ParameterError("plank width needs a convex polygon or a disk")
-    width, direction, method = _min_shadow(s)
+    leaves = _leaves(s)
+    if len(leaves) != 1 or not isinstance(leaves[0], (Ball, Cuboid, ConvexPolytope)):
+        raise ParameterError("plank width needs one disk, rectangle or convex polygon")
+    width, direction, method = _min_shadow(leaves[0])
     if width <= 0.0:
         raise DegenerateShapeError("degenerate polygon: zero width")
-    if isinstance(s, ConvexPolytope):  # its arrangement vertices are the calipers' edges
+    if isinstance(leaves[0], ConvexPolytope):  # its arrangement vertices are the calipers' edges
         method = "exact arrangement vertices: the hull-edge directions of rotating calipers"
     return width, direction, method
 

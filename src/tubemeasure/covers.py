@@ -45,9 +45,6 @@ import numpy as np
 from .errors import DegenerateShapeError, DimensionError, ParameterError
 from .bounds import upper_bound_min_projection
 from .geometry import (
-    Ball,
-    ConvexPolytope,
-    Cuboid,
     PointCloud,
     Shape,
     SquareTubes,
@@ -308,7 +305,7 @@ def cover_check(
 
     When the cover is one group of square tubes (equal frame bytes and
     half-width, over any number of parts) whose anchors lie on their own
-    lattice, and the shape's solid leaves are balls, cuboids and polytopes,
+    lattice, and the shape has solid leaves (``_leaves`` refuses products),
     ``_lattice_certificate`` tries to prove that the tubes' squares cover
     the solids' shadow, drawing no sample; on a cover just built from the
     same shape it reuses the hulls that the build projected, which each
@@ -340,8 +337,7 @@ def cover_check(
     solids = [leaf for leaf in leaves if not isinstance(leaf, PointCloud)]
     groups = _square_groups(cover)
     looped = [t for t in cover.tubes if isinstance(t, Tube)]
-    readable = all(isinstance(leaf, (Ball, Cuboid, ConvexPolytope)) for leaf in solids)
-    if solids and readable and len(groups) == 1 and not looped and _lattice_certificate(solids, *groups[0]):
+    if solids and len(groups) == 1 and not looped and _lattice_certificate(solids, *groups[0]):
         pts, check = clouds, "lattice certificate"
     elif clouds and not solids:
         pts, check = clouds, "cloud points"

@@ -454,7 +454,8 @@ class ProductSet:
     The embedding identifies base coordinates with the cross rows of
     ``orthonormal_frame(axis)``, so membership of p tests the cross-frame
     coordinates of p against the base.  Unbounded along the axis, hence
-    rejected by every operation that needs a bounded shape.
+    refused, alone or in a union, by ``_leaves``, which every operation
+    that needs a bounded shape reads first.
     """
 
     base: object
@@ -548,20 +549,21 @@ def volume_exact(s: Shape) -> float | None:
         return s._volume
     if isinstance(s, ConvexPolytope):
         return s.volume
-    leaves = _leaves(s)
-    if any(isinstance(leaf, ProductSet) for leaf in leaves):
-        raise UnboundedShapeError("product set has no finite volume")
-    if isinstance(s, PointCloud) or not leaves:
+    if isinstance(s, PointCloud) or not _leaves(s):
         return 0.0
     return None
 
 
 def _leaves(s: Shape) -> list[Shape]:
+    """The shape's leaves, unions flattened in member order.  A product set
+    anywhere in the shape is refused: it is unbounded."""
     if isinstance(s, UnionShape):
         out = []
         for m in s.members:
             out.extend(_leaves(m))
         return out
+    if isinstance(s, ProductSet):
+        raise UnboundedShapeError("product set is unbounded along its axis")
     return [s]
 
 
@@ -578,11 +580,8 @@ def diameter(s: Shape) -> float:
     """Exact diameter of a bounded shape: the largest |p_i - p_j| + r_i + r_j
     over all pairs, a point with itself included, of the witnesses that
     all leaves pool (see ``_witnesses``), taken a block of rows at a time.
-    A product anywhere in the shape makes it unbounded.
     """
     leaves = _leaves(s)
-    if any(isinstance(leaf, ProductSet) for leaf in leaves):
-        raise UnboundedShapeError("product set has infinite diameter")
     if not leaves:
         return 0.0
     pts, radii = (np.concatenate(parts) for parts in zip(*map(_witnesses, leaves)))

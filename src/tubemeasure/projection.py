@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, UnboundedShapeError
+from .errors import DimensionError, ParameterError
 from .geometry import (
     CONTAINS_TOL,
     Ball,
@@ -35,9 +35,7 @@ from .geometry import (
     ConvexPolytope,
     Cuboid,
     PointCloud,
-    ProductSet,
     Shape,
-    UnionShape,
     _below_facets,
     _distance,
     _leaves,
@@ -211,7 +209,7 @@ def _leaf_oracle(leaf: Shape, cross: np.ndarray, stretch: float = 1.0):
         return oracle
     if isinstance(leaf, PointCloud):
         return _PointsOracle(leaf.points @ cross.T)
-    raise UnboundedShapeError(f"no bounded shadow for {type(leaf).__name__}")
+    raise ParameterError(f"not a shape: {type(leaf).__name__}")
 
 
 def _cross2(u, v):
@@ -300,8 +298,6 @@ def _cross_view(shape: Shape, direction):
     d = unit_vector(direction)
     if shape.dim != d.size:
         raise DimensionError("shape and direction dimensions differ")
-    if isinstance(shape, ProductSet):
-        raise UnboundedShapeError("product set has no bounded shadow")
     frame = orthonormal_frame(d)
     return frame, [_leaf_oracle(leaf, frame.cross) for leaf in _leaves(shape)]
 
@@ -345,7 +341,7 @@ def _union_volume(leaves) -> tuple[float, float, str] | None:
     ``_planar_union_area`` under the identity, also with error 0.  In R^3 a
     union whose solid leaves are all balls is sliced (``_sliced_ball_volume``).
     Anything else, or a slicing above ``_SLICE_WORK``, gives None.  No leaf
-    is a product: the caller's ``diameter`` refuses one first.
+    is a product: ``_leaves`` refuses one.
     """
     solid = [leaf for leaf in leaves if not isinstance(leaf, PointCloud)]
     if len(solid) <= 1:
@@ -564,8 +560,6 @@ def _cauchy_terms(leaf: Shape) -> tuple[np.ndarray, np.ndarray, float]:
         return *leaf.facet_arrays, 0.0
     if isinstance(leaf, PointCloud):
         return np.zeros((0, leaf.dim)), np.zeros(0), 0.0
-    if isinstance(leaf, ProductSet):
-        raise UnboundedShapeError("product set has no bounded shadow")
     raise ParameterError(f"not a shape: {type(leaf).__name__}")
 
 
@@ -576,12 +570,10 @@ def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:
     None for a union of more leaves.  ``directions`` has unit rows.
     """
     D = np.atleast_2d(directions)
-    if isinstance(s, UnionShape):
-        leaves = _leaves(s)
-        if len(leaves) > 1:
-            return None
-        if not leaves:
-            return np.zeros(len(D))
-        s = leaves[0]
-    normals, weights, constant = _cauchy_terms(s)
+    leaves = _leaves(s)
+    if len(leaves) > 1:
+        return None
+    if not leaves:
+        return np.zeros(len(D))
+    normals, weights, constant = _cauchy_terms(leaves[0])
     return constant + 0.5 * np.abs(D @ normals.T) @ weights

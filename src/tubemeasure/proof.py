@@ -607,9 +607,7 @@ def choose_parameters(n: int, delta) -> ProofParameters:
     example, takes p = 4/21 and q = 19/21, and lands at 59/42.
     """
     delta = Fraction(delta)
-    if delta <= 0:
-        raise ParameterError("delta must be a positive rational")
-    if not 2 <= n <= MAX_DIM:
+    if not 2 <= n <= MAX_DIM:  # guards _p_q_eps; ProofParameters checks delta
         raise DimensionError(f"n must be 2..{MAX_DIM}, got {n}")
     p, _, eps = _p_q_eps(n)
     return ProofParameters(n=n, p=float(p), eps=float(eps), delta=delta, eta=float(2 * delta * p))

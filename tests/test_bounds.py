@@ -39,6 +39,7 @@ from tubemeasure import (
     identity_frame,
     lower_bound_volume_diam,
     mc_intersection_volume,
+    orthonormal_frame,
     plank_value_2d,
     product_measure,
     regular_tetrahedron,
@@ -595,8 +596,34 @@ class TestUnionVolume:
         assert _union_volume(_leaves(union)) is None
         assert compute_bounds(union, mc_samples=20_000, seed=3).method.endswith("lower: volume / diameter (mc)")
 
+    def test_collinear_centres_have_no_triple_points(self, monkeypatch):
+        # three balls of radius 0.6 on the x axis: every pair crosses, and the
+        # triple's circles share that axis, so no point lies on all three spheres
+        centres, r = (0.0, 0.5, 1.0), 0.6
+        heights = []
+        triple = projection._triple_heights
+
+        def record(c, radii):
+            heights.append(triple(c, radii))
+            return heights[-1]
+
+        monkeypatch.setattr(projection, "_triple_heights", record)
+        volume, error, path = _union_volume(_leaves(ball_union(*[((x, 0, 0), r) for x in centres])))
+        assert heights == [[]] and path == "sliced, quadrature error"
+
+        # a solid of revolution about the x axis: the integral of
+        # pi max_i (r^2 - (x - c_i)^2), quadratic between the breakpoints, so
+        # Simpson's rule on each piece is exact
+        def area(x):
+            return math.pi * max(r * r - (x - c) ** 2 for c in centres)
+
+        breaks = (-0.6, 0.25, 0.75, 1.6)
+        exact = sum((b - a) / 6.0 * (area(a) + 4.0 * area((a + b) / 2.0) + area(b)) for a, b in zip(breaks, breaks[1:]))
+        assert exact == pytest.approx(1.9703021925764, abs=1e-12)
+        assert abs(volume - exact) <= error <= 1e-6 * volume
+
     def test_a_product_member_is_refused_before_the_volume(self):
-        # the diameter refuses the unbounded product, so _union_volume never sees one
+        # _leaves refuses the unbounded product, so _union_volume never sees one
         product = ProductSet(base=Ball(center=np.zeros(2), radius=0.5), axis=np.array([0.0, 0.0, 1.0]))
         with pytest.raises(UnboundedShapeError):
             lower_bound_volume_diam(UnionShape((Ball(center=np.zeros(3), radius=1.0), product)))
@@ -725,6 +752,30 @@ class TestPlankWidth:
             # the witness direction attains the width as a shadow
             attained = float(shadow_values_batch(poly, d[None, :])[0])
             assert attained == pytest.approx(width, abs=1e-9)
+
+    def test_rectangle_cuboid_width(self):
+        rect = axis_aligned_cuboid(np.zeros(2), np.array([0.5, 1.0]))
+        value, d = plank_value_2d(rect)
+        assert value == 1.0 == compute_bounds(rect).upper
+        assert d.tolist() == [0.0, 1.0]  # along the long edge
+        rotated = Cuboid(center=np.ones(2), frame=orthonormal_frame(np.array([0.6, 0.8])),
+                         half_lengths=np.array([0.5, 1.0]))
+        assert plank_value_2d(rotated)[0] == 1.0
+
+    def test_one_member_union_is_its_member(self):
+        disk = Ball(center=np.array([0.5, -1.0]), radius=0.75)
+        square = ConvexPolytope.hull_of(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+        for leaf in (disk, square, axis_aligned_cuboid(np.zeros(2), np.array([0.5, 1.0]))):
+            width, d, method = bounds._plank_2d(leaf)
+            for shape in (UnionShape((leaf,)), UnionShape((UnionShape((leaf,)),))):
+                got = bounds._plank_2d(shape)
+                assert (got[0], got[1].tolist(), got[2]) == (width, d.tolist(), method)
+
+    def test_rejects_several_leaves_and_empty_unions(self):
+        disk = Ball(center=np.zeros(2), radius=1.0)
+        for shape in (UnionShape((disk, disk)), UnionShape((), dim_hint=2)):
+            with pytest.raises(ParameterError):
+                plank_value_2d(shape)
 
     def test_rejects_higher_dimension(self):
         with pytest.raises(DimensionError):

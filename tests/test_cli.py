@@ -94,6 +94,24 @@ class TestBounds:
         assert code == 2
         assert err.startswith("input error:")
 
+    @pytest.mark.parametrize("in_union", [False, True], ids=["bare", "in a union"])
+    @pytest.mark.parametrize("how", [["bounds"], ["cover", "--search"], ["cover", "--parallel", "0,0,1", "1/4"],
+                                     ["cover", "--cover", "round.json"], ["plank"]],
+                             ids=["bounds", "cover --search", "cover --parallel", "cover --cover", "plank"])
+    def test_every_bounded_command_refuses_a_product_the_same_way(self, tmp_path, capsys, monkeypatch, how, in_union):
+        monkeypatch.chdir(tmp_path)
+        shape_file(tmp_path, [{"kind": "round", "point": [0, 0, 0], "axis": [0, 0, 1], "r": 0.5}], "round.json")
+        if how == ["plank"]:
+            n, base = 2, {"dim": 1, "kind": "cuboid", "center": [0.0], "half_lengths": [0.5]}
+        else:
+            n, base = 3, {"dim": 2, "kind": "ball", "center": [0.0, 0.0], "radius": 1.0}
+        doc = {"dim": n, "kind": "product", "base": base, "axis": [0.0] * (n - 1) + [1.0]}
+        if in_union:
+            ball = {"dim": n, "kind": "ball", "center": [0.0] * n, "radius": 1.0}
+            doc = {"dim": n, "kind": "union", "members": [ball, doc]}
+        argv = [how[0], "--shape", shape_file(tmp_path, doc), *how[1:]]
+        assert run(capsys, argv) == (2, "", "input error: product set is unbounded along its axis\n")
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -184,6 +202,32 @@ class TestPlank:
         result = run_json(capsys, ["plank", "--shape", shape_file(tmp_path, disk)])["result"]
         assert result["width"] == 1.5
         assert result["method"] == "closed form"
+
+    def test_rectangle_cuboid_width(self, tmp_path, capsys):
+        # the 1 x 2 rectangle as a cuboid, whose upper bound bounds reports as 1.0
+        rect = {"dim": 2, "kind": "cuboid", "center": [0.0, 0.0], "half_lengths": [0.5, 1.0],
+                "frame": {"axis": [0.0, 1.0], "cross": [[1.0, 0.0]]}}
+        path = shape_file(tmp_path, rect)
+        result = run_json(capsys, ["plank", "--shape", path])["result"]
+        assert result["width"] == 1.0 == run_json(capsys, ["bounds", "--shape", path])["result"]["upper"]
+        assert result["method"] == "closed form"
+
+    def test_one_member_union_reads_its_member(self, tmp_path, capsys):
+        disk = {"dim": 2, "kind": "ball", "center": [0.5, -1.0], "radius": 0.75}
+        union = {"dim": 2, "kind": "union", "members": [disk]}
+        result = run_json(capsys, ["plank", "--shape", shape_file(tmp_path, union)])["result"]
+        assert result["width"] == 1.5
+        assert result["method"] == "closed form"
+        union["members"] = [SQUARE2]
+        result = run_json(capsys, ["plank", "--shape", shape_file(tmp_path, union)])["result"]
+        assert result["width"] == pytest.approx(1.0, abs=1e-12)
+        assert "calipers" in result["method"]
+
+    def test_two_member_union_exits_2(self, tmp_path, capsys):
+        disk = {"dim": 2, "kind": "ball", "center": [0.0, 0.0], "radius": 0.5}
+        union = {"dim": 2, "kind": "union", "members": [disk, SQUARE2]}
+        code, _, err = run(capsys, ["plank", "--shape", shape_file(tmp_path, union)])
+        assert code == 2 and "input error" in err
 
     def test_wrong_dimension_exits_2(self, capsys):
         code, _, err = run(capsys, ["plank", "--shape", "tetrahedron"])

@@ -25,22 +25,34 @@ from tubemeasure import (
     ParameterError,
     PointCloud,
     ProductSet,
+    Shadow,
     SquareTubes,
     Tube,
+    TubeCover,
     UnboundedShapeError,
     UnionShape,
     axis_aligned_cuboid,
     bounding_box,
+    compute_bounds,
+    cover_check,
+    cover_search,
     diameter,
     identity_frame,
+    lower_bound_volume_diam,
+    mc_intersection_volume,
+    mc_volume,
     orthonormal_frame,
+    parallel_cover_from_projection,
+    plank_value_2d,
     regular_tetrahedron,
+    shadow_area,
     unit_ball_volume,
+    upper_bound_min_projection,
     volume_exact,
 )
 from tubemeasure.geometry import CONTAINS_TOL, _rows_all
 from tubemeasure.montecarlo import BATCH, TAG_POINTS, batch_rng, sample_points
-from tubemeasure.projection import _BoxOracle, _HullOracle
+from tubemeasure.projection import _BoxOracle, _HullOracle, shadow_values_batch
 from fractions import Fraction
 
 
@@ -279,6 +291,52 @@ class TestDiameter:
                 diameter(shape)
             with pytest.raises(UnboundedShapeError):
                 volume_exact(shape)
+
+
+def _line(n):
+    return Tube(point=np.zeros(n), axis=np.eye(n)[-1], radius=0.5)
+
+
+# every public operation that needs a bounded shape, called on shape s
+BOUNDED_OPERATIONS = {
+    "compute_bounds": compute_bounds,
+    "upper_bound_min_projection": upper_bound_min_projection,
+    "lower_bound_volume_diam": lower_bound_volume_diam,
+    "plank_value_2d": plank_value_2d,
+    "Shadow": lambda s: Shadow(s, np.eye(s.dim)[-1]),
+    "shadow_area": lambda s: shadow_area(s, np.eye(s.dim)[-1]),
+    "shadow_values_batch": lambda s: shadow_values_batch(s, np.eye(s.dim)),
+    "parallel_cover_from_projection": lambda s: parallel_cover_from_projection(s, np.eye(s.dim)[-1], 0.25),
+    "cover_search": cover_search,
+    "cover_check": lambda s: cover_check(s, TubeCover(tubes=(_line(s.dim),))),
+    "mc_volume": mc_volume,
+    "mc_intersection_volume": lambda s: mc_intersection_volume(s, _line(s.dim)),
+    "sample_points": lambda s: sample_points(s, 10),
+    "diameter": diameter,
+    "bounding_box": bounding_box,
+    "volume_exact": volume_exact,
+}
+
+
+class TestProductRefusal:
+    """One rule: ``_leaves`` refuses a product set, bare or inside a union,
+    for every operation that needs a bounded shape, with one message."""
+
+    @staticmethod
+    def product(n):
+        base = axis_aligned_cuboid(np.zeros(1), np.full(1, 0.5)) if n == 2 else Ball(center=np.zeros(n - 1), radius=1.0)
+        return ProductSet(base=base, axis=np.eye(n)[-1])
+
+    @pytest.mark.parametrize("in_union", [False, True], ids=["bare", "in a union"])
+    @pytest.mark.parametrize("name, n", [(name, n) for name in BOUNDED_OPERATIONS for n in (2, 3)
+                                         if name != "plank_value_2d" or n == 2])
+    def test_every_bounded_operation_refuses_a_product(self, name, n, in_union):
+        shape = self.product(n)
+        if in_union:
+            shape = UnionShape(members=(Ball(center=np.zeros(n), radius=1.0), shape))
+        with pytest.raises(UnboundedShapeError) as info:
+            BOUNDED_OPERATIONS[name](shape)
+        assert str(info.value) == "product set is unbounded along its axis"
 
 
 class TestTubes:

@@ -15,9 +15,11 @@ from tubemeasure import (
     Ball,
     ConvexPolytope,
     Cuboid,
+    ParameterError,
     PointCloud,
     ProductSet,
     Shadow,
+    Tube,
     UnboundedShapeError,
     UnionShape,
     axis_aligned_cuboid,
@@ -104,6 +106,13 @@ class TestExactShadows:
         )
         with pytest.raises(UnboundedShapeError):
             shadow_area(prod, np.array([0.0, 0.0, 1.0]))
+
+    def test_a_member_that_is_no_shape_is_refused_as_such(self):
+        # a union takes any member with a dimension; a round tube has no shadow oracle
+        tube = Tube(point=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=0.5)
+        union = UnionShape(members=(Ball(center=np.zeros(3), radius=1.0), tube))
+        with pytest.raises(ParameterError, match="^not a shape: Tube$"):
+            Shadow(union, np.array([1.0, 0.0, 0.0]))
 
 
 UP = np.array([0.0, 0.0, 1.0])
