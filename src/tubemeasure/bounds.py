@@ -23,8 +23,8 @@ least value sits at a vertex of the arrangement of their normals.  In
 R^2 and R^3 a union's own exact shadow is taken instead: first along its
 members' witness directions and the lines through their centres, where
 one within 4 ulps of the floor (the largest member's least shadow) is a
-least shadow and ends the search, else along 256 fixed directions and
-the member-sum minimizer.  Every candidate is an exact shadow, so the
+least shadow and ends the search, else also along 256 fixed directions
+and the member-sum minimizer.  Every candidate is an exact shadow, so the
 reported least one is a valid upper bound.  In the plane the least
 shadow is the minimal width (the plank problem).
 Product sets A x R have mu = |A| exactly, with an explicit lower bound
@@ -215,9 +215,10 @@ def _min_shadow(s: Shape) -> tuple:
         longest = canonical_direction(s.axes[int(np.argmax(full))])
         return float(np.prod(full) / full.max()), longest, "closed form"
     if isinstance(s, UnionShape) and n <= 3:
-        at_floor = _floor_shadow(s, leaves)
-        if at_floor is not None:
-            return at_floor
+        value, direction, at_floor = _floor_shadow(s, leaves)
+        if at_floor:
+            return value, direction, "exact union shadow at its floor, the largest member's least shadow"
+        seen = value, direction
     # a polytope or a union: the least sum of its leaves' Cauchy terms
     normals, measures, constants = zip(*map(_cauchy_terms, leaves))
     gens, weights = _generators(np.concatenate(normals), np.concatenate(measures))
@@ -226,12 +227,14 @@ def _min_shadow(s: Shape) -> tuple:
         return value, direction, path
     if n > 3:
         return value, direction, f"sum of member shadows, {path}"
-    # the union's own shadow is exact in R^2 and R^3, and never above the sum
+    # the union's own shadow is exact in R^2 and R^3, and never above the
+    # sum; the floor stage's shadows (``seen``) stay candidates
     grid = sphere_directions(n, _UNION_DIRECTIONS)
     directions = np.vstack([grid, direction])
     values = np.array([Shadow(s, d).exact_area for d in directions])
-    best = _least(values, directions, (math.inf, None))
-    return (*best, f"grid {len(grid)} of exact shadows, plus the member-sum minimizer")
+    best = _least(values, directions, seen)
+    return (*best, f"grid {len(grid)} of exact shadows, plus the member-sum minimizer, "
+                   "the members' witnesses and their centre lines")
 
 
 def _centre(leaf: Shape) -> np.ndarray | None:
@@ -243,9 +246,10 @@ def _centre(leaf: Shape) -> np.ndarray | None:
     return None
 
 
-def _floor_shadow(s: UnionShape, leaves: list) -> tuple | None:
-    """(value, direction, method) of a union in R^2 or R^3 that reaches its
-    floor, else None.
+def _floor_shadow(s: UnionShape, leaves: list) -> tuple:
+    """(value, direction, at_floor): the least exact shadow of a union in
+    R^2 or R^3 along its candidate directions, and whether it reaches the
+    floor.
 
     No shadow of a union is below the least shadow of its largest member,
     the floor.  The candidates are each leaf's witness direction and each
@@ -265,9 +269,7 @@ def _floor_shadow(s: UnionShape, leaves: list) -> tuple | None:
     directions = np.array(directions)
     values = np.array([Shadow(s, d).exact_area for d in directions])
     value, direction = _least(values, directions, (math.inf, None))
-    if abs(value - floor) > _FLOOR_ULPS * math.ulp(floor):
-        return None
-    return value, direction, "exact union shadow at its floor, the largest member's least shadow"
+    return value, direction, abs(value - floor) <= _FLOOR_ULPS * math.ulp(floor)
 
 
 def upper_bound_min_projection(s: Shape) -> tuple[float, np.ndarray]:
@@ -289,7 +291,8 @@ def upper_bound_min_projection(s: Shape) -> tuple[float, np.ndarray]:
     gives a shadow within 4 ulps of it; the method then reads "exact
     union shadow at its floor, ...".  Otherwise the exact shadows along
     256 fixed directions and along the member-sum minimizer are tried,
-    so the value is never above the sum.  Ties go to the
+    so the value is never above the sum, and the least of them and of
+    the candidates already tried is reported.  Ties go to the
     lexicographically smallest canonical direction.
     """
     value, direction, _ = _min_shadow(s)

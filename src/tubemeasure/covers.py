@@ -56,7 +56,7 @@ from .geometry import (
     _row_values,
     diameter,
 )
-from .montecarlo import sample_points
+from .montecarlo import _check_samples, sample_points
 from .projection import _cross_view, _extent, _leaf_oracle, _touch
 
 # tube radii must stay positive on exact line fits; scaled by the cloud's
@@ -301,7 +301,9 @@ def cover_check(
     s: Shape, cover: TubeCover, samples: int = CHECK_SAMPLES, seed: int = 0
 ) -> CoverVerdict:
     """Containment check: a lattice certificate where one applies, else
-    point-sampled; exact for point clouds.
+    point-sampled; exact for point clouds.  ``samples`` below
+    ``MIN_SAMPLES`` is refused, as ``mc_volume`` refuses it, whichever
+    path the check then takes.
 
     When the cover is one group of square tubes (equal frame bytes and
     half-width, over any number of parts) whose anchors lie on their own
@@ -330,6 +332,7 @@ def cover_check(
     not depend on the order in which tubes are tried, so the verdict and
     the witness are those of testing every tube.
     """
+    samples = _check_samples(samples)
     if s.dim != cover.dim:
         raise DimensionError("shape and cover dimensions differ")
     leaves = _leaves(s)

@@ -556,7 +556,8 @@ def volume_exact(s: Shape) -> float | None:
 
 def _leaves(s: Shape) -> list[Shape]:
     """The shape's leaves, unions flattened in member order.  A product set
-    anywhere in the shape is refused: it is unbounded."""
+    anywhere in the shape is refused: it is unbounded; so is anything that
+    is not a shape, say a tube."""
     if isinstance(s, UnionShape):
         out = []
         for m in s.members:
@@ -564,6 +565,8 @@ def _leaves(s: Shape) -> list[Shape]:
         return out
     if isinstance(s, ProductSet):
         raise UnboundedShapeError("product set is unbounded along its axis")
+    if not isinstance(s, (Ball, Cuboid, ConvexPolytope, PointCloud)):
+        raise ParameterError(f"not a shape: {type(s).__name__}")
     return [s]
 
 

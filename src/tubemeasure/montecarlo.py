@@ -119,9 +119,12 @@ def mc_intersection_volume(
 def sample_points(s: Shape, count: int, seed: int = 0) -> np.ndarray:
     """Deterministic points of s: cloud points verbatim, else rejection sampling.
 
-    Raises if the shape's volume fraction of its bounding box is too small
-    to fill the request (effectively degenerate for rejection sampling).
+    A count below 1 is a ParameterError.  Raises if the shape's volume
+    fraction of its bounding box is too small to fill the request
+    (effectively degenerate for rejection sampling).
     """
+    if count < 1:
+        raise ParameterError(f"count must be at least 1, got {count}")
     if isinstance(s, PointCloud):
         pts = s.points
         if count >= len(pts):

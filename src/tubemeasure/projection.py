@@ -27,7 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError
 from .geometry import (
     CONTAINS_TOL,
     Ball,
@@ -207,9 +207,7 @@ def _leaf_oracle(leaf: Shape, cross: np.ndarray, stretch: float = 1.0):
                     value.setflags(write=False)
             object.__setattr__(leaf, "_last_shadow", (cross.tobytes(), oracle))
         return oracle
-    if isinstance(leaf, PointCloud):
-        return _PointsOracle(leaf.points @ cross.T)
-    raise ParameterError(f"not a shape: {type(leaf).__name__}")
+    return _PointsOracle(leaf.points @ cross.T)  # a cloud: ``_leaves`` admits no other kind
 
 
 def _cross2(u, v):
@@ -558,9 +556,7 @@ def _cauchy_terms(leaf: Shape) -> tuple[np.ndarray, np.ndarray, float]:
         return leaf.axes, 2.0 * (np.prod(full) / full), 0.0  # finite wherever the faces are
     if isinstance(leaf, ConvexPolytope):
         return *leaf.facet_arrays, 0.0
-    if isinstance(leaf, PointCloud):
-        return np.zeros((0, leaf.dim)), np.zeros(0), 0.0
-    raise ParameterError(f"not a shape: {type(leaf).__name__}")
+    return np.zeros((0, leaf.dim)), np.zeros(0), 0.0  # a cloud: ``_leaves`` admits no other kind
 
 
 def shadow_values_batch(s: Shape, directions: np.ndarray) -> np.ndarray | None:

@@ -9,15 +9,13 @@ lowest terms with a positive denominator.  A long list of like entries
 (a cover's tubes, a packing's squares) is a ``Listing``: runs of rows of
 numbers, each run with the function that maps one row to its entry.
 
-A cover is read a run at a time.  The per-entry reader reads the first
-entry of a run, and it alone raises, naming the entry at fault.  The
-square entries after it whose frame and delta objects equal (==) its own
-are one block when every number in them is a float, each anchor has the
-frame's length and each frame is the first one's bit for bit: they add
-one array of anchors to its group, with no further frame or delta read.
-A run that fails a check is read entry by entry.  Both paths add squares
-to the group before them by one rule (``_add_squares``: the same Frame
-object and an equal delta).
+A cover is read one entry at a time, in order.  The per-entry reader
+reads in full the square entry that opens a run, and it alone raises,
+naming the entry at fault.  A later square entry that repeats the run's
+frame and delta exactly (equal, with floats where == cannot tell a type
+or a zero's sign apart) adds its anchor to the run with no further read;
+every other entry is read in full, and its squares join the group before
+them when they have the same Frame object and an equal delta.
 
 Parsing is strict: unknown fields, missing fields, wrong types, and
 malformed vectors all raise SchemaError rather than being guessed at.
@@ -29,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -285,58 +284,42 @@ def cover_from_json(obj) -> TubeCover:
     """Read a cover document; consecutive square entries with one frame
     and one delta read back as one group of square tubes.
 
-    After a run's first square entry, the entries whose frame and delta
-    objects equal its own are read as one block when all their numbers are
-    floats (a delta's ints), every anchor has the frame's length, and every
-    frame is the first one's bit for bit, so that -0.0 and 0.0 stay apart;
-    a run that fails a check is read entry by entry, with the same errors
-    and the same parts.  Both paths merge squares into the group before
-    them by one rule, ``_add_squares``.
+    The entries are read in order.  A square entry that repeats the frame
+    and delta of its run's opening entry exactly (``_repeats``) adds its
+    anchor with no further read; every other entry is read in full by
+    ``_read_entry``, which alone raises, naming the entry at fault.  The
+    square tubes are built only once every entry has been read, so that a
+    schema error in a later entry comes before their constructors'.
     """
-    return _read_cover(obj, whole_runs=True)
-
-
-_SQUARE_FIELDS = ("kind", "anchor", "frame", "delta")
-_SQUARE_KEYS = frozenset(_SQUARE_FIELDS)
-_FRAME_CHUNK = 1024  # square entries whose frame numbers are compared as one array
-
-
-def _read_cover(obj, whole_runs: bool) -> TubeCover:
-    """The cover of a document, read with whole runs of square entries as
-    blocks, or with whole_runs False entry by entry (the oracle of the block
-    read).  The square tubes are built only once every entry has been read,
-    so a schema error in a later entry comes before their constructors'."""
     if not isinstance(obj, list):
         raise SchemaError("a cover document must be a top-level list of tubes")
-    parts = []  # round Tubes and [frame, delta, anchor arrays] runs of square entries
+    parts = []  # round Tubes and [frame, delta, anchors] runs of square entries
     frames = {}
-    i = 0
-    while i < len(obj):
-        _read_entry(obj[i], f"cover[{i}]", parts, frames)
-        end = _run_end(obj, i) if whole_runs else i + 1
-        rest = obj[i + 1 : end]  # square entries like obj[i], whose part is parts[-1]
-        anchors = _square_block(rest, parts[-1][0]) if rest else None
-        if anchors is None:
-            for j in range(i + 1, end):
-                _read_entry(obj[j], f"cover[{j}]", parts, frames)
-        else:
-            _add_squares(parts, *parts[-1][:2], anchors)
-        i = end
+    run = None  # the checks of the last run's opening entry (``_opening``)
+    for i, entry in enumerate(obj):
+        if run is not None and _repeats(entry, *run):
+            parts[-1][2].append(entry["anchor"])
+            continue
+        _read_entry(entry, f"cover[{i}]", parts, frames)
+        run = _opening(entry, parts[-1][0].dim) if isinstance(parts[-1], list) else None
     return TubeCover(tubes=tuple(
-        p if isinstance(p, Tube) else SquareTubes(frame=p[0], anchors=np.vstack(p[2]), half_width=p[1])
+        p if isinstance(p, Tube) else SquareTubes(frame=p[0], anchors=np.array(p[2]), half_width=p[1])
         for p in parts
     ))
 
 
-def _add_squares(parts: list, frame: Frame, delta: Fraction, anchors: np.ndarray):
-    """Add an anchor or a block of anchors to the last part when that is a
-    run of square entries with this very frame and an equal delta, else
-    start a new run."""
+_SQUARE_FIELDS = ("kind", "anchor", "frame", "delta")
+_SQUARE_KEYS = frozenset(_SQUARE_FIELDS)
+
+
+def _add_squares(parts: list, frame: Frame, delta: Fraction, anchor: np.ndarray):
+    """Add an anchor to the last part when that is a run of square entries
+    with this very frame and an equal delta, else start a new run."""
     run = parts[-1] if parts else None
     if isinstance(run, list) and run[0] is frame and run[1] == delta:
-        run[2].append(anchors)
+        run[2].append(anchor)
     else:
-        parts.append([frame, delta, [anchors]])
+        parts.append([frame, delta, [anchor]])
 
 
 def _read_entry(entry, what: str, parts: list, frames: dict):
@@ -359,48 +342,46 @@ def _read_entry(entry, what: str, parts: list, frames: dict):
         raise SchemaError(f"{what} has unknown tube kind {kind!r}")
 
 
-def _is_square(entry) -> bool:
-    return type(entry) is dict and entry.keys() == _SQUARE_KEYS and entry["kind"] == "square"
+def _frame_numbers(frame: dict) -> list:
+    """The numbers of a frame dict, axis first, in one list."""
+    return [*frame["axis"], *itertools.chain.from_iterable(frame["cross"])]
 
 
-def _run_end(obj: list, i: int) -> int:
-    """End of the run of square entries from obj[i] on whose frame and delta
-    objects equal (==) its own; i + 1 when obj[i] is not a square entry."""
-    end = i + 1
-    if _is_square(obj[i]):
-        frame, delta = obj[i]["frame"], obj[i]["delta"]
-        try:
-            while end < len(obj) and _is_square(obj[end]) and obj[end]["frame"] == frame and obj[end]["delta"] == delta:
-                end += 1
-        except ValueError:  # a numpy array, in a document built in Python, compares elementwise
-            pass
-    return end
+def _opening(entry: dict, dim: int) -> tuple:
+    """What a later entry must match to repeat ``entry``, a square entry
+    just read in full: its frame and delta dicts, the types of its anchor's
+    numbers, and, when a frame number equals 0 or 1, the types and signs of
+    the frame's numbers (else None), since == tells neither 0 or 1 from a
+    bool or an int nor 0.0 from -0.0."""
+    numbers = _frame_numbers(entry["frame"])
+    exact = None
+    if 0 in numbers or 1 in numbers:
+        exact = [float] * len(numbers), [math.copysign(1.0, v) for v in numbers]
+    return entry["frame"], entry["delta"], [float] * dim, exact
 
 
-def _only(cls, rows) -> bool:
-    """Whether the items of the rows are all of type cls, at C speed."""
-    return set(map(type, itertools.chain.from_iterable(rows))) == {cls}
-
-
-def _square_block(run: list, frame: Frame) -> np.ndarray | None:
-    """The anchors of run, square entries whose frame and delta objects equal
-    those of a valid entry before them, as one array; or None when some
-    anchor is no list of the frame's length, some number is no float (a
-    delta part no int: True and 1.0 equal 1), or some frame is not
-    ``frame`` bit for bit (-0.0 equals 0.0 but reads apart)."""
-    anchors = [entry["anchor"] for entry in run]
-    if not (set(map(type, anchors)) == {list} and set(map(len, anchors)) == {frame.dim} and _only(float, anchors)):
-        return None
-    if not _only(int, map(dict.values, (entry["delta"] for entry in run))):
-        return None
-    bits = np.vstack([frame.axis, frame.cross]).view(np.int64).ravel()
-    for start in range(0, len(run), _FRAME_CHUNK):
-        # each frame equals a valid one, whose rows are lists, so its rows are lists too
-        rows = [row for entry in run[start : start + _FRAME_CHUNK]
-                for row in (entry["frame"]["axis"], *entry["frame"]["cross"])]
-        if not (_only(float, rows) and np.all(np.array(rows).view(np.int64).reshape(-1, bits.size) == bits)):
-            return None
-    return np.array(anchors)
+def _repeats(entry, frame: dict, delta: dict, anchor_types: list, exact: tuple | None) -> bool:
+    """Whether reading ``entry`` in full would only add its anchor to the run
+    opened with these checks (``_opening``): it is a square entry whose frame
+    and delta equal (==) the opening ones, whose delta holds ints, whose
+    anchor is a list of floats of the opening length, and, given ``exact``,
+    whose frame holds floats of the opening signs.  Without ``exact`` a frame
+    number of a type that JSON never decodes to (a Fraction, say, in a
+    document built in Python) passes when it equals the opening one."""
+    try:
+        if not (type(entry) is dict and entry.keys() == _SQUARE_KEYS and entry["kind"] == "square"
+                and entry["frame"] == frame and entry["delta"] == delta):
+            return False
+    except ValueError:  # a numpy array, in a document built in Python, compares elementwise
+        return False
+    anchor, entry_delta = entry["anchor"], entry["delta"]
+    if not (type(entry_delta["num"]) is int and type(entry_delta["den"]) is int and type(anchor) is list
+            and list(map(type, anchor)) == anchor_types):
+        return False
+    if exact is None:
+        return True
+    numbers, (types, signs) = _frame_numbers(entry["frame"]), exact
+    return list(map(type, numbers)) == types and list(map(math.copysign, itertools.repeat(1.0), numbers)) == signs
 
 
 # ---------------------------------------------------------------------------

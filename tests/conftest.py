@@ -11,10 +11,13 @@ from tubemeasure import (
     ConvexPolytope,
     Cuboid,
     PointCloud,
+    SquareTubes,
     Tube,
+    TubeCover,
     orthonormal_frame,
     unit_vector,
 )
+from tubemeasure import serialization
 
 
 def random_rotation(rng, n):
@@ -73,6 +76,19 @@ def random_tube(rng, n):
 def random_convex_polygon(rng, count=10):
     pts = rng.standard_normal((count, 2)) * float(rng.uniform(0.5, 2.0))
     return ConvexPolytope.hull_of(pts + rng.uniform(-1.0, 1.0, 2))
+
+
+def read_by_entry(doc):
+    """The cover of a document read one entry at a time, each in full: the
+    oracle of ``cover_from_json``, which reads a repeated square entry as
+    its anchor alone."""
+    parts, frames = [], {}
+    for i, entry in enumerate(doc):
+        serialization._read_entry(entry, f"cover[{i}]", parts, frames)
+    return TubeCover(tubes=tuple(
+        p if isinstance(p, Tube) else SquareTubes(frame=p[0], anchors=np.vstack(p[2]), half_width=p[1])
+        for p in parts
+    ))
 
 
 def assert_packing_exact(packing):

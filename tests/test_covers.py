@@ -112,6 +112,14 @@ class TestCoverCheck:
         assert bool(ball.contains(witness[None, :])[0])
         assert not bool(thin.tubes[0].contains(witness[None, :])[0])
 
+    @pytest.mark.parametrize("samples", [0, -5, 999])
+    def test_too_few_samples_are_refused(self, samples):
+        # as mc_volume refuses them: a check of no points would call any cover a cover
+        ball = Ball(center=np.zeros(3), radius=1.0)
+        far = TubeCover(tubes=(Tube(point=np.full(3, 10.0), axis=np.array([0.0, 0.0, 1.0]), radius=0.5),))
+        with pytest.raises(ParameterError, match=f"^samples must be at least 1000, got {samples}$"):
+            cover_check(ball, far, samples=samples)
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             cover_check(unit_cube(), TubeCover(tubes=(round_tube(2, 1.0),)))

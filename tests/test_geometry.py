@@ -339,6 +339,23 @@ class TestProductRefusal:
         assert str(info.value) == "product set is unbounded along its axis"
 
 
+class TestNonShapeRefusal:
+    """``_leaves`` refuses a member that is not a shape, here a round tube,
+    bare or inside a union, for every operation that needs a bounded shape,
+    with one message."""
+
+    @pytest.mark.parametrize("in_union", [False, True], ids=["bare", "in a union"])
+    @pytest.mark.parametrize("name, n", [(name, n) for name in BOUNDED_OPERATIONS for n in (2, 3)
+                                         if name != "plank_value_2d" or n == 2])
+    def test_every_bounded_operation_refuses_a_tube(self, name, n, in_union):
+        shape = Tube(point=np.zeros(n), axis=np.eye(n)[-1], radius=0.5)
+        if in_union:
+            shape = UnionShape(members=(Ball(center=np.zeros(n), radius=1.0), shape))
+        with pytest.raises(ParameterError) as info:
+            BOUNDED_OPERATIONS[name](shape)
+        assert str(info.value) == "not a shape: Tube"
+
+
 class TestTubes:
     def test_point_on_axis(self):
         tube = Tube(point=np.zeros(3), axis=np.array([0.0, 0.0, 1.0]), radius=1.0)

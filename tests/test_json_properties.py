@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import read_by_entry
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tubemeasure import cli
@@ -33,7 +34,7 @@ from tubemeasure import (
     shape_to_json,
 )
 from tubemeasure.errors import SchemaError
-from tubemeasure.serialization import _read_cover, cover_listing
+from tubemeasure.serialization import cover_listing
 
 PROPERTY = settings(
     derandomize=True,
@@ -205,11 +206,7 @@ def test_cover_documents_are_fixed_points(cover):
     assert_same_document(cover_to_json(cover_from_json(wire(doc))), doc)
 
 
-# --- the block reader of covers against the per-entry reader ----------------
-
-
-def read_by_entry(doc):
-    return _read_cover(doc, whole_runs=False)
+# --- the cover reader against the entry-by-entry read ----------------------
 
 
 @st.composite
@@ -270,7 +267,7 @@ def outcome(read, doc):
 
 @PROPERTY
 @given(square_runs())
-def test_block_reader_matches_the_per_entry_reader(doc):
+def test_reader_matches_the_per_entry_reader(doc):
     assert_same_cover(cover_from_json(doc), read_by_entry(doc))
 
 
@@ -324,7 +321,7 @@ def mutated_runs(draw):
 
 @settings(PROPERTY, max_examples=400)
 @given(mutated_runs())
-def test_block_reader_fails_as_the_per_entry_reader(doc):
+def test_reader_fails_as_the_per_entry_reader(doc):
     got, want = outcome(cover_from_json, doc), outcome(read_by_entry, doc)
     if isinstance(want, tuple):
         assert got == want

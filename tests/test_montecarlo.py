@@ -79,6 +79,14 @@ class TestSamplePoints:
         assert pts.shape == (2, 2)
         assert np.array_equal(pts, cloud.points[:2])
 
+    @pytest.mark.parametrize("count", [0, -1, -3])
+    def test_count_below_one_is_refused(self, count):
+        # a negative count once sliced the points from the far end
+        cloud = PointCloud(points=np.eye(4))
+        for shape in (Ball(center=np.zeros(3), radius=1.0), cloud):
+            with pytest.raises(ParameterError, match=f"^count must be at least 1, got {count}$"):
+                sample_points(shape, count)
+
     def test_degenerate_raises(self):
         for cloud_like in (
             UnionShape(members=(), dim_hint=2),

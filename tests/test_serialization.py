@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import random_rotation
+from conftest import random_rotation, read_by_entry
 
 from tubemeasure import (
     Ball,
@@ -33,7 +33,6 @@ from tubemeasure import (
     shape_from_json,
     shape_to_json,
 )
-from tubemeasure import serialization
 
 
 def roundtrip(shape):
@@ -367,26 +366,16 @@ class TestCoverDocuments:
         assert len(back) == 5
         assert json.loads(json.dumps(cover_to_json(back))) == doc
 
-    def test_a_frame_equal_but_for_a_zero_s_sign_splits_the_run(self, monkeypatch):
-        # the three frames are == equal, so the run is one, but the third
-        # holds -0.0 where the others hold 0.0: the block read refuses the run
-        # and the entry-by-entry read gives the frames two parts
+    def test_a_frame_equal_but_for_a_zero_s_sign_splits_the_run(self):
+        # the three frames are == equal, but the third holds -0.0 where the
+        # others hold 0.0: it is read in full, and its frame starts a part
         frame = {"axis": [0.0, 0.0, 1.0], "cross": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
         signed = {"axis": [0.0, -0.0, 1.0], "cross": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}
         delta = {"num": 1, "den": 4}
         doc = [{"kind": "square", "anchor": [x, 0.5, 0.0], "frame": f, "delta": delta}
                for x, f in ((0.5, frame), (1.0, frame), (1.5, signed))]
-        blocks = []
-        block = serialization._square_block
-
-        def read_block(run, f):
-            blocks.append(block(run, f))
-            return blocks[-1]
-
-        monkeypatch.setattr(serialization, "_square_block", read_block)
         back = cover_from_json(doc)
-        assert blocks == [None]
-        by_entry = serialization._read_cover(doc, whole_runs=False)
+        by_entry = read_by_entry(doc)
         assert [len(part) for part in back.tubes] == [len(part) for part in by_entry.tubes] == [2, 1]
         for a, b in zip(back.tubes, by_entry.tubes):
             assert a.anchors.tobytes() == b.anchors.tobytes() and a.half_width == b.half_width

@@ -138,6 +138,14 @@ def test_two_ball_union_upper_bound_is_an_exact_shadow_at_the_larger_disk(tmp_pa
         assert "exact" in result["method"] and "floor" in result["method"]
 
 
+def test_three_separated_unit_balls_are_bounded_by_two_disks(tmp_path, capsys):
+    # step "Three separated unit balls are bounded by two disks"
+    union = write(tmp_path, "three_balls.json", {"dim": 3, "kind": "union", "members": [
+        {"dim": 3, "kind": "ball", "center": centre, "radius": 1.0} for centre in ([0, 0, 0], [5, 0, 0], [0, 5, 0])]})
+    result = run_json(capsys, ["bounds", "--shape", union])[1]["result"]
+    assert abs(result["upper"] - 2 * math.pi) <= 4 * math.ulp(2 * math.pi)
+
+
 def test_a_two_ball_union_gets_its_lower_bound_without_sampling(tmp_path, capsys, monkeypatch):
     # step "A two-ball union gets its lower bound without sampling"
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
